@@ -31,6 +31,9 @@ def main(argv=None) -> int:
     except (RefModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # Library functions raise ValueError for arguments outside their domain.
+        return _usage(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,23 +128,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble", parents=[common], help="compare planners over generated maps")
     p.add_argument("--n", type=int, default=10, help="number of generated maps")
     p.add_argument("--planners", default="edge_follow,terrain_aware", help="comma-separated names")
-    p.add_argument("--width", type=int, default=9)
-    p.add_argument("--height", type=int, default=7)
-    p.add_argument("--density", type=float, default=0.15)
-    p.add_argument("--max-level", type=int, default=3)
+    _add_gen_options(p)
     p.set_defaults(func=cmd_ensemble)
     p = sub.add_parser("rank", parents=[common], help="rank slot alternatives by simulated energy")
     p.add_argument("--slot", required=True)
     p.add_argument("--n", type=int, default=0, help="rank over N generated maps instead of --map")
-    p.add_argument("--width", type=int, default=9)
-    p.add_argument("--height", type=int, default=7)
-    p.add_argument("--density", type=float, default=0.15)
-    p.add_argument("--max-level", type=int, default=3)
+    _add_gen_options(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("demo", parents=[common], help="write the example repository, model, and map")
     p.set_defaults(func=cmd_demo)
     return parser
+
+
+def _add_gen_options(parser: argparse.ArgumentParser):
+    """The map-generation flags that _gen_params reads."""
+    parser.add_argument("--width", type=int, default=9)
+    parser.add_argument("--height", type=int, default=7)
+    parser.add_argument("--density", type=float, default=0.15)
+    parser.add_argument("--max-level", type=int, default=3)
 
 
 # --- shared plumbing --------------------------------------------------------
@@ -170,12 +175,24 @@ def _load_repo(args) -> repository.ReferenceRepository:
     return repository.load(path.read_text(encoding="utf-8"))
 
 
-def _load_model_file(args) -> tuple[Model, FilePath]:
+def _model_path(args) -> FilePath:
     if not args.model:
         raise _UsageError("--model is required")
-    path = FilePath(args.model)
+    return FilePath(args.model)
+
+
+def _load_model(args) -> Model:
+    path = _model_path(args)
+    if not path.exists():
+        raise _UsageError(f"model file not found: {path}")
+    return repository.load_model(path.read_text(encoding="utf-8"))
+
+
+def _load_or_new_model(args) -> tuple[Model, FilePath]:
+    """The model a ``model ...`` command edits; a missing file starts an empty model."""
+    path = _model_path(args)
     if path.exists():
-        return repository.load_model(path.read_text(encoding="utf-8")), path
+        return _load_model(args), path
     stem = path.name
     for suffix in (repository.MODEL_SUFFIX, ".json"):
         if stem.endswith(suffix):
@@ -193,6 +210,10 @@ def _load_map(args) -> terrain.TerrainMap:
     if not args.map_file:
         raise _UsageError("--map is required")
     return terrain.load_map(FilePath(args.map_file).read_text(encoding="utf-8"))
+
+
+def _gen_params(args) -> GenParams:
+    return GenParams(args.width, args.height, args.density, args.max_level)
 
 
 def _sim_params(args) -> simulation.SimParams:
@@ -226,6 +247,17 @@ def _parse_kv(entries, flag) -> dict:
         if not sep or not key:
             raise _UsageError(f"{flag} expects KEY=VALUE, got '{entry}'")
         out[key] = _coerce_scalar(value)
+    return out
+
+
+def _name_values(entries, flag: str, metavar: str) -> dict[str, str]:
+    """Repeated NAME=VALUE flags as a dict; an empty name or value is a usage error."""
+    out = {}
+    for entry in entries:
+        name, sep, value = entry.partition("=")
+        if not sep or not name or not value:
+            raise _UsageError(f"{flag} expects {metavar}, got '{entry}'")
+        out[name] = value
     return out
 
 
@@ -309,7 +341,7 @@ def cmd_repo_list(args) -> int:
 @_run
 def cmd_model_adopt(args) -> int:
     repo = _load_repo(args)
-    model, path = _load_model_file(args)
+    model, path = _load_or_new_model(args)
     model = repository.adopt(repo, args.asset_id, model)
     _write_model(model, path)
     print(f"adopted '{args.asset_id}' into {path}")
@@ -319,19 +351,14 @@ def cmd_model_adopt(args) -> int:
 @_run
 def cmd_model_adapt(args) -> int:
     repo = _load_repo(args)
-    model, path = _load_model_file(args)
+    model, path = _load_or_new_model(args)
     overrides: dict = {}
     if args.new_name:
         overrides["name"] = args.new_name
     params = _parse_kv(args.param, "--param")
     if params:
         overrides["parameters"] = params
-    port_types = {}
-    for entry in args.port_type:
-        key, sep, value = entry.partition("=")
-        if not sep or not key or not value:
-            raise _UsageError(f"--port-type expects PORT=TYPE, got '{entry}'")
-        port_types[key] = value
+    port_types = _name_values(args.port_type, "--port-type", "PORT=TYPE")
     if port_types:
         overrides["port_types"] = port_types
     model = repository.adapt(repo, args.asset_id, overrides, model)
@@ -343,7 +370,7 @@ def cmd_model_adapt(args) -> int:
 @_run
 def cmd_model_extend(args) -> int:
     repo = _load_repo(args)
-    model, path = _load_model_file(args)
+    model, path = _load_or_new_model(args)
     block = repo.asset(args.asset_id)
     if not isinstance(block, repository.BlockAsset):
         raise repository.WrongAssetKind(f"asset '{args.asset_id}' is not a block asset")
@@ -366,7 +393,7 @@ def cmd_model_extend(args) -> int:
 
 @_run
 def cmd_model_connect(args) -> int:
-    model, path = _load_model_file(args)
+    model, path = _load_or_new_model(args)
     provided = _parse_port_ref(args.provided, "provided endpoint")
     required = _parse_port_ref(args.required, "required endpoint")
     model = composition.connect(model, provided, required)
@@ -378,16 +405,11 @@ def cmd_model_connect(args) -> int:
 @_run
 def cmd_model_apply_pattern(args) -> int:
     repo = _load_repo(args)
-    model, path = _load_model_file(args)
+    model, path = _load_or_new_model(args)
     asset = repo.asset(args.pattern_id)
     if not isinstance(asset, repository.PatternAsset):
         raise repository.WrongAssetKind(f"asset '{args.pattern_id}' is not a pattern asset")
-    bindings = {}
-    for entry in args.bind:
-        key, sep, value = entry.partition("=")
-        if not sep or not key or not value:
-            raise _UsageError(f"--bind expects ANCHOR=BLOCK, got '{entry}'")
-        bindings[key] = value
+    bindings = _name_values(args.bind, "--bind", "ANCHOR=BLOCK")
     model = composition.apply_pattern(
         model, asset.pattern, bindings, force_theirs=args.force_theirs
     )
@@ -401,7 +423,7 @@ def cmd_model_apply_pattern(args) -> int:
 
 @_run
 def cmd_validate(args) -> int:
-    model, _ = _load_model_file(args)
+    model = _load_model(args)
     report = composition.validate_configuration(model)
     if report.is_valid:
         print(f"model '{model.id}' is valid")
@@ -414,7 +436,7 @@ def cmd_validate(args) -> int:
 
 @_run
 def cmd_trace(args) -> int:
-    model, _ = _load_model_file(args)
+    model = _load_model(args)
     direction = composition.TraceDirection(args.direction)
     tree = composition.trace(model, args.element, direction)
     if args.format == "dot":
@@ -433,7 +455,7 @@ def cmd_trace(args) -> int:
 
 @_run
 def cmd_coverage(args) -> int:
-    model, _ = _load_model_file(args)
+    model = _load_model(args)
     report = composition.capability_coverage(model)
     for entry in report.entries:
         chain = f" via {' <- '.join(entry.witnesses[0])}" if entry.witnesses else ""
@@ -443,7 +465,7 @@ def cmd_coverage(args) -> int:
 
 @_run
 def cmd_view(args) -> int:
-    model, _ = _load_model_file(args)
+    model = _load_model(args)
     viewpoint = composition.Viewpoint(ConcernLayer(args.subject), Aspect(args.aspect))
     view = composition.extract_view(model, viewpoint)
     if args.format == "dot":
@@ -462,7 +484,7 @@ def cmd_view(args) -> int:
 @_run
 def cmd_alternatives(args) -> int:
     repo = _load_repo(args)
-    model, _ = _load_model_file(args)
+    model = _load_model(args)
     pairs = composition.enumerate_alternatives_with_slots(model, repo, args.slot)
     for index, (block_id, alternative) in enumerate(pairs):
         block = alternative.blocks[block_id]
@@ -527,14 +549,8 @@ def cmd_compare(args) -> int:
 
 @_run
 def cmd_ensemble(args) -> int:
-    gen = GenParams(
-        width=args.width,
-        height=args.height,
-        obstacle_density=args.density,
-        max_level=args.max_level,
-    )
     stats = evaluator.ensemble(
-        gen,
+        _gen_params(args),
         args.n,
         _planner_list(args.planners),
         params=_sim_params(args),
@@ -555,18 +571,9 @@ def cmd_ensemble(args) -> int:
 @_run
 def cmd_rank(args) -> int:
     repo = _load_repo(args)
-    model, _ = _load_model_file(args)
+    model = _load_model(args)
     if args.n > 0:
-        arena = evaluator.EnsembleSpec(
-            gen=GenParams(
-                width=args.width,
-                height=args.height,
-                obstacle_density=args.density,
-                max_level=args.max_level,
-            ),
-            n_maps=args.n,
-            seed0=args.seed,
-        )
+        arena = evaluator.EnsembleSpec(gen=_gen_params(args), n_maps=args.n, seed0=args.seed)
     else:
         arena = _load_map(args)
     ranked = evaluator.rank_configurations(

@@ -4,13 +4,14 @@ Compares planners on one map, aggregates over seeded map ensembles, and ranks
 the plug-compatible alternatives of an algorithm-block slot by simulated
 energy. Runs that deplete the battery before finishing coverage never win
 against complete runs; among complete runs the lowest total energy wins and
-ties fall to the first planner in enumeration order.
+ties fall to the first planner in enumeration order. All three are reductions
+over one core that runs every planner on every map of an arena.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .composition import enumerate_alternatives_with_slots
 from .core import BlockKind, Model
@@ -18,7 +19,7 @@ from .errors import NoAlternatives
 from .planners import PlannerId, PlannerRef, resolve_planner
 from .repository import ReferenceRepository
 from .simulation import SimParams, SimResult, Termination, run
-from .terrain import GenParams, Position, TerrainMap, generate
+from .terrain import GenParams, Position, TerrainMap, generate_map
 
 DEFAULT_PLANNERS: tuple[PlannerId, ...] = (PlannerId.EDGE_FOLLOW, PlannerId.TERRAIN_AWARE)
 
@@ -32,40 +33,6 @@ class ComparisonReport:
     params: SimParams
     runs: tuple[tuple[str, SimResult], ...]
     winner: str
-
-
-def compare(
-    tmap: TerrainMap,
-    planners: Sequence[PlannerRef] = DEFAULT_PLANNERS,
-    start: Position | None = None,
-    params: SimParams | None = None,
-    map_label: str = "",
-) -> ComparisonReport:
-    """Run every planner with identical inputs and pick the winner."""
-    if not planners:
-        raise ValueError("compare needs at least one planner")
-    params = params or SimParams()
-    if start is None:
-        start = tmap.first_free()
-    runs: list[tuple[str, SimResult]] = []
-    for planner in planners:
-        name, _ = resolve_planner(planner)
-        runs.append((name, run(tmap, planner, start=start, params=params)))
-    winner = min(
-        range(len(runs)),
-        key=lambda i: (
-            runs[i][1].terminated is not Termination.PATH_COMPLETE,
-            runs[i][1].total_consumed,
-            i,
-        ),
-    )
-    return ComparisonReport(
-        map_label=map_label,
-        start=start,
-        params=params,
-        runs=tuple(runs),
-        winner=runs[winner][0],
-    )
 
 
 @dataclass(frozen=True)
@@ -93,6 +60,88 @@ class EnsembleStats:
         raise KeyError(planner)
 
 
+@dataclass(frozen=True)
+class EnsembleSpec:
+    """Arena description for ranking over generated maps instead of one map."""
+
+    gen: GenParams
+    n_maps: int
+    seed0: int = 0
+
+
+Arena = Union[TerrainMap, EnsembleSpec]
+Row = tuple[tuple[str, SimResult], ...]
+
+
+@dataclass(frozen=True)
+class RankedConfiguration:
+    """One alternative configuration with its simulated energy score."""
+
+    block_id: str
+    planner: str
+    score: float
+    completed: bool
+    model: Model
+
+
+def _maps(arena: Arena) -> Iterator[TerrainMap]:
+    """The arena's maps: the map itself, or one generated map per seed in seed order."""
+    if isinstance(arena, TerrainMap):
+        yield arena
+        return
+    gen = arena.gen
+    for seed in range(arena.seed0, arena.seed0 + arena.n_maps):
+        yield generate_map(gen.width, gen.height, gen.obstacle_density, seed, max_level=gen.max_level)
+
+
+def _rows(
+    arena: Arena, planners: Sequence[PlannerRef], params: SimParams, start: Position | None
+) -> Iterator[tuple[Position, Row]]:
+    """Per map, one (name, result) run per planner, all from the same start and params.
+
+    The start defaults to each map's first free cell. Callers reduce one row at a time.
+    """
+    for tmap in _maps(arena):
+        # Checked after the first map exists, so a generation error is reported first.
+        if not planners:
+            raise ValueError("compare needs at least one planner")
+        origin = tmap.first_free() if start is None else start
+        yield origin, tuple(
+            (resolve_planner(planner)[0], run(tmap, planner, start=origin, params=params))
+            for planner in planners
+        )
+
+
+def _standing(completed: bool, energy: float, order: int | str) -> tuple:
+    """Sort key of the one winner rule: complete before depleted, then lower energy, then order."""
+    return (not completed, energy, order)
+
+
+def _winner(row: Row) -> int:
+    """Index of the winning run in a row."""
+    return min(
+        range(len(row)),
+        key=lambda i: _standing(
+            row[i][1].terminated is Termination.PATH_COMPLETE, row[i][1].total_consumed, i
+        ),
+    )
+
+
+def compare(
+    tmap: TerrainMap,
+    planners: Sequence[PlannerRef] = DEFAULT_PLANNERS,
+    start: Position | None = None,
+    params: SimParams | None = None,
+    map_label: str = "",
+) -> ComparisonReport:
+    """Run every planner with identical inputs and pick the winner."""
+    params = params or SimParams()
+    origin, runs = next(_rows(tmap, planners, params, start))
+    return ComparisonReport(
+        map_label=map_label, start=origin, params=params, runs=runs, winner=runs[_winner(runs)][0]
+    )
+
+
 def ensemble(
     gen: GenParams,
     n_maps: int,
@@ -108,12 +157,9 @@ def ensemble(
     names = [resolve_planner(p)[0] for p in planners]
     totals: dict[str, list[float]] = {name: [] for name in names}
     wins: dict[str, int] = {name: 0 for name in names}
-    for offset in range(n_maps):
-        seed = seed0 + offset
-        tmap = generate(gen, seed)
-        report = compare(tmap, planners, start=start, params=params, map_label=f"seed={seed}")
-        wins[report.winner] += 1
-        for name, result in report.runs:
+    for _, row in _rows(EnsembleSpec(gen, n_maps, seed0), planners, params, start):
+        wins[row[_winner(row)][0]] += 1
+        for name, result in row:
             totals[name].append(result.total_consumed)
     per_planner = tuple(
         PlannerStats(
@@ -130,29 +176,6 @@ def ensemble(
     )
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Arena description for ranking over generated maps instead of one map."""
-
-    gen: GenParams
-    n_maps: int
-    seed0: int = 0
-
-
-Arena = Union[TerrainMap, EnsembleSpec]
-
-
-@dataclass(frozen=True)
-class RankedConfiguration:
-    """One alternative configuration with its simulated energy score."""
-
-    block_id: str
-    planner: str
-    score: float
-    completed: bool
-    model: Model
-
-
 def rank_configurations(
     model: Model,
     repo: ReferenceRepository,
@@ -163,42 +186,35 @@ def rank_configurations(
 ) -> list[RankedConfiguration]:
     """Simulate every plug-compatible alternative of the slot and sort by energy.
 
-    Configurations that fail to finish coverage before battery depletion are
-    flagged and ranked after all complete ones; ties break by block id.
+    An alternative's score is its mean energy over the arena's maps.
+    Configurations that fail to finish coverage on any map before battery
+    depletion are flagged and ranked after all complete ones; ties break by
+    block id.
     """
     slot_block = model.block(slot)
     if slot_block.kind is not BlockKind.ALGORITHM_BLOCK:
         raise NoAlternatives(f"slot '{slot}' is not an algorithm block")
     params = params or SimParams()
-    ranked = []
-    for block_id, alternative in enumerate_alternatives_with_slots(model, repo, slot):
-        planner_name, _ = resolve_planner(alternative.blocks[block_id])
-        score, completed = _score(planner_name, arena, params, start)
-        ranked.append(
-            RankedConfiguration(
-                block_id=block_id,
-                planner=planner_name,
-                score=score,
-                completed=completed,
-                model=alternative,
-            )
+    alternatives = enumerate_alternatives_with_slots(model, repo, slot)
+    names = [resolve_planner(alternative.blocks[block_id])[0] for block_id, alternative in alternatives]
+    totals: list[list[float]] = [[] for _ in alternatives]
+    completed = [True] * len(alternatives)
+    for _, row in _rows(arena, names, params, start):
+        for index, (_, result) in enumerate(row):
+            totals[index].append(result.total_consumed)
+            completed[index] &= result.terminated is Termination.PATH_COMPLETE
+    ranked = [
+        RankedConfiguration(
+            block_id=block_id,
+            planner=name,
+            score=sum(totals[index]) / len(totals[index]),
+            completed=completed[index],
+            model=alternative,
         )
-    ranked.sort(key=lambda r: (not r.completed, r.score, r.block_id))
+        for index, ((block_id, alternative), name) in enumerate(zip(alternatives, names))
+    ]
+    ranked.sort(key=lambda r: _standing(r.completed, r.score, r.block_id))
     return ranked
-
-
-def _score(planner: str, arena: Arena, params: SimParams, start: Position | None) -> tuple[float, bool]:
-    if isinstance(arena, TerrainMap):
-        result = run(arena, planner, start=start, params=params)
-        return result.total_consumed, result.terminated is Termination.PATH_COMPLETE
-    totals = []
-    completed = True
-    for offset in range(arena.n_maps):
-        tmap = generate(arena.gen, arena.seed0 + offset)
-        result = run(tmap, planner, start=start, params=params)
-        totals.append(result.total_consumed)
-        completed = completed and result.terminated is Termination.PATH_COMPLETE
-    return sum(totals) / len(totals), completed
 
 
 # ---------------------------------------------------------------------------

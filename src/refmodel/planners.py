@@ -23,7 +23,7 @@ from typing import Callable, Union
 
 from .core import BlockKind, BuildingBlock
 from .errors import StartBlocked, UnknownElement
-from .terrain import Position, TerrainMap, neighbors, step_factor
+from .terrain import Position, TerrainMap, connected_free, neighbors, step_factor
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,7 @@ def reachable_free(tmap: TerrainMap, start: Position) -> set[Position]:
     """Flood fill: all free cells reachable from start by 4-connected moves."""
     if not tmap.is_free(start):
         raise StartBlocked(f"start {tuple(start)} is not a free cell")
-    seen = {start}
-    stack = [start]
-    while stack:
-        pos = stack.pop()
-        for nxt in neighbors(tmap, pos):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+    return connected_free(tmap.cells, start)
 
 
 def plan_edge_follow(tmap: TerrainMap, start: Position) -> Path:

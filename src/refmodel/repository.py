@@ -26,6 +26,7 @@ from .core import (
     Scalar,
     TraceKind,
     TraceLink,
+    add_block,
     connection_key,
     trace_key,
 )
@@ -151,18 +152,10 @@ def _block_asset(repo: ReferenceRepository, asset_id: str) -> BuildingBlock:
     return asset.block
 
 
-def _insert(model: Model, block: BuildingBlock) -> Model:
-    if block.id in model.blocks:
-        raise DuplicateId(f"model '{model.id}' already contains block '{block.id}'")
-    blocks = dict(model.blocks)
-    blocks[block.id] = block
-    return replace(model, blocks=blocks)
-
-
 def adopt(repo: ReferenceRepository, asset_id: str, model: Model) -> Model:
     """Copy a reference block verbatim into the model, marked as adopted."""
     block = _block_asset(repo, asset_id)
-    return _insert(model, replace(block, origin=Origin.ADOPTED))
+    return add_block(model, replace(block, origin=Origin.ADOPTED))
 
 
 _ADAPTABLE_FIELDS = frozenset({"name", "parameters", "port_types"})
@@ -199,7 +192,7 @@ def adapt(
         else:
             raise UnknownElement(f"block '{block.id}' has no port '{port_id}' to retype")
     adapted = replace(block, name=name, parameters=parameters, ports=tuple(ports), origin=Origin.ADAPTED)
-    return _insert(model, adapted)
+    return add_block(model, adapted)
 
 
 def extend(
@@ -231,7 +224,7 @@ def extend(
         parameters={**block.parameters, **extra_params},
         origin=Origin.EXTENDED,
     )
-    return _insert(model, extended)
+    return add_block(model, extended)
 
 
 # ---------------------------------------------------------------------------

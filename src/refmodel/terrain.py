@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BadSymbol, RaggedRows, Unsatisfiable
 
@@ -179,12 +179,6 @@ class GenParams:
     max_level: int = MAX_LEVEL
 
 
-def generate(params: GenParams, seed: int) -> TerrainMap:
-    return generate_map(
-        params.width, params.height, params.obstacle_density, seed, max_level=params.max_level
-    )
-
-
 def generate_map(
     width: int,
     height: int,
@@ -254,28 +248,33 @@ def _carve_connected(cells: list[list[int]], levels: list[list[int]]):
                 cells[r][c] = levels[r][c]
 
 
-def _free_components(cells: list[list[int]]) -> list[set[tuple[int, int]]]:
-    height, width = len(cells), len(cells[0])
-    seen: set[tuple[int, int]] = set()
+def _free_components(cells: list[list[int]]) -> list[set[Position]]:
+    seen: set[Position] = set()
     components = []
-    for r in range(height):
-        for c in range(width):
-            if cells[r][c] == OBSTACLE or (r, c) in seen:
+    for r, row in enumerate(cells):
+        for c, value in enumerate(row):
+            if value == OBSTACLE or (r, c) in seen:
                 continue
-            stack = [(r, c)]
-            comp = set()
-            seen.add((r, c))
-            while stack:
-                cr, cc = stack.pop()
-                comp.add((cr, cc))
-                for dr, dc in _NEIGHBOR_STEPS:
-                    nr, nc = cr + dr, cc + dc
-                    if 0 <= nr < height and 0 <= nc < width:
-                        if cells[nr][nc] != OBSTACLE and (nr, nc) not in seen:
-                            seen.add((nr, nc))
-                            stack.append((nr, nc))
+            comp = connected_free(cells, Position(r, c))
+            seen |= comp
             components.append(comp)
     return components
+
+
+def connected_free(cells: Sequence[Sequence[int]], start: Position) -> set[Position]:
+    """Flood fill: the free cells 4-connected to the free cell start, start included."""
+    height, width = len(cells), len(cells[0])
+    seen = {start}
+    stack = [start]
+    while stack:
+        row, col = stack.pop()
+        for dr, dc in _NEIGHBOR_STEPS:
+            nr, nc = row + dr, col + dc
+            if 0 <= nr < height and 0 <= nc < width and cells[nr][nc] != OBSTACLE and (nr, nc) not in seen:
+                nxt = Position(nr, nc)
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 # --- deterministic value noise ---------------------------------------------

@@ -317,3 +317,59 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "simulate", "--map", str(tmp_path / "missing.txt"))
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("ensemble", "--n", "0"), "at least one map"),
+            (("ensemble", "--capacity", "-1", "--n", "1"), "capacity must be positive"),
+            (("compare", "--map", "{map}", "--planners", ""), "at least one planner"),
+            (("ensemble", "--n", "1", "--width", "0"), "at least 1x1"),
+        ],
+    )
+    def test_library_value_error_is_usage_error(self, demo_dir, capsys, argv, message):
+        argv = [arg.format(map=demo_dir / "reference.terrain.txt") for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate",),
+            ("trace", "cap.mowing"),
+            ("coverage",),
+            ("view", "--subject", "service", "--aspect", "structure"),
+            ("alternatives", "--slot", "alg.edge_follow", "--repo", "{repo}"),
+            ("rank", "--slot", "alg.edge_follow", "--n", "1", "--repo", "{repo}"),
+        ],
+    )
+    def test_missing_model_file_is_usage_error(self, demo_dir, capsys, argv):
+        missing = demo_dir / "typo.refmodel.json"
+        argv = [arg.format(repo=demo_dir / "demo.refrepo.json") for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--model", str(missing))
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: model file not found: {missing}\n"
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("entry", ["=target", "source=", "source"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("model", "adapt", "res.battery", "--port-type"),
+            ("model", "apply-pattern", demo.DEMO_PATTERN_ID, "--bind"),
+        ],
+    )
+    def test_name_value_flag_needs_name_and_value(self, demo_dir, capsys, command, entry):
+        model_path = demo_dir / "demo.refmodel.json"
+        before = model_path.read_bytes()
+        code, _, err = run_cli(
+            capsys, *command, entry,
+            "--repo", str(demo_dir / "demo.refrepo.json"), "--model", str(model_path),
+        )
+        assert code == 2
+        assert f"{command[-1]} expects" in err
+        assert model_path.read_bytes() == before

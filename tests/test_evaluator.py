@@ -1,5 +1,9 @@
+from dataclasses import replace
+
+import oracles
 import pytest
 
+from refmodel import evaluator
 from refmodel.errors import NoAlternatives
 from refmodel.evaluator import (
     EnsembleSpec,
@@ -15,8 +19,9 @@ from refmodel.evaluator import (
     remaining_chart_svg,
 )
 from refmodel.planners import PlannerId
+from refmodel.repository import BlockAsset, add_asset
 from refmodel.simulation import SimParams, Termination
-from refmodel.terrain import GenParams, load_map
+from refmodel.terrain import GenParams, Position, generate_map, load_map
 
 
 class TestCompare:
@@ -70,9 +75,7 @@ class TestEnsemble:
     def test_single_map_matches_compare(self):
         gen = GenParams(width=8, height=6, obstacle_density=0.1)
         stats = ensemble(gen, 1, seed0=3)
-        from refmodel.terrain import generate
-
-        report = compare(generate(gen, 3))
+        report = compare(generate_map(8, 6, 0.1, 3))
         for entry in stats.per_planner:
             run_total = dict(report.runs)[entry.planner].total_consumed
             assert entry.mean_total == entry.min_total == entry.max_total == run_total
@@ -164,3 +167,114 @@ class TestRendering:
             assert svg.rstrip().endswith("</svg>")
         assert chart.count("<polyline") == 2
         assert grid.count("<rect") == ridge_map.width * ridge_map.height
+
+
+SEEDS = range(30)
+HILLY = GenParams(width=7, height=6, obstacle_density=0.2)
+# No obstacles, so a start override is free on every generated map.
+OPEN = GenParams(width=6, height=5, obstacle_density=0.0)
+OPEN_START = Position(3, 4)
+PLANNER_LISTS = (
+    (PlannerId.EDGE_FOLLOW, PlannerId.TERRAIN_AWARE),
+    ("terrain_aware", "edge_follow"),
+    ("edge_follow", "terrain_aware", "edge_follow"),
+)
+# At capacity 48 most runs on the 7x6 maps deplete, and on some maps the
+# depleted run has spent less than the complete one.
+PARAMS = (SimParams(), SimParams(capacity=48.0))
+
+
+def _generate(gen, seed):
+    return generate_map(gen.width, gen.height, gen.obstacle_density, seed, max_level=gen.max_level)
+
+
+@pytest.fixture()
+def sweep_twin_repo(demo_repo):
+    """The demo repository plus a second edge_follow block, so two alternatives always tie."""
+    twin = replace(demo_repo.asset("alg.edge_follow").block, id="alg.a_sweep")
+    return add_asset(demo_repo, BlockAsset(twin))
+
+
+class TestMatchesReference:
+    """The shared evaluation core against the separate loops it replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize("planners", PLANNER_LISTS)
+    def test_compare(self, planners, params):
+        overruled = 0
+        for seed in SEEDS:
+            tmap = _generate(HILLY, seed)
+            label = f"seed={seed}"
+            report = compare(tmap, planners, params=params, map_label=label)
+            assert report == oracles.compare(tmap, planners, params=params, map_label=label)
+            totals = [result.total_consumed for _, result in report.runs]
+            overruled += dict(report.runs)[report.winner].total_consumed > min(totals)
+        # Only at the low capacity does a complete run beat a cheaper depleted one.
+        assert (overruled > 0) == (params.capacity < 100)
+
+    @pytest.mark.parametrize("planners", PLANNER_LISTS)
+    def test_compare_with_start_override(self, planners):
+        for seed in SEEDS:
+            tmap = _generate(OPEN, seed)
+            report = compare(tmap, planners, start=OPEN_START)
+            assert report.start == OPEN_START
+            assert report == oracles.compare(tmap, planners, start=OPEN_START)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize("planners", PLANNER_LISTS)
+    def test_ensemble(self, planners, params):
+        assert ensemble(HILLY, len(SEEDS), planners, params=params, seed0=4) == oracles.ensemble(
+            HILLY, len(SEEDS), planners, params=params, seed0=4
+        )
+        for seed in SEEDS[:5]:
+            assert ensemble(HILLY, 1, planners, params=params, seed0=seed) == oracles.ensemble(
+                HILLY, 1, planners, params=params, seed0=seed
+            )
+
+    def test_ensemble_with_start_override(self):
+        planners = PLANNER_LISTS[0]
+        assert ensemble(OPEN, len(SEEDS), planners, start=OPEN_START) == oracles.ensemble(
+            OPEN, len(SEEDS), planners, start=OPEN_START
+        )
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_rank_over_single_maps(self, demo_model, sweep_twin_repo, params):
+        for seed in SEEDS:
+            tmap = _generate(HILLY, seed)
+            ranked = rank_configurations(demo_model, sweep_twin_repo, "alg.edge_follow", tmap, params=params)
+            assert ranked == oracles.rank_configurations(
+                demo_model, sweep_twin_repo, "alg.edge_follow", tmap, params=params
+            )
+
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize("n_maps", (1, 3, len(SEEDS)))
+    def test_rank_over_ensemble(self, demo_model, sweep_twin_repo, params, n_maps):
+        arena = EnsembleSpec(HILLY, n_maps, seed0=2)
+        ranked = rank_configurations(demo_model, sweep_twin_repo, "alg.edge_follow", arena, params=params)
+        assert ranked == oracles.rank_configurations(
+            demo_model, sweep_twin_repo, "alg.edge_follow", arena, params=params
+        )
+        # The two edge_follow blocks tie exactly and break by block id.
+        ids = [entry.block_id for entry in ranked]
+        assert ids.index("alg.a_sweep") < ids.index("alg.edge_follow")
+
+    def test_rank_with_start_override(self, demo_model, sweep_twin_repo):
+        for arena in (_generate(OPEN, 9), EnsembleSpec(OPEN, len(SEEDS))):
+            assert rank_configurations(
+                demo_model, sweep_twin_repo, "alg.edge_follow", arena, start=OPEN_START
+            ) == oracles.rank_configurations(
+                demo_model, sweep_twin_repo, "alg.edge_follow", arena, start=OPEN_START
+            )
+
+
+def test_rank_generates_each_map_once(demo_model, demo_repo, monkeypatch):
+    seeds = []
+    original = evaluator.generate_map
+
+    def counting(width, height, density, seed, **kwargs):
+        seeds.append(seed)
+        return original(width, height, density, seed, **kwargs)
+
+    monkeypatch.setattr(evaluator, "generate_map", counting)
+    rank_configurations(demo_model, demo_repo, "alg.edge_follow", EnsembleSpec(HILLY, 4, seed0=7))
+    assert seeds == [7, 8, 9, 10]

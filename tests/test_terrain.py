@@ -4,12 +4,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import flood_fill
 from refmodel.errors import BadSymbol, RaggedRows, Unsatisfiable
 from refmodel.terrain import (
-    GenParams,
     Position,
     StepClass,
     TerrainMap,
     classify_step,
-    generate,
     generate_map,
     load_map,
     neighbors,
@@ -122,7 +120,7 @@ class TestGeneration:
         assert flood_fill(tmap, tmap.first_free()) == free
 
     def test_flat_generation_collapses_levels(self):
-        tmap = generate(GenParams(width=8, height=6, obstacle_density=0.1, max_level=0), seed=3)
+        tmap = generate_map(8, 6, 0.1, seed=3, max_level=0)
         assert {tmap.level(p) for p in tmap.free_positions()} == {0}
 
     def test_levels_stay_in_range(self):
