@@ -31,9 +31,11 @@ def main(argv=None) -> int:
     except (RefModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # Library functions raise ValueError for arguments outside their domain.
-        return _usage(str(exc))
+    except (_UsageError, ValueError) as exc:
+        # Commands raise _UsageError for bad flags; library functions raise
+        # ValueError for arguments outside their domain.
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,11 +152,6 @@ def _add_gen_options(parser: argparse.ArgumentParser):
 
 
 # --- shared plumbing --------------------------------------------------------
-
-
-def _usage(message: str) -> int:
-    print(f"usage error: {message}", file=sys.stderr)
-    return 2
 
 
 def _repo_path(args) -> FilePath | None:
@@ -287,20 +284,9 @@ class _UsageError(Exception):
     pass
 
 
-def _run(handler):
-    def wrapped(args):
-        try:
-            return handler(args)
-        except _UsageError as exc:
-            return _usage(str(exc))
-
-    return wrapped
-
-
 # --- repository commands ----------------------------------------------------
 
 
-@_run
 def cmd_repo_init(args) -> int:
     path = _repo_path(args)
     if path is None:
@@ -314,7 +300,6 @@ def cmd_repo_init(args) -> int:
     return 0
 
 
-@_run
 def cmd_repo_add(args) -> int:
     repo = _load_repo(args)
     asset = repository.load_asset(FilePath(args.asset_file).read_text(encoding="utf-8"))
@@ -325,7 +310,6 @@ def cmd_repo_add(args) -> int:
     return 0
 
 
-@_run
 def cmd_repo_list(args) -> int:
     repo = _load_repo(args)
     layer = ConcernLayer(args.layer) if args.layer else None
@@ -338,7 +322,6 @@ def cmd_repo_list(args) -> int:
 # --- model commands ---------------------------------------------------------
 
 
-@_run
 def cmd_model_adopt(args) -> int:
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
@@ -348,7 +331,6 @@ def cmd_model_adopt(args) -> int:
     return 0
 
 
-@_run
 def cmd_model_adapt(args) -> int:
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
@@ -367,7 +349,6 @@ def cmd_model_adapt(args) -> int:
     return 0
 
 
-@_run
 def cmd_model_extend(args) -> int:
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
@@ -391,7 +372,6 @@ def cmd_model_extend(args) -> int:
     return 0
 
 
-@_run
 def cmd_model_connect(args) -> int:
     model, path = _load_or_new_model(args)
     provided = _parse_port_ref(args.provided, "provided endpoint")
@@ -402,7 +382,6 @@ def cmd_model_connect(args) -> int:
     return 0
 
 
-@_run
 def cmd_model_apply_pattern(args) -> int:
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
@@ -421,7 +400,6 @@ def cmd_model_apply_pattern(args) -> int:
 # --- analysis commands ------------------------------------------------------
 
 
-@_run
 def cmd_validate(args) -> int:
     model = _load_model(args)
     report = composition.validate_configuration(model)
@@ -434,7 +412,6 @@ def cmd_validate(args) -> int:
     return 1
 
 
-@_run
 def cmd_trace(args) -> int:
     model = _load_model(args)
     direction = composition.TraceDirection(args.direction)
@@ -442,18 +419,12 @@ def cmd_trace(args) -> int:
     if args.format == "dot":
         print(composition.export_dot(tree), end="")
         return 0
-
-    def render(node, depth):
+    for depth, node in tree.walk():
         label = f" ({node.link.value})" if node.link else ""
         print("  " * depth + node.block_id + label)
-        for child in node.children:
-            render(child, depth + 1)
-
-    render(tree, 0)
     return 0
 
 
-@_run
 def cmd_coverage(args) -> int:
     model = _load_model(args)
     report = composition.capability_coverage(model)
@@ -463,7 +434,6 @@ def cmd_coverage(args) -> int:
     return 0
 
 
-@_run
 def cmd_view(args) -> int:
     model = _load_model(args)
     viewpoint = composition.Viewpoint(ConcernLayer(args.subject), Aspect(args.aspect))
@@ -481,7 +451,6 @@ def cmd_view(args) -> int:
     return 0
 
 
-@_run
 def cmd_alternatives(args) -> int:
     repo = _load_repo(args)
     model = _load_model(args)
@@ -495,7 +464,6 @@ def cmd_alternatives(args) -> int:
 # --- evaluation commands ----------------------------------------------------
 
 
-@_run
 def cmd_simulate(args) -> int:
     tmap = _load_map(args)
     planner = args.planner
@@ -521,7 +489,6 @@ def _planner_list(text: str) -> list[str]:
     return [piece.strip() for piece in text.split(",") if piece.strip()]
 
 
-@_run
 def cmd_compare(args) -> int:
     tmap = _load_map(args)
     report = evaluator.compare(
@@ -547,7 +514,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-@_run
 def cmd_ensemble(args) -> int:
     stats = evaluator.ensemble(
         _gen_params(args),
@@ -568,7 +534,6 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-@_run
 def cmd_rank(args) -> int:
     repo = _load_repo(args)
     model = _load_model(args)
@@ -589,7 +554,6 @@ def cmd_rank(args) -> int:
     return 0
 
 
-@_run
 def cmd_demo(args) -> int:
     out = _out_dir(args) or FilePath(".")
     out.mkdir(parents=True, exist_ok=True)

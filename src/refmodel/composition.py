@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .core import (
     Aspect,
@@ -185,11 +185,16 @@ class TraceNode:
     link: TraceKind | None
     children: tuple["TraceNode", ...] = ()
 
+    def walk(self) -> Iterator[tuple[int, "TraceNode"]]:
+        """Yield (depth, node) for every node of the tree in pre-order, root at depth 0."""
+        stack = [(0, self)]
+        while stack:
+            depth, node = stack.pop()
+            yield depth, node
+            stack.extend((depth + 1, child) for child in reversed(node.children))
+
     def node_ids(self) -> list[str]:
-        out = [self.block_id]
-        for child in self.children:
-            out.extend(child.node_ids())
-        return out
+        return [node.block_id for _, node in self.walk()]
 
 
 def connect(model: Model, provided_ref: PortRef, required_ref: PortRef) -> Model:
@@ -436,41 +441,71 @@ def _match_ports(old: BuildingBlock, new: BuildingBlock) -> dict[str, str]:
 def trace(model: Model, element_id: str, direction: TraceDirection) -> TraceNode:
     """Follow trace links from an element, up toward Strategic or down toward Resource.
 
-    The result is a tree with unique nodes (cycle-safe) and children ordered
-    by block id.
+    The result is a depth-first tree with unique nodes (cycle-safe): children
+    are ordered by block id, and a block reachable along several paths
+    appears once, under the first node that reaches it.
     """
     if element_id not in model.blocks:
         raise UnknownElement(f"model '{model.id}' has no block '{element_id}'")
-    visited = {element_id}
+    return _tree(_steps(model, direction), element_id)
 
-    def expand(block_id: str, via: TraceKind | None) -> TraceNode:
-        steps = []
-        for link in model.traces:
-            if direction is TraceDirection.UP and link.source == block_id:
-                steps.append((link.target, link.kind))
-            elif direction is TraceDirection.DOWN and link.target == block_id:
-                steps.append((link.source, link.kind))
-        children = []
-        for child_id, kind in sorted(steps, key=lambda s: (s[0], s[1].value)):
-            if child_id in visited or child_id not in model.blocks:
-                continue
-            visited.add(child_id)
-            children.append(expand(child_id, kind))
-        return TraceNode(block_id=block_id, link=via, children=tuple(children))
 
-    return expand(element_id, None)
+def _steps(model: Model, direction: TraceDirection) -> dict[str, list[tuple[str, TraceKind]]]:
+    """One pass over the traces: per block, its sorted (next block, kind) pairs, blocks only."""
+    up = direction is TraceDirection.UP
+    steps: dict[str, list[tuple[str, TraceKind]]] = {}
+    for link in model.traces:
+        here, there = (link.source, link.target) if up else (link.target, link.source)
+        if here in model.blocks and there in model.blocks:
+            steps.setdefault(here, []).append((there, link.kind))
+    for pairs in steps.values():
+        pairs.sort(key=lambda step: (step[0], step[1].value))
+    return steps
+
+
+def _tree(steps: Mapping[str, list[tuple[str, TraceKind]]], root: str) -> TraceNode:
+    """The depth-first trace tree from root, built without recursion.
+
+    A block is marked when it is popped, so it hangs under the first node that
+    reaches it. Nodes are built in reverse pre-order, each child before its parent.
+    """
+    order: list[tuple[str, TraceKind | None, int]] = []
+    seen: set[str] = set()
+    stack: list[tuple[str, TraceKind | None, int]] = [(root, None, -1)]
+    while stack:
+        block_id, kind, parent = stack.pop()
+        if block_id in seen:
+            continue
+        seen.add(block_id)
+        stack.extend((child, via, len(order)) for child, via in reversed(steps.get(block_id, ())))
+        order.append((block_id, kind, parent))
+    children: list[list[TraceNode]] = [[] for _ in order]
+    for index in range(len(order) - 1, -1, -1):
+        block_id, kind, parent = order[index]
+        node = TraceNode(block_id=block_id, link=kind, children=tuple(reversed(children[index])))
+        if parent >= 0:
+            children[parent].append(node)
+    return node
 
 
 def capability_coverage(model: Model) -> CoverageReport:
     """Classify every capability by how far trace chains reach down the layers."""
+    steps = _steps(model, TraceDirection.DOWN)
     entries = []
     for block in model.sorted_blocks():
         if block.kind is not BlockKind.CAPABILITY:
             continue
-        tree = trace(model, block.id, TraceDirection.DOWN)
-        layers = {
-            model.blocks[node_id].layer for node_id in tree.node_ids() if node_id != block.id
-        }
+        layers = set()
+        path: list[str] = []
+        witnesses = []
+        for depth, node in _tree(steps, block.id).walk():
+            del path[depth:]
+            path.append(node.block_id)
+            layer = model.blocks[node.block_id].layer
+            if depth:
+                layers.add(layer)
+            if layer is ConcernLayer.RESOURCE:
+                witnesses.append(tuple(path))
         if ConcernLayer.RESOURCE in layers:
             status = CoverageStatus.COVERED
         elif ConcernLayer.OPERATIONAL in layers or ConcernLayer.SERVICE in layers:
@@ -478,27 +513,9 @@ def capability_coverage(model: Model) -> CoverageReport:
         else:
             status = CoverageStatus.UNCOVERED
         entries.append(
-            CapabilityCoverage(
-                capability_id=block.id,
-                status=status,
-                witnesses=tuple(_witness_chains(model, tree)),
-            )
+            CapabilityCoverage(capability_id=block.id, status=status, witnesses=tuple(witnesses))
         )
     return CoverageReport(entries=tuple(entries))
-
-
-def _witness_chains(model: Model, tree: TraceNode) -> list[tuple[str, ...]]:
-    chains: list[tuple[str, ...]] = []
-
-    def walk(node: TraceNode, prefix: tuple[str, ...]):
-        path = prefix + (node.block_id,)
-        if model.blocks[node.block_id].layer is ConcernLayer.RESOURCE:
-            chains.append(path)
-        for child in node.children:
-            walk(child, path)
-
-    walk(tree, ())
-    return chains
 
 
 def viewpoint_valid(viewpoint: Viewpoint) -> bool:
@@ -561,35 +578,42 @@ def export_dot(item) -> str:
 
 
 def _view_dot(view: View) -> str:
-    lines = ["digraph view {"]
-    for element in view.elements:
-        lines.append(f'  "{element}";')
-    for conn in sorted(view.connections, key=connection_key):
-        lines.append(
-            f'  "{conn.source.block}" -> "{conn.target.block}" '
-            f'[label="{conn.source.port}->{conn.target.port}"];'
-        )
-    for link in sorted(view.traces, key=trace_key):
-        lines.append(f'  "{link.source}" -> "{link.target}" [label="{link.kind.value}", style=dashed];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = [
+        (conn.source.block, conn.target.block, f"{conn.source.port}->{conn.target.port}", "")
+        for conn in sorted(view.connections, key=connection_key)
+    ]
+    edges.extend(
+        (link.source, link.target, link.kind.value, ", style=dashed")
+        for link in sorted(view.traces, key=trace_key)
+    )
+    return _dot("view", view.elements, edges)
 
 
 def _trace_dot(tree: TraceNode) -> str:
     nodes: list[str] = []
-    edges: list[str] = []
-
-    def walk(node: TraceNode):
+    edges: list[tuple[str, str, str, str]] = []
+    path: list[str] = []
+    for depth, node in tree.walk():
+        del path[depth:]
+        if path:
+            edges.append((path[-1], node.block_id, node.link.value, ""))
+        path.append(node.block_id)
         nodes.append(node.block_id)
-        for child in node.children:
-            edges.append(
-                f'  "{node.block_id}" -> "{child.block_id}" [label="{child.link.value}"];'
-            )
-            walk(child)
+    return _dot("trace", nodes, edges)
 
-    walk(tree)
-    lines = ["digraph trace {"]
-    lines.extend(f'  "{node}";' for node in nodes)
-    lines.extend(edges)
+
+def _dot(graph: str, nodes, edges) -> str:
+    """A DOT digraph: one line per node id, then one per (source, target, label, attrs) edge."""
+    lines = [f"digraph {graph} {{"]
+    lines.extend(f"  {_quoted(node)};" for node in nodes)
+    lines.extend(
+        f"  {_quoted(source)} -> {_quoted(target)} [label={_quoted(label)}{attrs}];"
+        for source, target, label, attrs in edges
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _quoted(text: str) -> str:
+    """A DOT quoted string; backslashes and double quotes are escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

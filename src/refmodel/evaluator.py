@@ -68,6 +68,10 @@ class EnsembleSpec:
     n_maps: int
     seed0: int = 0
 
+    def __post_init__(self):
+        if self.n_maps < 1:
+            raise ValueError("ensemble needs at least one map")
+
 
 Arena = Union[TerrainMap, EnsembleSpec]
 Row = tuple[tuple[str, SimResult], ...]
@@ -151,20 +155,19 @@ def ensemble(
     start: Position | None = None,
 ) -> EnsembleStats:
     """Compare planners on maps generated with seeds seed0 .. seed0+n_maps-1."""
-    if n_maps < 1:
-        raise ValueError("ensemble needs at least one map")
+    spec = EnsembleSpec(gen, n_maps, seed0)
     params = params or SimParams()
     names = [resolve_planner(p)[0] for p in planners]
     totals: dict[str, list[float]] = {name: [] for name in names}
     wins: dict[str, int] = {name: 0 for name in names}
-    for _, row in _rows(EnsembleSpec(gen, n_maps, seed0), planners, params, start):
+    for _, row in _rows(spec, planners, params, start):
         wins[row[_winner(row)][0]] += 1
         for name, result in row:
             totals[name].append(result.total_consumed)
     per_planner = tuple(
         PlannerStats(
             planner=name,
-            mean_total=sum(totals[name]) / n_maps,
+            mean_total=sum(totals[name]) / len(totals[name]),
             min_total=min(totals[name]),
             max_total=max(totals[name]),
             wins=wins[name],

@@ -28,12 +28,12 @@ class SimParams:
 
     def __post_init__(self):
         object.__setattr__(self, "charging", tuple(float(c) for c in self.charging))
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if self.consumption_factor <= 0:
-            raise ValueError("consumption_factor must be positive")
-        if any(c < 0 for c in self.charging):
-            raise ValueError("charging entries must be non-negative")
+        if not (math.isfinite(self.capacity) and self.capacity > 0):
+            raise ValueError("capacity must be positive and finite")
+        if not (math.isfinite(self.consumption_factor) and self.consumption_factor > 0):
+            raise ValueError("consumption_factor must be positive and finite")
+        if not all(math.isfinite(c) and c >= 0 for c in self.charging):
+            raise ValueError("charging entries must be non-negative and finite")
 
     def charge_at(self, t: int) -> float:
         return self.charging[t] if t < len(self.charging) else 0.0

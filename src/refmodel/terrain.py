@@ -7,6 +7,7 @@ change: climbing scales by 1.9, level moves by 1.0, descending by 0.6.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -195,8 +196,8 @@ def generate_map(
     """
     if width < 1 or height < 1:
         raise ValueError("map dimensions must be at least 1x1")
-    if obstacle_density < 0:
-        raise ValueError("obstacle density must be non-negative")
+    if not math.isfinite(obstacle_density) or obstacle_density < 0:
+        raise ValueError("obstacle density must be finite and non-negative")
     if obstacle_density >= 1:
         raise Unsatisfiable("obstacle density must stay below 1 to keep a free cell")
     if not 0 <= max_level <= MAX_LEVEL:

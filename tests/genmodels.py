@@ -101,6 +101,55 @@ def random_model(seed: int) -> Model:
     )
 
 
+def dense_trace_model(seed: int) -> Model:
+    """Up to 14 blocks and 39 trace links, for checking trace walks; layer legality is ignored.
+
+    Links may form cycles, one is a self-link, one pair of blocks is linked
+    by two kinds, and some endpoints are ids that are not blocks of the model.
+    """
+    rng = random.Random(seed)
+    ends = [f"b{n:02d}" for n in rng.sample(range(100), rng.randint(1, 14) + 2)]
+    ids = ends[:-2]
+    blocks = {
+        bid: random_block(rng, bid, kind=BlockKind.CAPABILITY if i == 0 else None)
+        for i, bid in enumerate(ids)
+    }
+    kinds = list(TraceKind)
+    traces = {
+        TraceLink(rng.choice(kinds), rng.choice(ends), rng.choice(ends))
+        for _ in range(rng.randint(0, 36))
+    }
+    looped = rng.choice(ids)
+    traces.add(TraceLink(rng.choice(kinds), looped, looped))
+    source, target = rng.choice(ids), rng.choice(ids)
+    traces.update(TraceLink(kind, source, target) for kind in rng.sample(kinds, 2))
+    return Model(id=f"dense{seed}", blocks=blocks, traces=frozenset(traces))
+
+
+def performs_chain_model(length: int) -> Model:
+    """A legal model whose one capability is covered through a long performs chain.
+
+    cap <-exhibits- a0 <-performs- a1 ... a(length-1) <-implements- svc <-implements- res
+    """
+    chain = [f"a{i:04d}" for i in range(length)]
+    blocks = [
+        BuildingBlock("cap", "Capability", ConcernLayer.STRATEGIC, BlockKind.CAPABILITY),
+        *(
+            BuildingBlock(bid, bid, ConcernLayer.OPERATIONAL, BlockKind.OPERATIONAL_ACTIVITY)
+            for bid in chain
+        ),
+        BuildingBlock("svc", "Service", ConcernLayer.SERVICE, BlockKind.SERVICE),
+        BuildingBlock("res", "Function", ConcernLayer.RESOURCE, BlockKind.FUNCTION),
+    ]
+    traces = {
+        TraceLink(TraceKind.EXHIBITS, chain[0], "cap"),
+        *(TraceLink(TraceKind.PERFORMS, low, high) for high, low in zip(chain, chain[1:])),
+        TraceLink(TraceKind.IMPLEMENTS, "svc", chain[-1]),
+        TraceLink(TraceKind.IMPLEMENTS, "res", "svc"),
+    }
+    return Model(id="chain", blocks={b.id: b for b in blocks}, traces=frozenset(traces))
+
+
 def random_model_and_pattern(seed: int) -> tuple[Model, Pattern, dict[str, str]]:
     """A model plus a pattern whose anchors all bind into it."""
     rng = random.Random(seed)

@@ -4,7 +4,10 @@ Deliberately different algorithms from the production code: plain flood fill
 for reachability and a Dijkstra search over (position, visited-set) states for
 the minimum coverage energy on tiny maps. The evaluator references keep the
 separate per-function loops that compare, ensemble and rank_configurations
-once had, so the shared evaluation core is checked against them.
+once had, so the shared evaluation core is checked against them. The
+composition references are the recursive trace walks (tree, node ids, witness
+chains, coverage, DOT and the CLI's indented text) that the one iterative
+traversal replaced; they hold for trees shallower than the recursion limit.
 """
 
 from __future__ import annotations
@@ -12,8 +15,16 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from refmodel.composition import enumerate_alternatives_with_slots
-from refmodel.core import BlockKind
+from refmodel.composition import (
+    CapabilityCoverage,
+    CoverageReport,
+    CoverageStatus,
+    TraceDirection,
+    TraceNode,
+    View,
+    enumerate_alternatives_with_slots,
+)
+from refmodel.core import BlockKind, ConcernLayer, connection_key, trace_key
 from refmodel.errors import NoAlternatives
 from refmodel.evaluator import ComparisonReport, EnsembleStats, PlannerStats, RankedConfiguration
 from refmodel.planners import resolve_planner
@@ -115,7 +126,7 @@ def ensemble(gen, n_maps, planners, params=None, seed0=0, start=None):
     per_planner = tuple(
         PlannerStats(
             planner=name,
-            mean_total=sum(totals[name]) / n_maps,
+            mean_total=sum(totals[name]) / len(totals[name]),
             min_total=min(totals[name]),
             max_total=max(totals[name]),
             wins=wins[name],
@@ -155,3 +166,115 @@ def _score(planner, arena, params, start):
         totals.append(result.total_consumed)
         completed = completed and result.terminated is Termination.PATH_COMPLETE
     return sum(totals) / len(totals), completed
+
+
+def trace(model, element_id, direction):
+    visited = {element_id}
+
+    def expand(block_id, via):
+        steps = []
+        for link in model.traces:
+            if direction is TraceDirection.UP and link.source == block_id:
+                steps.append((link.target, link.kind))
+            elif direction is TraceDirection.DOWN and link.target == block_id:
+                steps.append((link.source, link.kind))
+        children = []
+        for child_id, kind in sorted(steps, key=lambda s: (s[0], s[1].value)):
+            if child_id in visited or child_id not in model.blocks:
+                continue
+            visited.add(child_id)
+            children.append(expand(child_id, kind))
+        return TraceNode(block_id=block_id, link=via, children=tuple(children))
+
+    return expand(element_id, None)
+
+
+def node_ids(tree):
+    out = [tree.block_id]
+    for child in tree.children:
+        out.extend(node_ids(child))
+    return out
+
+
+def witness_chains(model, tree):
+    chains = []
+
+    def walk(node, prefix):
+        path = prefix + (node.block_id,)
+        if model.blocks[node.block_id].layer is ConcernLayer.RESOURCE:
+            chains.append(path)
+        for child in node.children:
+            walk(child, path)
+
+    walk(tree, ())
+    return chains
+
+
+def capability_coverage(model):
+    entries = []
+    for block in model.sorted_blocks():
+        if block.kind is not BlockKind.CAPABILITY:
+            continue
+        tree = trace(model, block.id, TraceDirection.DOWN)
+        layers = {model.blocks[node_id].layer for node_id in node_ids(tree) if node_id != block.id}
+        if ConcernLayer.RESOURCE in layers:
+            status = CoverageStatus.COVERED
+        elif ConcernLayer.OPERATIONAL in layers or ConcernLayer.SERVICE in layers:
+            status = CoverageStatus.PARTIALLY_COVERED
+        else:
+            status = CoverageStatus.UNCOVERED
+        entries.append(
+            CapabilityCoverage(
+                capability_id=block.id, status=status, witnesses=tuple(witness_chains(model, tree))
+            )
+        )
+    return CoverageReport(entries=tuple(entries))
+
+
+def view_dot(view: View):
+    """The DOT text of a view, for ids and labels that need no escaping."""
+    lines = ["digraph view {"]
+    for element in view.elements:
+        lines.append(f'  "{element}";')
+    for conn in sorted(view.connections, key=connection_key):
+        lines.append(
+            f'  "{conn.source.block}" -> "{conn.target.block}" '
+            f'[label="{conn.source.port}->{conn.target.port}"];'
+        )
+    for link in sorted(view.traces, key=trace_key):
+        lines.append(f'  "{link.source}" -> "{link.target}" [label="{link.kind.value}", style=dashed];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def trace_dot(tree):
+    """The DOT text of a trace tree, for ids that need no escaping."""
+    nodes = []
+    edges = []
+
+    def walk(node):
+        nodes.append(node.block_id)
+        for child in node.children:
+            edges.append(f'  "{node.block_id}" -> "{child.block_id}" [label="{child.link.value}"];')
+            walk(child)
+
+    walk(tree)
+    lines = ["digraph trace {"]
+    lines.extend(f'  "{node}";' for node in nodes)
+    lines.extend(edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def trace_text(tree):
+    """What `refmodel trace` prints: one indented line per node, with the link kind."""
+    lines = []
+
+    def render(node, depth):
+        label = f" ({node.link.value})" if node.link else ""
+        lines.append("  " * depth + node.block_id + label)
+        for child in node.children:
+            render(child, depth + 1)
+
+    render(tree, 0)
+    return "\n".join(lines) + "\n"

@@ -1,7 +1,9 @@
 import json
 
+import oracles
 import pytest
 
+from genmodels import dense_trace_model, performs_chain_model
 from refmodel import cli, composition, demo, evaluator, repository, simulation
 
 
@@ -291,6 +293,34 @@ class TestEvaluationCommands:
         assert lines[1].startswith("2. alg.edge_follow")
 
 
+class TestTraceCommands:
+    def test_trace_matches_reference(self, tmp_path, capsys):
+        for seed in range(6):
+            model = dense_trace_model(seed)
+            path = tmp_path / f"{model.id}.refmodel.json"
+            path.write_text(repository.save_model(model))
+            for block_id in model.blocks:
+                for direction in composition.TraceDirection:
+                    tree = oracles.trace(model, block_id, direction)
+                    argv = ("trace", block_id, "--direction", direction.value, "--model", str(path))
+                    assert run_cli(capsys, *argv) == (0, oracles.trace_text(tree), "")
+                    dot = run_cli(capsys, *argv, "--format", "dot")
+                    assert dot == (0, oracles.trace_dot(tree), "")
+
+    def test_deep_chain(self, tmp_path, capsys):
+        length = 3000
+        chain = ["cap", *(f"a{i:04d}" for i in range(length)), "svc", "res"]
+        path = tmp_path / "chain.refmodel.json"
+        path.write_text(repository.save_model(performs_chain_model(length)))
+        code, out, _ = run_cli(capsys, "trace", "cap", "--model", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.strip().split(" ")[0] for line in lines] == chain
+        assert lines[-1] == "  " * (len(chain) - 1) + "res (implements)"
+        code, out, _ = run_cli(capsys, "coverage", "--model", str(path))
+        assert (code, out) == (0, f"cap: covered via {' <- '.join(chain)}\n")
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
@@ -325,6 +355,12 @@ class TestExitCodes:
             (("ensemble", "--capacity", "-1", "--n", "1"), "capacity must be positive"),
             (("compare", "--map", "{map}", "--planners", ""), "at least one planner"),
             (("ensemble", "--n", "1", "--width", "0"), "at least 1x1"),
+            (("simulate", "--map", "{map}", "--capacity", "nan", "--format", "csv"), "finite"),
+            (("simulate", "--map", "{map}", "--capacity", "inf"), "finite"),
+            (("simulate", "--map", "{map}", "--consumption-factor", "nan"), "finite"),
+            (("simulate", "--map", "{map}", "--consumption-factor", "inf"), "finite"),
+            (("ensemble", "--n", "1", "--density", "nan"), "finite"),
+            (("ensemble", "--n", "1", "--density", "inf"), "finite"),
         ],
     )
     def test_library_value_error_is_usage_error(self, demo_dir, capsys, argv, message):

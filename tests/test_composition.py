@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genmodels import random_model_and_pattern
+import oracles
+from genmodels import (
+    dense_trace_model,
+    performs_chain_model,
+    random_model,
+    random_model_and_pattern,
+)
 from refmodel.composition import (
     CoverageStatus,
     Pattern,
@@ -320,6 +326,66 @@ class TestCoverage:
             before = after
 
 
+class TestTraceMatchesReference:
+    """The one iterative walk gives what the recursive walks it replaced gave."""
+
+    SEEDS = range(300)
+
+    def test_trees_node_ids_and_dot(self):
+        for seed in self.SEEDS:
+            model = dense_trace_model(seed)
+            for block_id in model.blocks:
+                for direction in TraceDirection:
+                    tree = trace(model, block_id, direction)
+                    assert tree == oracles.trace(model, block_id, direction), (seed, block_id)
+                    assert tree.node_ids() == oracles.node_ids(tree), (seed, block_id)
+                    assert export_dot(tree) == oracles.trace_dot(tree), (seed, block_id)
+
+    def test_coverage(self):
+        for seed in self.SEEDS:
+            model = dense_trace_model(seed)
+            assert capability_coverage(model) == oracles.capability_coverage(model), seed
+
+    def test_view_dot(self):
+        for seed in self.SEEDS:
+            for model in (dense_trace_model(seed), random_model(seed)):
+                for subject in ConcernLayer:
+                    for aspect in Aspect:
+                        viewpoint = Viewpoint(subject, aspect)
+                        if viewpoint_valid(viewpoint):
+                            view = extract_view(model, viewpoint)
+                            assert export_dot(view) == oracles.view_dot(view), (seed, viewpoint)
+
+    def test_walk_is_pre_order_with_depths(self, demo_model):
+        tree = trace(demo_model, "cap.mowing", TraceDirection.DOWN)
+        walked = list(tree.walk())
+        assert walked[0] == (0, tree)
+        assert [node.block_id for _, node in walked] == oracles.node_ids(tree)
+        for (depth, node), (next_depth, _) in zip(walked, walked[1:]):
+            assert next_depth <= depth + 1
+            if next_depth == depth + 1:
+                assert node.children
+
+
+class TestDeepChain:
+    """A 3000-long performs chain: deeper than the interpreter's recursion limit."""
+
+    LENGTH = 3000
+
+    def test_trace_coverage_and_dot(self):
+        model = performs_chain_model(self.LENGTH)
+        chain = ("cap", *(f"a{i:04d}" for i in range(self.LENGTH)), "svc", "res")
+        report = capability_coverage(model)
+        assert report.status_of("cap") is CoverageStatus.COVERED
+        assert report.entries[0].witnesses == (chain,)
+        down = trace(model, "cap", TraceDirection.DOWN)
+        assert down.node_ids() == list(chain)
+        assert trace(model, "res", TraceDirection.UP).node_ids() == list(reversed(chain))
+        dot = export_dot(down).splitlines()
+        assert len(dot) == 2 + len(chain) + len(chain) - 1
+        assert dot[-2] == '  "svc" -> "res" [label="implements"];'
+
+
 class TestViewpoints:
     def test_strategic_behavior_invalid(self):
         viewpoint = Viewpoint(ConcernLayer.STRATEGIC, Aspect.BEHAVIOR)
@@ -399,6 +465,31 @@ class TestExportDot:
         dot = export_dot(tree)
         assert dot.startswith("digraph trace {")
         assert '"cap.mowing" -> "res.mowing_robot" [label="exhibits"];' in dot
+
+    @pytest.mark.parametrize(
+        "block_id, quoted", [('a"b', '"a\\"b"'), ("a\\b", '"a\\\\b"'), ('\\"', '"\\\\\\""')]
+    )
+    def test_ids_are_escaped(self, block_id, quoted):
+        model = add_block(
+            add_block(
+                Model(id="m"),
+                BuildingBlock(block_id, "Odd", ConcernLayer.RESOURCE, BlockKind.FUNCTION),
+            ),
+            BuildingBlock("r", "Plain", ConcernLayer.RESOURCE, BlockKind.FUNCTION),
+        )
+        model = add_trace(model, TraceLink(TraceKind.PERFORMS, block_id, "r"))
+        view = extract_view(model, Viewpoint(ConcernLayer.RESOURCE, Aspect.BEHAVIOR))
+        assert export_dot(view).splitlines()[1:4] == [
+            f"  {quoted};",
+            '  "r";',
+            f'  {quoted} -> "r" [label="performs", style=dashed];',
+        ]
+        tree = trace(model, "r", TraceDirection.DOWN)
+        assert export_dot(tree).splitlines()[1:4] == [
+            '  "r";',
+            f"  {quoted};",
+            f'  "r" -> {quoted} [label="performs"];',
+        ]
 
     def test_deterministic(self, demo_model):
         view = extract_view(demo_model, Viewpoint(ConcernLayer.SERVICE, Aspect.STRUCTURE))

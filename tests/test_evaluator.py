@@ -103,6 +103,13 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             ensemble(GenParams(), 0)
 
+    def test_repeated_planner_mean_is_per_run(self):
+        gen = GenParams(width=6, height=5)
+        single = ensemble(gen, 3, ["edge_follow"], seed0=4).per_planner[0]
+        for stats in ensemble(gen, 3, ["edge_follow", "edge_follow"], seed0=4).per_planner:
+            assert stats.min_total <= stats.mean_total <= stats.max_total
+            assert stats.mean_total == pytest.approx(single.mean_total)
+
 
 class TestRankConfigurations:
     def test_ridge_map_ranks_terrain_aware_first(self, demo_model, demo_repo, ridge_map):
@@ -121,6 +128,13 @@ class TestRankConfigurations:
     def test_non_algorithm_slot_rejected(self, demo_model, demo_repo, ridge_map):
         with pytest.raises(NoAlternatives):
             rank_configurations(demo_model, demo_repo, "svc.mowing", ridge_map)
+
+    @pytest.mark.parametrize("n_maps", [0, -2])
+    def test_empty_ensemble_arena_rejected(self, demo_model, demo_repo, n_maps):
+        with pytest.raises(ValueError, match="at least one map"):
+            rank_configurations(
+                demo_model, demo_repo, "alg.edge_follow", EnsembleSpec(GenParams(), n_maps)
+            )
 
     def test_ensemble_arena(self, demo_model, demo_repo):
         arena = EnsembleSpec(gen=GenParams(width=6, height=5, obstacle_density=0.1), n_maps=3, seed0=2)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,6 +78,12 @@ class TestPowerState:
             SimParams(consumption_factor=-1.0)
         with pytest.raises(ValueError):
             SimParams(charging=(-0.5,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["capacity", "consumption_factor", "charging"])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SimParams(**{field: (1.0, value) if field == "charging" else value})
 
 
 class TestRun:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,6 +132,11 @@ class TestGeneration:
     def test_density_one_unsatisfiable(self):
         with pytest.raises(Unsatisfiable):
             generate_map(4, 4, 1.0, seed=0)
+
+    @pytest.mark.parametrize("density", [math.nan, math.inf])
+    def test_non_finite_density_rejected(self, density):
+        with pytest.raises(ValueError, match="finite"):
+            generate_map(4, 4, density, seed=0)
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValueError):
