@@ -14,7 +14,7 @@ from pathlib import Path as FilePath
 
 from . import composition, demo, evaluator, planners, repository, simulation, terrain
 from .core import Aspect, BlockKind, ConcernLayer, Model, Port, PortDirection, PortRef
-from .errors import RefModelError
+from .errors import ParseError, RefModelError
 from .terrain import GenParams, Position
 
 _ENV_HOME = "REFMODEL_HOME"
@@ -167,9 +167,7 @@ def _load_repo(args) -> repository.ReferenceRepository:
     path = _repo_path(args)
     if path is None:
         raise _UsageError(f"--repo is required (or set {_ENV_HOME})")
-    if not path.exists():
-        raise _UsageError(f"repository file not found: {path}")
-    return repository.load(path.read_text(encoding="utf-8"))
+    return repository.load(_read(path, "repository"))
 
 
 def _model_path(args) -> FilePath:
@@ -179,10 +177,7 @@ def _model_path(args) -> FilePath:
 
 
 def _load_model(args) -> Model:
-    path = _model_path(args)
-    if not path.exists():
-        raise _UsageError(f"model file not found: {path}")
-    return repository.load_model(path.read_text(encoding="utf-8"))
+    return repository.load_model(_read(_model_path(args), "model"))
 
 
 def _load_or_new_model(args) -> tuple[Model, FilePath]:
@@ -206,7 +201,17 @@ def _write_model(model: Model, path: FilePath):
 def _load_map(args) -> terrain.TerrainMap:
     if not args.map_file:
         raise _UsageError("--map is required")
-    return terrain.load_map(FilePath(args.map_file).read_text(encoding="utf-8"))
+    return terrain.load_map(_read(FilePath(args.map_file), "map"))
+
+
+def _read(path: FilePath, what: str) -> str:
+    """The text of an input file; a missing file is a usage error, undecodable text a ParseError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise _UsageError(f"{what} file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _gen_params(args) -> GenParams:
@@ -302,7 +307,7 @@ def cmd_repo_init(args) -> int:
 
 def cmd_repo_add(args) -> int:
     repo = _load_repo(args)
-    asset = repository.load_asset(FilePath(args.asset_file).read_text(encoding="utf-8"))
+    asset = repository.load_asset(_read(FilePath(args.asset_file), "asset"))
     repo = repository.add_asset(repo, asset)
     path = _repo_path(args)
     path.write_text(repository.save(repo), encoding="utf-8")

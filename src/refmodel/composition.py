@@ -177,13 +177,31 @@ class TraceDirection(Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TraceNode:
-    """One node of a trace tree; `link` is the kind of the edge that led here."""
+    """One node of a trace tree; `link` is the kind of the edge that led here.
+
+    Equality, hash and repr read the tree's pre-order (depth, block id, link)
+    rows, so they do not recurse on deep trees.
+    """
 
     block_id: str
     link: TraceKind | None
     children: tuple["TraceNode", ...] = ()
+
+    def _rows(self) -> tuple[tuple[int, str, TraceKind | None], ...]:
+        return tuple((depth, node.block_id, node.link) for depth, node in self.walk())
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceNode):
+            return NotImplemented
+        return self._rows() == other._rows()
+
+    def __hash__(self):
+        return hash(self._rows())
+
+    def __repr__(self):
+        return f"TraceNode({self._rows()!r})"
 
     def walk(self) -> Iterator[tuple[int, "TraceNode"]]:
         """Yield (depth, node) for every node of the tree in pre-order, root at depth 0."""

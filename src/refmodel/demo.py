@@ -32,7 +32,6 @@ from .repository import (
     add_asset,
     adopt,
 )
-from .simulation import SimParams
 from .terrain import TerrainMap, load_map
 
 DEMO_MODEL_ID = "demo.mowing_robot"
@@ -323,11 +322,3 @@ def build_demo_model(repo: ReferenceRepository | None = None) -> Model:
     ]:
         model = add_trace(model, TraceLink(kind, source, target))
     return model
-
-
-def demo_sim_params(model: Model | None = None) -> SimParams:
-    """Simulation parameters read from the demo model's resource blocks."""
-    model = model or build_demo_model()
-    capacity = float(model.block("res.battery").parameters["capacity"])
-    factor = float(model.block("res.propulsion").parameters["consumption_factor"])
-    return SimParams(capacity=capacity, consumption_factor=factor)

@@ -158,21 +158,21 @@ def ensemble(
     spec = EnsembleSpec(gen, n_maps, seed0)
     params = params or SimParams()
     names = [resolve_planner(p)[0] for p in planners]
-    totals: dict[str, list[float]] = {name: [] for name in names}
-    wins: dict[str, int] = {name: 0 for name in names}
+    totals: list[list[float]] = [[] for _ in names]
+    wins = [0] * len(names)
     for _, row in _rows(spec, planners, params, start):
-        wins[row[_winner(row)][0]] += 1
-        for name, result in row:
-            totals[name].append(result.total_consumed)
+        wins[_winner(row)] += 1
+        for index, (_, result) in enumerate(row):
+            totals[index].append(result.total_consumed)
     per_planner = tuple(
         PlannerStats(
             planner=name,
-            mean_total=sum(totals[name]) / len(totals[name]),
-            min_total=min(totals[name]),
-            max_total=max(totals[name]),
-            wins=wins[name],
+            mean_total=sum(totals[index]) / len(totals[index]),
+            min_total=min(totals[index]),
+            max_total=max(totals[index]),
+            wins=wins[index],
         )
-        for name in names
+        for index, name in enumerate(names)
     )
     return EnsembleStats(
         n_maps=n_maps, seed_start=seed0, seed_end=seed0 + n_maps - 1, per_planner=per_planner

@@ -226,10 +226,6 @@ def register_planner(name: str, planner: PlannerFn, *, overwrite: bool = False):
     _REGISTRY[name] = planner
 
 
-def planner_names() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 def resolve_planner(ref: PlannerRef) -> tuple[str, PlannerFn]:
     """Resolve a planner id, registry name, or algorithm block to its function.
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence, Union
+from operator import attrgetter
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
 
 from .composition import Pattern, PatternAnchor, Viewpoint
 from .core import (
@@ -239,18 +240,7 @@ def save(repo: ReferenceRepository) -> str:
 
 def load(text: str) -> ReferenceRepository:
     """Parse a repository document; raises ParseError / SchemaVersionMismatch."""
-    doc = _loads(text)
-    top = _expect_object(doc, "$")
-    _check_fields(top, "$", {"schema_version", "version", "assets"})
-    _check_schema_version(top)
-    version = _expect_int(top.get("version", 0), "$.version")
-    assets: dict[str, Asset] = {}
-    for i, entry in enumerate(_expect_array(top.get("assets", []), "$.assets")):
-        asset = _parse_asset(entry, f"$.assets[{i}]")
-        if asset.id in assets:
-            raise ParseError(f"$.assets[{i}]: duplicate asset id '{asset.id}'")
-        assets[asset.id] = asset
-    return ReferenceRepository(assets=assets, version=version)
+    return _REPOSITORY.decode(_loads(text), "$")
 
 
 def save_model(model: Model) -> str:
@@ -260,127 +250,24 @@ def save_model(model: Model) -> str:
 
 def load_model(text: str) -> Model:
     """Parse a model document; shares the repository schema conventions."""
-    doc = _loads(text)
-    top = _expect_object(doc, "$")
-    _check_fields(top, "$", {"schema_version", "id", "blocks", "connections", "traces"})
-    _check_schema_version(top)
-    model_id = _expect_str(top.get("id", ""), "$.id")
-    blocks: dict[str, BuildingBlock] = {}
-    for i, entry in enumerate(_expect_array(top.get("blocks", []), "$.blocks")):
-        block = _parse_block(entry, f"$.blocks[{i}]")
-        if block.id in blocks:
-            raise ParseError(f"$.blocks[{i}]: duplicate block id '{block.id}'")
-        blocks[block.id] = block
-    connections = frozenset(
-        _parse_connection(entry, f"$.connections[{i}]")
-        for i, entry in enumerate(_expect_array(top.get("connections", []), "$.connections"))
-    )
-    traces = frozenset(
-        _parse_trace(entry, f"$.traces[{i}]")
-        for i, entry in enumerate(_expect_array(top.get("traces", []), "$.traces"))
-    )
-    return Model(id=model_id, blocks=blocks, connections=connections, traces=traces)
+    return _MODEL.decode(_loads(text), "$")
 
 
 def load_asset(text: str) -> Asset:
     """Parse a single asset document (same shape as entries in a repository)."""
-    return _parse_asset(_loads(text), "$")
+    return _ASSET.decode(_loads(text), "$")
 
 
 def repository_to_document(repo: ReferenceRepository) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "version": repo.version,
-        "assets": [_asset_to_document(a) for a in repo.sorted_assets()],
-    }
+    return _REPOSITORY.encode(repo)
 
 
 def model_to_document(model: Model) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "id": model.id,
-        "blocks": [_block_to_document(b) for b in model.sorted_blocks()],
-        "connections": [_connection_to_document(c) for c in model.sorted_connections()],
-        "traces": [_trace_to_document(t) for t in model.sorted_traces()],
-    }
+    return _MODEL.encode(model)
 
 
 def _dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
-
-def _asset_to_document(asset: Asset) -> dict:
-    if isinstance(asset, BlockAsset):
-        return {"id": asset.id, "asset_kind": "block", "block": _block_to_document(asset.block)}
-    if isinstance(asset, PatternAsset):
-        return {
-            "id": asset.id,
-            "asset_kind": "pattern",
-            "pattern": _pattern_to_document(asset.pattern),
-        }
-    return {
-        "id": asset.id,
-        "asset_kind": "viewpoint",
-        "viewpoint": _viewpoint_to_document(asset.viewpoint),
-    }
-
-
-def _block_to_document(block: BuildingBlock) -> dict:
-    return {
-        "id": block.id,
-        "name": block.name,
-        "layer": block.layer.value,
-        "kind": block.kind.value,
-        "ports": [_port_to_document(p) for p in sorted(block.ports, key=lambda p: p.id)],
-        "parameters": dict(sorted(block.parameters.items())),
-        "origin": block.origin.value,
-    }
-
-
-def _port_to_document(port: Port) -> dict:
-    return {
-        "id": port.id,
-        "direction": port.direction.value,
-        "interface_type": port.interface_type,
-        "layer": port.layer.value,
-    }
-
-
-def _connection_to_document(conn: Connection) -> dict:
-    return {
-        "from": {"block": conn.source.block, "port": conn.source.port},
-        "to": {"block": conn.target.block, "port": conn.target.port},
-    }
-
-
-def _trace_to_document(link: TraceLink) -> dict:
-    return {"kind": link.kind.value, "source": link.source, "target": link.target}
-
-
-def _pattern_to_document(pattern: Pattern) -> dict:
-    return {
-        "id": pattern.id,
-        "blocks": [_block_to_document(b) for b in sorted(pattern.blocks, key=lambda b: b.id)],
-        "connections": [
-            _connection_to_document(c) for c in sorted(pattern.connections, key=connection_key)
-        ],
-        "traces": [_trace_to_document(t) for t in sorted(pattern.traces, key=trace_key)],
-        "anchors": [
-            {"id": a.id, "layer": a.layer.value, "kind": a.kind.value}
-            for a in sorted(pattern.anchors, key=lambda a: a.id)
-        ],
-    }
-
-
-def _viewpoint_to_document(viewpoint: Viewpoint) -> dict:
-    return {
-        "subject": viewpoint.subject.value,
-        "aspect": viewpoint.aspect.value,
-        "name": viewpoint.name,
-    }
-
-
-# --- parsing helpers -------------------------------------------------------
 
 
 def _loads(text: str):
@@ -388,200 +275,231 @@ def _loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal longer than int() accepts
+        raise ParseError(str(exc)) from None
+    except RecursionError:
+        raise ParseError("arrays and objects are nested too deeply") from None
 
 
-def _check_schema_version(top: Mapping[str, Any]):
-    found = top.get("schema_version")
-    if found != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"$.schema_version: expected {SCHEMA_VERSION}, found {found!r}"
-        )
+class _Codec(NamedTuple):
+    """How one value is written to JSON and read back; `decode` names `path` in its errors."""
+
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any, str], Any]
 
 
-def _check_fields(obj: Mapping[str, Any], path: str, allowed: set[str]):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"{path}: unexpected field '{sorted(unknown)[0]}'")
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
 
-def _expect_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"{path}: expected an object, found {type(value).__name__}")
+def _expect(kind: type, value, path: str):
+    """The value itself if it is a JSON value of `kind` (a bool is no integer)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(f"{path}: expected {_JSON_TYPES[kind]}, found {type(value).__name__}")
     return value
 
 
-def _expect_array(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{path}: expected an array, found {type(value).__name__}")
-    return value
-
-
-def _expect_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"{path}: expected a string, found {type(value).__name__}")
-    return value
-
-
-def _expect_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{path}: expected an integer, found {type(value).__name__}")
-    return value
-
-
-def _parse_enum(enum_cls, value, path: str):
-    token = _expect_str(value, path)
+def _wrap(path: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, with a ValueError it raises turned into a ParseError at `path`."""
     try:
-        return enum_cls(token)
-    except ValueError:
-        raise ParseError(f"{path}: unknown {enum_cls.__name__.lower()} token '{token}'") from None
-
-
-def _parse_scalar(value, path: str) -> Scalar:
-    if isinstance(value, (str, int, float, bool)):
-        return value
-    raise ParseError(f"{path}: expected a scalar, found {type(value).__name__}")
-
-
-def _parse_asset(entry, path: str) -> Asset:
-    obj = _expect_object(entry, path)
-    _check_fields(obj, path, {"id", "asset_kind", "block", "pattern", "viewpoint"})
-    asset_kind = _expect_str(obj.get("asset_kind", ""), f"{path}.asset_kind")
-    if asset_kind == "block":
-        asset: Asset = _wrap(lambda: BlockAsset(_parse_block(obj.get("block"), f"{path}.block")), path)
-    elif asset_kind == "pattern":
-        asset = PatternAsset(_parse_pattern(obj.get("pattern"), f"{path}.pattern"))
-    elif asset_kind == "viewpoint":
-        asset = _wrap(
-            lambda: ViewpointAsset(_parse_viewpoint(obj.get("viewpoint"), f"{path}.viewpoint")), path
-        )
-    else:
-        raise ParseError(f"{path}.asset_kind: unknown asset kind token '{asset_kind}'")
-    declared = obj.get("id")
-    if declared is not None and declared != asset.id:
-        raise ParseError(f"{path}.id: '{declared}' does not match payload id '{asset.id}'")
-    return asset
-
-
-def _wrap(build, path: str):
-    try:
-        return build()
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _parse_block(entry, path: str) -> BuildingBlock:
-    obj = _expect_object(entry, path)
-    _check_fields(obj, path, {"id", "name", "layer", "kind", "ports", "parameters", "origin"})
-    ports = tuple(
-        _parse_port(p, f"{path}.ports[{i}]")
-        for i, p in enumerate(_expect_array(obj.get("ports", []), f"{path}.ports"))
-    )
-    parameters = {
-        _expect_str(k, f"{path}.parameters"): _parse_scalar(v, f"{path}.parameters.{k}")
-        for k, v in _expect_object(obj.get("parameters", {}), f"{path}.parameters").items()
-    }
-    return _wrap(
-        lambda: BuildingBlock(
-            id=_expect_str(obj.get("id", ""), f"{path}.id"),
-            name=_expect_str(obj.get("name", ""), f"{path}.name"),
-            layer=_parse_enum(ConcernLayer, obj.get("layer"), f"{path}.layer"),
-            kind=_parse_enum(BlockKind, obj.get("kind"), f"{path}.kind"),
-            ports=ports,
-            parameters=parameters,
-            origin=_parse_enum(Origin, obj.get("origin", "reference_asset"), f"{path}.origin"),
-        ),
-        path,
-    )
+def _same(value):
+    return value
 
 
-def _parse_port(entry, path: str) -> Port:
-    obj = _expect_object(entry, path)
-    _check_fields(obj, path, {"id", "direction", "interface_type", "layer"})
-    return _wrap(
-        lambda: Port(
-            id=_expect_str(obj.get("id", ""), f"{path}.id"),
-            direction=_parse_enum(PortDirection, obj.get("direction"), f"{path}.direction"),
-            interface_type=_expect_str(obj.get("interface_type", ""), f"{path}.interface_type"),
-            layer=_parse_enum(ConcernLayer, obj.get("layer"), f"{path}.layer"),
-        ),
-        path,
-    )
+_STR = _Codec(_same, lambda value, path: _expect(str, value, path))
+_INT = _Codec(_same, lambda value, path: _expect(int, value, path))
 
 
-def _parse_connection(entry, path: str) -> Connection:
-    obj = _expect_object(entry, path)
-    _check_fields(obj, path, {"from", "to"})
-    return Connection(
-        source=_parse_port_ref(obj.get("from"), f"{path}.from"),
-        target=_parse_port_ref(obj.get("to"), f"{path}.to"),
-    )
+def _enum(cls) -> _Codec:
+    """An enum member, written as its token."""
+    members = {member.value: member for member in cls}
+
+    def decode(value, path: str):
+        token = _expect(str, value, path)
+        if token not in members:
+            raise ParseError(f"{path}: unknown {cls.__name__.lower()} token '{token}'")
+        return members[token]
+
+    return _Codec(lambda member: member.value, decode)
 
 
-def _parse_port_ref(entry, path: str) -> PortRef:
-    obj = _expect_object(entry, path)
-    _check_fields(obj, path, {"block", "port"})
-    return PortRef(
-        block=_expect_str(obj.get("block", ""), f"{path}.block"),
-        port=_expect_str(obj.get("port", ""), f"{path}.port"),
-    )
+def _decode_scalars(value, path: str) -> dict[str, Scalar]:
+    scalars = {}
+    for key, scalar in _expect(dict, value, path).items():
+        key = _expect(str, key, path)
+        if not isinstance(scalar, (str, int, float, bool)):
+            raise ParseError(f"{path}.{key}: expected a scalar, found {type(scalar).__name__}")
+        scalars[key] = scalar
+    return scalars
 
 
-def _parse_trace(entry, path: str) -> TraceLink:
-    obj = _expect_object(entry, path)
-    _check_fields(obj, path, {"kind", "source", "target"})
-    return TraceLink(
-        kind=_parse_enum(TraceKind, obj.get("kind"), f"{path}.kind"),
-        source=_expect_str(obj.get("source", ""), f"{path}.source"),
-        target=_expect_str(obj.get("target", ""), f"{path}.target"),
-    )
+_SCALARS = _Codec(lambda scalars: dict(sorted(scalars.items())), _decode_scalars)
 
 
-def _parse_pattern(entry, path: str) -> Pattern:
-    obj = _expect_object(entry, path)
-    _check_fields(obj, path, {"id", "blocks", "connections", "traces", "anchors"})
-    blocks = tuple(
-        _parse_block(b, f"{path}.blocks[{i}]")
-        for i, b in enumerate(_expect_array(obj.get("blocks", []), f"{path}.blocks"))
-    )
-    connections = frozenset(
-        _parse_connection(c, f"{path}.connections[{i}]")
-        for i, c in enumerate(_expect_array(obj.get("connections", []), f"{path}.connections"))
-    )
-    traces = frozenset(
-        _parse_trace(t, f"{path}.traces[{i}]")
-        for i, t in enumerate(_expect_array(obj.get("traces", []), f"{path}.traces"))
-    )
-    anchors = tuple(
-        _parse_anchor(a, f"{path}.anchors[{i}]")
-        for i, a in enumerate(_expect_array(obj.get("anchors", []), f"{path}.anchors"))
-    )
-    return _wrap(
-        lambda: Pattern(
-            id=_expect_str(obj.get("id", ""), f"{path}.id"),
-            blocks=blocks,
-            connections=connections,
-            traces=traces,
-            anchors=anchors,
-        ),
-        path,
-    )
+def _check_schema_version(found, path: str):
+    if found != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(f"{path}: expected {SCHEMA_VERSION}, found {found!r}")
+    return found
 
 
-def _parse_anchor(entry, path: str) -> PatternAnchor:
-    obj = _expect_object(entry, path)
-    _check_fields(obj, path, {"id", "layer", "kind"})
-    return PatternAnchor(
-        id=_expect_str(obj.get("id", ""), f"{path}.id"),
-        layer=_parse_enum(ConcernLayer, obj.get("layer"), f"{path}.layer"),
-        kind=_parse_enum(BlockKind, obj.get("kind"), f"{path}.kind"),
-    )
+_SCHEMA_VERSION = _Codec(lambda _: SCHEMA_VERSION, _check_schema_version)
 
 
-def _parse_viewpoint(entry, path: str) -> Viewpoint:
-    obj = _expect_object(entry, path)
-    _check_fields(obj, path, {"subject", "aspect", "name"})
-    return Viewpoint(
-        subject=_parse_enum(ConcernLayer, obj.get("subject"), f"{path}.subject"),
-        aspect=_parse_enum(Aspect, obj.get("aspect"), f"{path}.aspect"),
-        name=_expect_str(obj.get("name", ""), f"{path}.name"),
-    )
+def _array(item: _Codec, key, into=tuple, unique: str = "") -> _Codec:
+    """A list written sorted by `key` and read, in document order, into `into`.
+
+    A `unique` list stores a dict by id instead: it is written from the dict's
+    values, read into a dict, and an entry that repeats an id is rejected as a
+    duplicate `unique` id before the next entry is read.
+    """
+
+    def encode(values) -> list:
+        return [item.encode(v) for v in sorted(values.values() if unique else values, key=key)]
+
+    def decode(value, path: str):
+        records, ids = [], set()
+        for i, entry in enumerate(_expect(list, value, path)):
+            record = item.decode(entry, f"{path}[{i}]")
+            if unique:
+                if record.id in ids:
+                    raise ParseError(f"{path}[{i}]: duplicate {unique} id '{record.id}'")
+                ids.add(record.id)
+            records.append(record)
+        return {r.id: r for r in records} if unique else into(records)
+
+    return _Codec(encode, decode)
+
+
+_Field = tuple[str, Union[str, None], _Codec, Any]
+
+
+def _record(cls, fields: Sequence[_Field]) -> _Codec:
+    """An object with one (json key, attribute, codec, default) row per field.
+
+    Fields are read in row order and a missing key reads as its default; any
+    other key is an error. A row without an attribute is written by its codec
+    alone and read only to be checked.
+    """
+    keys = {key for key, _, _, _ in fields}
+
+    def encode(obj) -> dict:
+        return {key: codec.encode(attr and getattr(obj, attr)) for key, attr, codec, _ in fields}
+
+    def decode(value, path: str):
+        obj = _expect(dict, value, path)
+        _check_fields(obj, path, keys)
+        kwargs = {}
+        for key, attr, codec, default in fields:
+            field_value = codec.decode(obj.get(key, default), f"{path}.{key}")
+            if attr:
+                kwargs[attr] = field_value
+        return _wrap(path, cls, **kwargs)
+
+    return _Codec(encode, decode)
+
+
+def _check_fields(obj: Mapping[str, Any], path: str, allowed: set[str]):
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise ParseError(f"{path}: unexpected field '{sorted(unknown)[0]}'")
+
+
+_by_id = attrgetter("id")
+_LAYER = _enum(ConcernLayer)
+_BLOCK_KIND = _enum(BlockKind)
+
+_PORT = _record(Port, (
+    ("id", "id", _STR, ""),
+    ("direction", "direction", _enum(PortDirection), None),
+    ("interface_type", "interface_type", _STR, ""),
+    ("layer", "layer", _LAYER, None),
+))
+_BLOCK = _record(BuildingBlock, (
+    ("ports", "ports", _array(_PORT, _by_id), []),
+    ("parameters", "parameters", _SCALARS, {}),
+    ("id", "id", _STR, ""),
+    ("name", "name", _STR, ""),
+    ("layer", "layer", _LAYER, None),
+    ("kind", "kind", _BLOCK_KIND, None),
+    ("origin", "origin", _enum(Origin), Origin.REFERENCE_ASSET.value),
+))
+_PORT_REF = _record(PortRef, (("block", "block", _STR, ""), ("port", "port", _STR, "")))
+_CONNECTIONS = _array(
+    _record(Connection, (("from", "source", _PORT_REF, None), ("to", "target", _PORT_REF, None))),
+    connection_key,
+    frozenset,
+)
+_TRACES = _array(
+    _record(TraceLink, (
+        ("kind", "kind", _enum(TraceKind), None),
+        ("source", "source", _STR, ""),
+        ("target", "target", _STR, ""),
+    )),
+    trace_key,
+    frozenset,
+)
+_ANCHOR = _record(PatternAnchor, (
+    ("id", "id", _STR, ""), ("layer", "layer", _LAYER, None), ("kind", "kind", _BLOCK_KIND, None)
+))
+_PATTERN = _record(Pattern, (
+    ("blocks", "blocks", _array(_BLOCK, _by_id), []),
+    ("connections", "connections", _CONNECTIONS, []),
+    ("traces", "traces", _TRACES, []),
+    ("anchors", "anchors", _array(_ANCHOR, _by_id), []),
+    ("id", "id", _STR, ""),
+))
+_VIEWPOINT = _record(Viewpoint, (
+    ("subject", "subject", _LAYER, None),
+    ("aspect", "aspect", _enum(Aspect), None),
+    ("name", "name", _STR, ""),
+))
+
+# asset_kind token -> (asset class, key of its payload, payload codec)
+_ASSET_KINDS = {
+    "block": (BlockAsset, "block", _BLOCK),
+    "pattern": (PatternAsset, "pattern", _PATTERN),
+    "viewpoint": (ViewpointAsset, "viewpoint", _VIEWPOINT),
+}
+_ASSET_TOKENS = {cls: token for token, (cls, _, _) in _ASSET_KINDS.items()}
+_ID, _ASSET_KIND = "id", "asset_kind"
+_ASSET_KEYS = {_ID, _ASSET_KIND, *(key for _, key, _ in _ASSET_KINDS.values())}
+
+
+def _encode_asset(asset: Asset) -> dict:
+    token = _ASSET_TOKENS[type(asset)]
+    _, key, codec = _ASSET_KINDS[token]
+    return {_ID: asset.id, _ASSET_KIND: token, key: codec.encode(getattr(asset, key))}
+
+
+def _decode_asset(value, path: str) -> Asset:
+    """An asset: its kind token picks the payload, and a given id must match the payload's."""
+    obj = _expect(dict, value, path)
+    _check_fields(obj, path, _ASSET_KEYS)
+    token = _expect(str, obj.get(_ASSET_KIND, ""), f"{path}.{_ASSET_KIND}")
+    if token not in _ASSET_KINDS:
+        raise ParseError(f"{path}.{_ASSET_KIND}: unknown asset kind token '{token}'")
+    cls, key, codec = _ASSET_KINDS[token]
+    asset = _wrap(path, cls, codec.decode(obj.get(key), f"{path}.{key}"))
+    declared = obj.get(_ID)
+    if declared is not None and declared != asset.id:
+        raise ParseError(f"{path}.{_ID}: '{declared}' does not match payload id '{asset.id}'")
+    return asset
+
+
+_ASSET = _Codec(_encode_asset, _decode_asset)
+_MODEL = _record(Model, (
+    ("schema_version", None, _SCHEMA_VERSION, None),
+    ("id", "id", _STR, ""),
+    ("blocks", "blocks", _array(_BLOCK, _by_id, unique="block"), []),
+    ("connections", "connections", _CONNECTIONS, []),
+    ("traces", "traces", _TRACES, []),
+))
+_REPOSITORY = _record(ReferenceRepository, (
+    ("schema_version", None, _SCHEMA_VERSION, None),
+    ("version", "version", _INT, 0),
+    ("assets", "assets", _array(_ASSET, _by_id, unique="asset"), []),
+))

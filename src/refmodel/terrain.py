@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import BadSymbol, RaggedRows, Unsatisfiable
+from .errors import BadSymbol, ParseError, RaggedRows, Unsatisfiable
 
 OBSTACLE = -1
 MIN_LEVEL = 0
@@ -158,7 +158,10 @@ def load_map(text: str) -> TerrainMap:
                 raise BadSymbol(f"bad symbol '{symbol}' at ({r}, {c})", position=Position(r, c))
             row.append(_SYMBOLS[symbol])
         rows.append(tuple(row))
-    return TerrainMap(cells=tuple(rows))
+    try:
+        return TerrainMap(cells=tuple(rows))
+    except ValueError as exc:  # every cell is an obstacle
+        raise ParseError(str(exc)) from None
 
 
 def save_map(tmap: TerrainMap) -> str:

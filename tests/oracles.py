@@ -8,26 +8,58 @@ once had, so the shared evaluation core is checked against them. The
 composition references are the recursive trace walks (tree, node ids, witness
 chains, coverage, DOT and the CLI's indented text) that the one iterative
 traversal replaced; they hold for trees shallower than the recursion limit.
+The persistence references are the per-record JSON writers and readers that
+the field tables replaced, so saved bytes and parse errors are checked
+against them.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 from collections import deque
+from typing import Any, Mapping
 
 from refmodel.composition import (
     CapabilityCoverage,
     CoverageReport,
     CoverageStatus,
+    Pattern,
+    PatternAnchor,
     TraceDirection,
     TraceNode,
     View,
+    Viewpoint,
     enumerate_alternatives_with_slots,
 )
-from refmodel.core import BlockKind, ConcernLayer, connection_key, trace_key
-from refmodel.errors import NoAlternatives
+from refmodel.core import (
+    Aspect,
+    BlockKind,
+    BuildingBlock,
+    ConcernLayer,
+    Connection,
+    Model,
+    Origin,
+    Port,
+    PortDirection,
+    PortRef,
+    Scalar,
+    TraceKind,
+    TraceLink,
+    connection_key,
+    trace_key,
+)
+from refmodel.errors import NoAlternatives, ParseError, SchemaVersionMismatch
 from refmodel.evaluator import ComparisonReport, EnsembleStats, PlannerStats, RankedConfiguration
 from refmodel.planners import resolve_planner
+from refmodel.repository import (
+    SCHEMA_VERSION,
+    Asset,
+    BlockAsset,
+    PatternAsset,
+    ReferenceRepository,
+    ViewpointAsset,
+)
 from refmodel.simulation import SimParams, Termination, run
 from refmodel.terrain import Position, TerrainMap, generate_map, step_factor
 
@@ -115,23 +147,24 @@ def ensemble(gen, n_maps, planners, params=None, seed0=0, start=None):
         raise ValueError("ensemble needs at least one map")
     params = params or SimParams()
     names = [resolve_planner(p)[0] for p in planners]
-    totals = {name: [] for name in names}
-    wins = {name: 0 for name in names}
+    totals = [[] for _ in names]
+    wins = [0] * len(names)
     for offset in range(n_maps):
         seed = seed0 + offset
         report = compare(_generate(gen, seed), planners, start=start, params=params)
-        wins[report.winner] += 1
-        for name, result in report.runs:
-            totals[name].append(result.total_consumed)
+        # Runs of a repeated planner tie, and a tie goes to the earlier position.
+        wins[names.index(report.winner)] += 1
+        for index, (_, result) in enumerate(report.runs):
+            totals[index].append(result.total_consumed)
     per_planner = tuple(
         PlannerStats(
             planner=name,
-            mean_total=sum(totals[name]) / len(totals[name]),
-            min_total=min(totals[name]),
-            max_total=max(totals[name]),
-            wins=wins[name],
+            mean_total=sum(totals[index]) / len(totals[index]),
+            min_total=min(totals[index]),
+            max_total=max(totals[index]),
+            wins=wins[index],
         )
-        for name in names
+        for index, name in enumerate(names)
     )
     return EnsembleStats(
         n_maps=n_maps, seed_start=seed0, seed_end=seed0 + n_maps - 1, per_planner=per_planner
@@ -278,3 +311,364 @@ def trace_text(tree):
 
     render(tree, 0)
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON persistence: the hand-written writer and reader of every record that the
+# field tables in refmodel.repository replaced, kept unchanged as the reference.
+# ---------------------------------------------------------------------------
+
+
+def save(repo: ReferenceRepository) -> str:
+    """Serialize a repository to its canonical JSON document."""
+    return _dumps(repository_to_document(repo))
+
+
+def load(text: str) -> ReferenceRepository:
+    """Parse a repository document; raises ParseError / SchemaVersionMismatch."""
+    doc = _loads(text)
+    top = _expect_object(doc, "$")
+    _check_fields(top, "$", {"schema_version", "version", "assets"})
+    _check_schema_version(top)
+    version = _expect_int(top.get("version", 0), "$.version")
+    assets: dict[str, Asset] = {}
+    for i, entry in enumerate(_expect_array(top.get("assets", []), "$.assets")):
+        asset = _parse_asset(entry, f"$.assets[{i}]")
+        if asset.id in assets:
+            raise ParseError(f"$.assets[{i}]: duplicate asset id '{asset.id}'")
+        assets[asset.id] = asset
+    return ReferenceRepository(assets=assets, version=version)
+
+
+def save_model(model: Model) -> str:
+    """Serialize a model to its canonical JSON document."""
+    return _dumps(model_to_document(model))
+
+
+def load_model(text: str) -> Model:
+    """Parse a model document; shares the repository schema conventions."""
+    doc = _loads(text)
+    top = _expect_object(doc, "$")
+    _check_fields(top, "$", {"schema_version", "id", "blocks", "connections", "traces"})
+    _check_schema_version(top)
+    model_id = _expect_str(top.get("id", ""), "$.id")
+    blocks: dict[str, BuildingBlock] = {}
+    for i, entry in enumerate(_expect_array(top.get("blocks", []), "$.blocks")):
+        block = _parse_block(entry, f"$.blocks[{i}]")
+        if block.id in blocks:
+            raise ParseError(f"$.blocks[{i}]: duplicate block id '{block.id}'")
+        blocks[block.id] = block
+    connections = frozenset(
+        _parse_connection(entry, f"$.connections[{i}]")
+        for i, entry in enumerate(_expect_array(top.get("connections", []), "$.connections"))
+    )
+    traces = frozenset(
+        _parse_trace(entry, f"$.traces[{i}]")
+        for i, entry in enumerate(_expect_array(top.get("traces", []), "$.traces"))
+    )
+    return Model(id=model_id, blocks=blocks, connections=connections, traces=traces)
+
+
+def load_asset(text: str) -> Asset:
+    """Parse a single asset document (same shape as entries in a repository)."""
+    return _parse_asset(_loads(text), "$")
+
+
+def repository_to_document(repo: ReferenceRepository) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "version": repo.version,
+        "assets": [_asset_to_document(a) for a in repo.sorted_assets()],
+    }
+
+
+def model_to_document(model: Model) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "id": model.id,
+        "blocks": [_block_to_document(b) for b in model.sorted_blocks()],
+        "connections": [_connection_to_document(c) for c in model.sorted_connections()],
+        "traces": [_trace_to_document(t) for t in model.sorted_traces()],
+    }
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _asset_to_document(asset: Asset) -> dict:
+    if isinstance(asset, BlockAsset):
+        return {"id": asset.id, "asset_kind": "block", "block": _block_to_document(asset.block)}
+    if isinstance(asset, PatternAsset):
+        return {
+            "id": asset.id,
+            "asset_kind": "pattern",
+            "pattern": _pattern_to_document(asset.pattern),
+        }
+    return {
+        "id": asset.id,
+        "asset_kind": "viewpoint",
+        "viewpoint": _viewpoint_to_document(asset.viewpoint),
+    }
+
+
+def _block_to_document(block: BuildingBlock) -> dict:
+    return {
+        "id": block.id,
+        "name": block.name,
+        "layer": block.layer.value,
+        "kind": block.kind.value,
+        "ports": [_port_to_document(p) for p in sorted(block.ports, key=lambda p: p.id)],
+        "parameters": dict(sorted(block.parameters.items())),
+        "origin": block.origin.value,
+    }
+
+
+def _port_to_document(port: Port) -> dict:
+    return {
+        "id": port.id,
+        "direction": port.direction.value,
+        "interface_type": port.interface_type,
+        "layer": port.layer.value,
+    }
+
+
+def _connection_to_document(conn: Connection) -> dict:
+    return {
+        "from": {"block": conn.source.block, "port": conn.source.port},
+        "to": {"block": conn.target.block, "port": conn.target.port},
+    }
+
+
+def _trace_to_document(link: TraceLink) -> dict:
+    return {"kind": link.kind.value, "source": link.source, "target": link.target}
+
+
+def _pattern_to_document(pattern: Pattern) -> dict:
+    return {
+        "id": pattern.id,
+        "blocks": [_block_to_document(b) for b in sorted(pattern.blocks, key=lambda b: b.id)],
+        "connections": [
+            _connection_to_document(c) for c in sorted(pattern.connections, key=connection_key)
+        ],
+        "traces": [_trace_to_document(t) for t in sorted(pattern.traces, key=trace_key)],
+        "anchors": [
+            {"id": a.id, "layer": a.layer.value, "kind": a.kind.value}
+            for a in sorted(pattern.anchors, key=lambda a: a.id)
+        ],
+    }
+
+
+def _viewpoint_to_document(viewpoint: Viewpoint) -> dict:
+    return {
+        "subject": viewpoint.subject.value,
+        "aspect": viewpoint.aspect.value,
+        "name": viewpoint.name,
+    }
+
+
+# --- parsing helpers -------------------------------------------------------
+
+
+def _loads(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
+def _check_schema_version(top: Mapping[str, Any]):
+    found = top.get("schema_version")
+    if found != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(
+            f"$.schema_version: expected {SCHEMA_VERSION}, found {found!r}"
+        )
+
+
+def _check_fields(obj: Mapping[str, Any], path: str, allowed: set[str]):
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ParseError(f"{path}: unexpected field '{sorted(unknown)[0]}'")
+
+
+def _expect_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: expected an object, found {type(value).__name__}")
+    return value
+
+
+def _expect_array(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected an array, found {type(value).__name__}")
+    return value
+
+
+def _expect_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{path}: expected a string, found {type(value).__name__}")
+    return value
+
+
+def _expect_int(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{path}: expected an integer, found {type(value).__name__}")
+    return value
+
+
+def _parse_enum(enum_cls, value, path: str):
+    token = _expect_str(value, path)
+    try:
+        return enum_cls(token)
+    except ValueError:
+        raise ParseError(f"{path}: unknown {enum_cls.__name__.lower()} token '{token}'") from None
+
+
+def _parse_scalar(value, path: str) -> Scalar:
+    if isinstance(value, (str, int, float, bool)):
+        return value
+    raise ParseError(f"{path}: expected a scalar, found {type(value).__name__}")
+
+
+def _parse_asset(entry, path: str) -> Asset:
+    obj = _expect_object(entry, path)
+    _check_fields(obj, path, {"id", "asset_kind", "block", "pattern", "viewpoint"})
+    asset_kind = _expect_str(obj.get("asset_kind", ""), f"{path}.asset_kind")
+    if asset_kind == "block":
+        asset: Asset = _wrap(lambda: BlockAsset(_parse_block(obj.get("block"), f"{path}.block")), path)
+    elif asset_kind == "pattern":
+        asset = PatternAsset(_parse_pattern(obj.get("pattern"), f"{path}.pattern"))
+    elif asset_kind == "viewpoint":
+        asset = _wrap(
+            lambda: ViewpointAsset(_parse_viewpoint(obj.get("viewpoint"), f"{path}.viewpoint")), path
+        )
+    else:
+        raise ParseError(f"{path}.asset_kind: unknown asset kind token '{asset_kind}'")
+    declared = obj.get("id")
+    if declared is not None and declared != asset.id:
+        raise ParseError(f"{path}.id: '{declared}' does not match payload id '{asset.id}'")
+    return asset
+
+
+def _wrap(build, path: str):
+    try:
+        return build()
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _parse_block(entry, path: str) -> BuildingBlock:
+    obj = _expect_object(entry, path)
+    _check_fields(obj, path, {"id", "name", "layer", "kind", "ports", "parameters", "origin"})
+    ports = tuple(
+        _parse_port(p, f"{path}.ports[{i}]")
+        for i, p in enumerate(_expect_array(obj.get("ports", []), f"{path}.ports"))
+    )
+    parameters = {
+        _expect_str(k, f"{path}.parameters"): _parse_scalar(v, f"{path}.parameters.{k}")
+        for k, v in _expect_object(obj.get("parameters", {}), f"{path}.parameters").items()
+    }
+    return _wrap(
+        lambda: BuildingBlock(
+            id=_expect_str(obj.get("id", ""), f"{path}.id"),
+            name=_expect_str(obj.get("name", ""), f"{path}.name"),
+            layer=_parse_enum(ConcernLayer, obj.get("layer"), f"{path}.layer"),
+            kind=_parse_enum(BlockKind, obj.get("kind"), f"{path}.kind"),
+            ports=ports,
+            parameters=parameters,
+            origin=_parse_enum(Origin, obj.get("origin", "reference_asset"), f"{path}.origin"),
+        ),
+        path,
+    )
+
+
+def _parse_port(entry, path: str) -> Port:
+    obj = _expect_object(entry, path)
+    _check_fields(obj, path, {"id", "direction", "interface_type", "layer"})
+    return _wrap(
+        lambda: Port(
+            id=_expect_str(obj.get("id", ""), f"{path}.id"),
+            direction=_parse_enum(PortDirection, obj.get("direction"), f"{path}.direction"),
+            interface_type=_expect_str(obj.get("interface_type", ""), f"{path}.interface_type"),
+            layer=_parse_enum(ConcernLayer, obj.get("layer"), f"{path}.layer"),
+        ),
+        path,
+    )
+
+
+def _parse_connection(entry, path: str) -> Connection:
+    obj = _expect_object(entry, path)
+    _check_fields(obj, path, {"from", "to"})
+    return Connection(
+        source=_parse_port_ref(obj.get("from"), f"{path}.from"),
+        target=_parse_port_ref(obj.get("to"), f"{path}.to"),
+    )
+
+
+def _parse_port_ref(entry, path: str) -> PortRef:
+    obj = _expect_object(entry, path)
+    _check_fields(obj, path, {"block", "port"})
+    return PortRef(
+        block=_expect_str(obj.get("block", ""), f"{path}.block"),
+        port=_expect_str(obj.get("port", ""), f"{path}.port"),
+    )
+
+
+def _parse_trace(entry, path: str) -> TraceLink:
+    obj = _expect_object(entry, path)
+    _check_fields(obj, path, {"kind", "source", "target"})
+    return TraceLink(
+        kind=_parse_enum(TraceKind, obj.get("kind"), f"{path}.kind"),
+        source=_expect_str(obj.get("source", ""), f"{path}.source"),
+        target=_expect_str(obj.get("target", ""), f"{path}.target"),
+    )
+
+
+def _parse_pattern(entry, path: str) -> Pattern:
+    obj = _expect_object(entry, path)
+    _check_fields(obj, path, {"id", "blocks", "connections", "traces", "anchors"})
+    blocks = tuple(
+        _parse_block(b, f"{path}.blocks[{i}]")
+        for i, b in enumerate(_expect_array(obj.get("blocks", []), f"{path}.blocks"))
+    )
+    connections = frozenset(
+        _parse_connection(c, f"{path}.connections[{i}]")
+        for i, c in enumerate(_expect_array(obj.get("connections", []), f"{path}.connections"))
+    )
+    traces = frozenset(
+        _parse_trace(t, f"{path}.traces[{i}]")
+        for i, t in enumerate(_expect_array(obj.get("traces", []), f"{path}.traces"))
+    )
+    anchors = tuple(
+        _parse_anchor(a, f"{path}.anchors[{i}]")
+        for i, a in enumerate(_expect_array(obj.get("anchors", []), f"{path}.anchors"))
+    )
+    return _wrap(
+        lambda: Pattern(
+            id=_expect_str(obj.get("id", ""), f"{path}.id"),
+            blocks=blocks,
+            connections=connections,
+            traces=traces,
+            anchors=anchors,
+        ),
+        path,
+    )
+
+
+def _parse_anchor(entry, path: str) -> PatternAnchor:
+    obj = _expect_object(entry, path)
+    _check_fields(obj, path, {"id", "layer", "kind"})
+    return PatternAnchor(
+        id=_expect_str(obj.get("id", ""), f"{path}.id"),
+        layer=_parse_enum(ConcernLayer, obj.get("layer"), f"{path}.layer"),
+        kind=_parse_enum(BlockKind, obj.get("kind"), f"{path}.kind"),
+    )
+
+
+def _parse_viewpoint(entry, path: str) -> Viewpoint:
+    obj = _expect_object(entry, path)
+    _check_fields(obj, path, {"subject", "aspect", "name"})
+    return Viewpoint(
+        subject=_parse_enum(ConcernLayer, obj.get("subject"), f"{path}.subject"),
+        aspect=_parse_enum(Aspect, obj.get("aspect"), f"{path}.aspect"),
+        name=_expect_str(obj.get("name", ""), f"{path}.name"),
+    )

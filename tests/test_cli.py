@@ -343,11 +343,6 @@ class TestExitCodes:
         assert code == 2
         assert "--map" in err
 
-    def test_nonexistent_map_file_is_domain_error(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "simulate", "--map", str(tmp_path / "missing.txt"))
-        assert code == 1
-        assert err.startswith("error:")
-
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -374,22 +369,52 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("validate",),
-            ("trace", "cap.mowing"),
-            ("coverage",),
-            ("view", "--subject", "service", "--aspect", "structure"),
-            ("alternatives", "--slot", "alg.edge_follow", "--repo", "{repo}"),
-            ("rank", "--slot", "alg.edge_follow", "--n", "1", "--repo", "{repo}"),
+            ("model", "validate", "--model", "{missing}"),
+            ("model", "trace", "cap.mowing", "--model", "{missing}"),
+            ("model", "coverage", "--model", "{missing}"),
+            ("model", "view", "--subject", "service", "--aspect", "structure", "--model", "{missing}"),
+            ("model", "alternatives", "--slot", "alg.edge_follow", "--repo", "{repo}", "--model", "{missing}"),
+            (
+                "model", "rank", "--slot", "alg.edge_follow", "--n", "1",
+                "--repo", "{repo}", "--model", "{missing}",
+            ),
+            ("map", "simulate", "--map", "{missing}"),
+            ("map", "compare", "--map", "{missing}"),
+            ("repository", "repo", "list", "--repo", "{missing}"),
+            ("asset", "repo", "add", "{missing}", "--repo", "{repo}"),
         ],
     )
     def test_missing_model_file_is_usage_error(self, demo_dir, capsys, argv):
-        missing = demo_dir / "typo.refmodel.json"
-        argv = [arg.format(repo=demo_dir / "demo.refrepo.json") for arg in argv]
-        code, out, err = run_cli(capsys, *argv, "--model", str(missing))
+        """Each missing input file (model, map, repository, asset) is named in a usage error."""
+        what, *argv = argv
+        missing = demo_dir / "typo.json"
+        argv = [arg.format(repo=demo_dir / "demo.refrepo.json", missing=missing) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == f"usage error: model file not found: {missing}\n"
+        assert err == f"usage error: {what} file not found: {missing}\n"
         assert not missing.exists()
+
+    @pytest.mark.parametrize("flag", ["--model", "--map"])
+    def test_undecodable_file_is_parse_error(self, tmp_path, capsys, flag):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run_cli(capsys, "validate" if flag == "--model" else "simulate", flag, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+
+    def test_map_without_free_cell_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "blocked.terrain.txt"
+        path.write_text("XX\nXX\n")
+        code, out, err = run_cli(capsys, "simulate", "--map", str(path))
+        assert (code, out, err) == (1, "", "error: terrain map needs at least one free cell\n")
+
+    def test_deeply_nested_model_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.refmodel.json"
+        path.write_text("[" * 100000)
+        code, out, err = run_cli(capsys, "validate", "--model", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("entry", ["=target", "source=", "source"])
     @pytest.mark.parametrize(

@@ -385,6 +385,18 @@ class TestDeepChain:
         assert len(dot) == 2 + len(chain) + len(chain) - 1
         assert dot[-2] == '  "svc" -> "res" [label="implements"];'
 
+    def test_equality_hash_and_repr(self):
+        model = performs_chain_model(self.LENGTH)
+        first = trace(model, "cap", TraceDirection.DOWN)
+        second = trace(model, "cap", TraceDirection.DOWN)
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert repr(first) == repr(second)
+        assert repr(first).startswith("TraceNode(((0, 'cap', None), (1, 'a0000', ")
+        assert first != trace(model, "res", TraceDirection.UP)
+        assert first != trace(performs_chain_model(self.LENGTH - 1), "cap", TraceDirection.DOWN)
+
 
 class TestViewpoints:
     def test_strategic_behavior_invalid(self):

@@ -106,9 +106,11 @@ class TestEnsemble:
     def test_repeated_planner_mean_is_per_run(self):
         gen = GenParams(width=6, height=5)
         single = ensemble(gen, 3, ["edge_follow"], seed0=4).per_planner[0]
-        for stats in ensemble(gen, 3, ["edge_follow", "edge_follow"], seed0=4).per_planner:
+        repeated = ensemble(gen, 3, ["edge_follow", "edge_follow"], seed0=4).per_planner
+        for stats in repeated:
             assert stats.min_total <= stats.mean_total <= stats.max_total
             assert stats.mean_total == pytest.approx(single.mean_total)
+        assert sum(stats.wins for stats in repeated) == 3
 
 
 class TestRankConfigurations:

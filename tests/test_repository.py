@@ -1,9 +1,12 @@
+import json
 from dataclasses import replace
 
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genmodels import random_repository
+from genmodels import dense_trace_model, random_model, random_repository
+from refmodel import demo
 from refmodel.core import (
     BlockKind,
     BuildingBlock,
@@ -32,10 +35,14 @@ from refmodel.repository import (
     extend,
     list_assets,
     load,
+    load_asset,
     load_model,
+    model_to_document,
+    repository_to_document,
     save,
     save_model,
 )
+from refmodel.terrain import load_map
 
 
 def make_block(block_id="svc.mowing", kind=BlockKind.SERVICE, **kwargs):
@@ -225,3 +232,133 @@ class TestPersistence:
         )
         with pytest.raises(ParseError, match=r"\$\.blocks\[0\]"):
             load_model(text)
+
+
+# One JSON value of each type: a mutation replaces a value with each of them, which
+# also gives a string field an unknown token and an object or array its defaults.
+JSON_VALUES = [None, True, 7, 0.5, "zz", [], {}]
+
+
+def _mutations(node):
+    """Every single-point mutation of a JSON value.
+
+    A value is replaced by each JSON type, an object key dropped or an unknown
+    key added, an array entry duplicated. A mutation inside an array is tried
+    with the mutated entry alone in its array and the other arrays beside it
+    left out, so each parse reads little more than the mutated entry.
+    """
+    yield from JSON_VALUES
+    if isinstance(node, dict):
+        yield {**node, "zz": 1}
+        without_arrays = {key: value for key, value in node.items() if not isinstance(value, list)}
+        for key, value in node.items():
+            yield {k: v for k, v in node.items() if k != key}
+            around = without_arrays if isinstance(value, list) else node
+            yield from ({**around, key: changed} for changed in _mutations(value))
+    elif isinstance(node, list):
+        for entry in node:
+            yield [entry, entry]
+            yield from ([changed] for changed in _mutations(entry))
+
+
+def _outcome(load_fn, text):
+    try:
+        return load_fn(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_loads_like_reference(load_fn, reference, documents):
+    for doc in documents:
+        text = json.dumps(doc)
+        assert _outcome(load_fn, text) == _outcome(reference, text), text
+
+
+SEEDS = range(100)
+# Mutating every object of all 100 seeds' documents takes minutes; every twentieth seed
+# plus the demo documents already reach every record, field and JSON type.
+MUTATED_SEEDS = SEEDS[::20]
+
+
+class TestMatchesReference:
+    """The field tables against the per-record writers and readers they replaced (tests/oracles.py)."""
+
+    def test_saved_bytes(self, demo_repo, demo_model):
+        repos = [demo_repo, *(random_repository(seed) for seed in SEEDS)]
+        models = [demo_model, *(m(seed) for seed in SEEDS for m in (random_model, dense_trace_model))]
+        for repo in repos:
+            assert save(repo) == oracles.save(repo)
+            assert repository_to_document(repo) == oracles.repository_to_document(repo)
+        for model in models:
+            assert save_model(model) == oracles.save_model(model)
+            assert model_to_document(model) == oracles.model_to_document(model)
+
+    def test_mutated_repositories(self, demo_repo):
+        for repo in [demo_repo, *(random_repository(seed) for seed in MUTATED_SEEDS)]:
+            doc = repository_to_document(repo)
+            _assert_loads_like_reference(load, oracles.load, _mutations(doc))
+            for asset in doc["assets"]:
+                _assert_loads_like_reference(load_asset, oracles.load_asset, _mutations(asset))
+
+    def test_mutated_models(self, demo_model):
+        models = [demo_model, *(m(seed) for seed in MUTATED_SEEDS for m in (random_model, dense_trace_model))]
+        for model in models:
+            _assert_loads_like_reference(load_model, oracles.load_model, _mutations(model_to_document(model)))
+
+
+def _format_words():
+    """Every key and string value of the demo documents: the format's own vocabulary."""
+    keys, strings = set(), set()
+    stack = [repository_to_document(demo.build_demo_repository()), model_to_document(demo.build_demo_model())]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            keys.update(node)
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+        elif isinstance(node, str):
+            strings.add(node)
+    return sorted(keys), sorted(strings)
+
+
+FORMAT_KEYS, FORMAT_STRINGS = _format_words()
+FORMAT_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(FORMAT_STRINGS) | st.just(1),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(FORMAT_KEYS), children, max_size=8),
+    max_leaves=30,
+)
+
+
+class TestParseFuzz:
+    """Any text, and any JSON built from the format's keys and tokens, loads or raises ParseError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.text(alphabet="0123X\n[]{}:,\"1 "))
+    def test_arbitrary_text(self, text):
+        for load_fn in (load, load_model, load_asset, load_map):
+            try:
+                load_fn(text)
+            except ParseError:
+                pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(FORMAT_JSON)
+    def test_format_shaped_json(self, value):
+        for doc in (value, {"schema_version": 1, "blocks": value}, {"schema_version": 1, "assets": value}):
+            text = json.dumps(doc)
+            for load_fn in (load, load_model, load_asset):
+                try:
+                    load_fn(text)
+                except ParseError:
+                    pass
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100000, '{"a": ' * 100000, "1" * 5000], ids=["array", "object", "integer"]
+    )
+    def test_nesting_and_long_numbers(self, text):
+        for load_fn in (load, load_model, load_asset):
+            with pytest.raises(ParseError):
+                load_fn(text)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import flood_fill
-from refmodel.errors import BadSymbol, RaggedRows, Unsatisfiable
+from refmodel.errors import BadSymbol, ParseError, RaggedRows, Unsatisfiable
 from refmodel.terrain import (
     Position,
     StepClass,
@@ -79,7 +79,7 @@ class TestMapText:
         assert save_map(load_map("03\n30")) == "03\n30\n"
 
     def test_all_obstacles_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="at least one free cell"):
             load_map("XX\nXX")
 
 
