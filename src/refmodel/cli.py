@@ -193,9 +193,15 @@ def _load_or_new_model(args) -> tuple[Model, FilePath]:
     return Model(id=stem), path
 
 
-def _write_model(model: Model, path: FilePath):
+def _write(path: FilePath, text: str):
+    """Write text through a sibling temp file and os.replace, so a failed write leaves the old file whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(repository.save_model(model), encoding="utf-8")
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def _load_map(args) -> terrain.TerrainMap:
@@ -299,8 +305,7 @@ def cmd_repo_init(args) -> int:
     if path.exists():
         print(f"error: {path} already exists", file=sys.stderr)
         return 1
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(repository.save(repository.ReferenceRepository()), encoding="utf-8")
+    _write(path, repository.save(repository.ReferenceRepository()))
     print(f"initialized empty repository at {path}")
     return 0
 
@@ -309,8 +314,7 @@ def cmd_repo_add(args) -> int:
     repo = _load_repo(args)
     asset = repository.load_asset(_read(FilePath(args.asset_file), "asset"))
     repo = repository.add_asset(repo, asset)
-    path = _repo_path(args)
-    path.write_text(repository.save(repo), encoding="utf-8")
+    _write(_repo_path(args), repository.save(repo))
     print(f"added asset '{asset.id}' (repository version {repo.version})")
     return 0
 
@@ -331,7 +335,7 @@ def cmd_model_adopt(args) -> int:
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
     model = repository.adopt(repo, args.asset_id, model)
-    _write_model(model, path)
+    _write(path, repository.save_model(model))
     print(f"adopted '{args.asset_id}' into {path}")
     return 0
 
@@ -349,7 +353,7 @@ def cmd_model_adapt(args) -> int:
     if port_types:
         overrides["port_types"] = port_types
     model = repository.adapt(repo, args.asset_id, overrides, model)
-    _write_model(model, path)
+    _write(path, repository.save_model(model))
     print(f"adapted '{args.asset_id}' into {path}")
     return 0
 
@@ -372,7 +376,7 @@ def cmd_model_extend(args) -> int:
         ports.append(Port(port_id, PortDirection(direction), interface, layer))
     params = _parse_kv(args.param, "--param")
     model = repository.extend(repo, args.asset_id, ports, params, model)
-    _write_model(model, path)
+    _write(path, repository.save_model(model))
     print(f"extended '{args.asset_id}' into {path}")
     return 0
 
@@ -382,7 +386,7 @@ def cmd_model_connect(args) -> int:
     provided = _parse_port_ref(args.provided, "provided endpoint")
     required = _parse_port_ref(args.required, "required endpoint")
     model = composition.connect(model, provided, required)
-    _write_model(model, path)
+    _write(path, repository.save_model(model))
     print(f"connected {args.provided} -> {args.required}")
     return 0
 
@@ -397,7 +401,7 @@ def cmd_model_apply_pattern(args) -> int:
     model = composition.apply_pattern(
         model, asset.pattern, bindings, force_theirs=args.force_theirs
     )
-    _write_model(model, path)
+    _write(path, repository.save_model(model))
     print(f"applied pattern '{args.pattern_id}' into {path}")
     return 0
 
@@ -485,7 +489,7 @@ def cmd_simulate(args) -> int:
         )
     out = _out_dir(args)
     if out:
-        (out / "simulate.csv").write_text(csv_text, encoding="utf-8")
+        _write(out / "simulate.csv", csv_text)
         print(f"wrote {out / 'simulate.csv'}")
     return 0
 
@@ -511,10 +515,10 @@ def cmd_compare(args) -> int:
         print(evaluator.comparison_to_table(report), end="")
     out = _out_dir(args)
     if out:
-        (out / "compare.csv").write_text(evaluator.comparison_to_csv(report), encoding="utf-8")
-        (out / "compare.txt").write_text(evaluator.comparison_to_table(report), encoding="utf-8")
-        (out / "remaining.svg").write_text(evaluator.remaining_chart_svg(report), encoding="utf-8")
-        (out / "paths.svg").write_text(evaluator.paths_svg(tmap, report), encoding="utf-8")
+        _write(out / "compare.csv", evaluator.comparison_to_csv(report))
+        _write(out / "compare.txt", evaluator.comparison_to_table(report))
+        _write(out / "remaining.svg", evaluator.remaining_chart_svg(report))
+        _write(out / "paths.svg", evaluator.paths_svg(tmap, report))
         print(f"wrote compare.csv, compare.txt, remaining.svg, paths.svg to {out}")
     return 0
 
@@ -534,7 +538,7 @@ def cmd_ensemble(args) -> int:
         print(evaluator.ensemble_to_table(stats), end="")
     out = _out_dir(args)
     if out:
-        (out / "ensemble.csv").write_text(evaluator.ensemble_to_csv(stats), encoding="utf-8")
+        _write(out / "ensemble.csv", evaluator.ensemble_to_csv(stats))
         print(f"wrote {out / 'ensemble.csv'}")
     return 0
 
@@ -554,22 +558,21 @@ def cmd_rank(args) -> int:
         print(f"{position}. {entry.block_id} ({entry.planner}) score {entry.score:.6f}{flag}")
     out = _out_dir(args)
     if out:
-        (out / "rank.csv").write_text(evaluator.ranking_to_csv(ranked), encoding="utf-8")
+        _write(out / "rank.csv", evaluator.ranking_to_csv(ranked))
         print(f"wrote {out / 'rank.csv'}")
     return 0
 
 
 def cmd_demo(args) -> int:
     out = _out_dir(args) or FilePath(".")
-    out.mkdir(parents=True, exist_ok=True)
     repo = demo.build_demo_repository()
     model = demo.build_demo_model(repo)
     repo_path = out / f"demo{repository.REPOSITORY_SUFFIX}"
     model_path = out / f"demo{repository.MODEL_SUFFIX}"
     map_path = out / "reference.terrain.txt"
-    repo_path.write_text(repository.save(repo), encoding="utf-8")
-    model_path.write_text(repository.save_model(model), encoding="utf-8")
-    map_path.write_text(demo.REFERENCE_MAP_TEXT, encoding="utf-8")
+    _write(repo_path, repository.save(repo))
+    _write(model_path, repository.save_model(model))
+    _write(map_path, demo.REFERENCE_MAP_TEXT)
     print(f"wrote {repo_path}")
     print(f"wrote {model_path}")
     print(f"wrote {map_path}")

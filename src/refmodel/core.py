@@ -8,8 +8,10 @@ permitted (source layer, target layer, kind) triples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Mapping, Union
 
 from .errors import DuplicateId, IllegalTraceKind, UnknownElement
@@ -96,7 +98,7 @@ class Port:
 
 @dataclass(frozen=True)
 class BuildingBlock:
-    """A reusable, typed model element carrying ports and flat parameters."""
+    """A reusable, typed model element carrying ports, kept in id order, and flat parameters."""
 
     id: str
     name: str
@@ -107,10 +109,13 @@ class BuildingBlock:
     origin: Origin = Origin.REFERENCE_ASSET
 
     def __post_init__(self):
-        object.__setattr__(self, "ports", tuple(self.ports))
+        object.__setattr__(self, "ports", tuple(sorted(self.ports, key=attrgetter("id"))))
         object.__setattr__(self, "parameters", dict(self.parameters))
         if not self.id:
             raise ValueError("block id must be non-empty")
+        for key, value in self.parameters.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"block '{self.id}': parameter '{key}' must be finite, got {value}")
         if layer_for_kind(self.kind) is not self.layer:
             raise ValueError(
                 f"block '{self.id}': kind {self.kind.value} belongs on layer "

@@ -7,23 +7,25 @@ Two built-in planners cover every reachable free cell:
 * ``terrain_aware`` greedily picks the unvisited neighbor with the smallest
   step factor and relocates along the minimum-energy path when stuck.
 
-Both concretize the strategy they are named after in one specific way; other
-readings are possible. Revisited cells cost travel energy but are only counted
-as covered on first visit. A registry maps algorithm names to planner
-functions so models can swap planners as algorithm blocks.
+Both run one coverage loop over the map's move table and differ only in the
+next-cell rule they pass it and in the metric, hops or energy, of the one
+relocation search. Each concretizes the strategy it is named after in one
+specific way; other readings are possible. Revisited cells cost travel energy
+but are only counted as covered on first visit. A registry maps algorithm
+names to planner functions so models can swap planners as algorithm blocks.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
 
 from .core import BlockKind, BuildingBlock
 from .errors import StartBlocked, UnknownElement
-from .terrain import Position, TerrainMap, connected_free, neighbors, step_factor
+from .terrain import Position, TerrainMap
 
 
 @dataclass(frozen=True)
@@ -54,13 +56,6 @@ PlannerFn = Callable[[TerrainMap, Position], Path]
 PlannerRef = Union[PlannerId, str, BuildingBlock]
 
 
-def reachable_free(tmap: TerrainMap, start: Position) -> set[Position]:
-    """Flood fill: all free cells reachable from start by 4-connected moves."""
-    if not tmap.is_free(start):
-        raise StartBlocked(f"start {tuple(start)} is not a free cell")
-    return connected_free(tmap.cells, start)
-
-
 def plan_edge_follow(tmap: TerrainMap, start: Position) -> Path:
     """Boustrophedon sweep: advance along the row, drop one row at turns.
 
@@ -68,44 +63,21 @@ def plan_edge_follow(tmap: TerrainMap, start: Position) -> Path:
     the nearest unvisited cell along a breadth-first shortest path, revisiting
     cells as needed.
     """
-    target = reachable_free(tmap, start)
-    visited = {start}
-    out = [start]
-    pos = start
     heading = 1  # +1 sweeps east, -1 sweeps west
-    while len(visited) < len(target):
+
+    def sweep(pos: Position, visited: set) -> Position | None:
+        nonlocal heading
+        here = tmap.moves[pos]
         ahead = Position(pos.row, pos.col + heading)
+        if ahead in here and ahead not in visited:
+            return ahead
         below = Position(pos.row + 1, pos.col)
-        if tmap.is_free(ahead) and ahead not in visited:
-            pos = ahead
-        elif tmap.is_free(below) and below not in visited:
-            pos = below
+        if below in here and below not in visited:
             heading = -heading
-        else:
-            hop = _bfs_relocation(tmap, pos, visited)
-            for cell in hop:
-                visited.add(cell)
-                out.append(cell)
-            pos = out[-1]
-            continue
-        visited.add(pos)
-        out.append(pos)
-    return Path(start=start, steps=tuple(out[1:]))
+            return below
+        return None
 
-
-def _bfs_relocation(tmap: TerrainMap, pos: Position, visited: set[Position]) -> list[Position]:
-    """Shortest hop path from pos to the nearest unvisited free cell."""
-    parents: dict[Position, Position] = {pos: pos}
-    queue = deque([pos])
-    while queue:
-        current = queue.popleft()
-        if current != pos and current not in visited:
-            return _walk_back(parents, pos, current)
-        for nxt in neighbors(tmap, current):
-            if nxt not in parents:
-                parents[nxt] = current
-                queue.append(nxt)
-    raise AssertionError("relocation called with no unvisited reachable cell")
+    return _cover(tmap, start, sweep, by_energy=False)
 
 
 def plan_terrain_aware(tmap: TerrainMap, start: Position) -> Path:
@@ -116,63 +88,57 @@ def plan_terrain_aware(tmap: TerrainMap, start: Position) -> Path:
     relocates along the minimum-energy path (uniform-cost search with step
     factors as edge weights) to the nearest unvisited cell.
     """
-    target = reachable_free(tmap, start)
+
+    def greedy(pos: Position, visited: set) -> Position | None:
+        # min keeps the first of equal factors, which is the N, E, S, W order
+        here = tmap.moves[pos]
+        return min((nxt for nxt in here if nxt not in visited), key=here.get, default=None)
+
+    return _cover(tmap, start, greedy, by_energy=True)
+
+
+def _cover(tmap: TerrainMap, start: Position, next_cell: Callable, *, by_energy: bool) -> Path:
+    """Step to next_cell(pos, visited), or relocate when it is None, until no unvisited cell is reachable."""
+    if not tmap.is_free(start):
+        raise StartBlocked(f"start {tuple(start)} is not a free cell")
     visited = {start}
     out = [start]
-    pos = start
-    while len(visited) < len(target):
-        best = None
-        for index, nxt in enumerate(neighbors(tmap, pos)):
-            if nxt in visited:
-                continue
-            factor = step_factor(tmap.level(pos), tmap.level(nxt))
-            if best is None or (factor, index) < best[:2]:
-                best = (factor, index, nxt)
-        if best is not None:
-            pos = best[2]
-            visited.add(pos)
-            out.append(pos)
-        else:
-            hop = _ucs_relocation(tmap, pos, visited)
-            for cell in hop:
-                visited.add(cell)
-                out.append(cell)
-            pos = out[-1]
-    return Path(start=start, steps=tuple(out[1:]))
+    while True:
+        nxt = next_cell(out[-1], visited)
+        hop = [nxt] if nxt is not None else _relocate(tmap.moves, out[-1], visited, by_energy)
+        if not hop:
+            return Path(start=start, steps=tuple(out[1:]))
+        visited.update(hop)
+        out.extend(hop)
 
 
-def _ucs_relocation(tmap: TerrainMap, pos: Position, visited: set[Position]) -> list[Position]:
-    """Minimum-energy path from pos to the cheapest-to-reach unvisited cell."""
-    dist: dict[Position, float] = {pos: 0.0}
-    parents: dict[Position, Position] = {pos: pos}
-    heap: list[tuple[float, int, int]] = [(0.0, pos.row, pos.col)]
-    settled: set[Position] = set()
+def _relocate(moves: dict, pos: Position, visited: set, by_energy: bool) -> list[Position]:
+    """The cheapest path from pos to an unvisited cell, or [] when every reachable cell is visited.
+
+    By hops each move weighs 1 and equal costs pop in push order, which is
+    breadth-first order; by energy each move weighs its step factor and equal
+    costs pop by (row, col).
+    """
+    pushes = itertools.count()
+    dist = {pos: 0.0}
+    parents = {pos: pos}
+    heap = [(0.0, pos if by_energy else next(pushes), pos)]
     while heap:
-        cost, row, col = heapq.heappop(heap)
-        current = Position(row, col)
-        if current in settled:
-            continue
-        settled.add(current)
-        if current != pos and current not in visited:
-            return _walk_back(parents, pos, current)
-        for nxt in neighbors(tmap, current):
-            step = step_factor(tmap.level(current), tmap.level(nxt))
-            candidate = cost + step
+        cost, _, current = heapq.heappop(heap)
+        if cost > dist[current]:
+            continue  # a stale entry, superseded by a cheaper push
+        if current not in visited:
+            path = [current]
+            while parents[path[-1]] != pos:
+                path.append(parents[path[-1]])
+            return path[::-1]
+        for nxt, factor in moves[current].items():
+            candidate = cost + (factor if by_energy else 1.0)
             if nxt not in dist or candidate < dist[nxt]:
                 dist[nxt] = candidate
                 parents[nxt] = current
-                heapq.heappush(heap, (candidate, nxt.row, nxt.col))
-    raise AssertionError("relocation called with no unvisited reachable cell")
-
-
-def _walk_back(parents: dict[Position, Position], origin: Position, end: Position) -> list[Position]:
-    path = [end]
-    current = end
-    while current != origin:
-        current = parents[current]
-        path.append(current)
-    path.reverse()
-    return path[1:]
+                heapq.heappush(heap, (candidate, nxt if by_energy else next(pushes), nxt))
+    return []
 
 
 @dataclass(frozen=True)

@@ -270,9 +270,13 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"{name} is not a JSON number")
+
+
 def _loads(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # an integer literal longer than int() accepts

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import InvalidPath
 from .planners import Path, PlannerRef, resolve_planner
-from .terrain import Position, TerrainMap, step_factor
+from .terrain import Position, TerrainMap
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,16 @@ def power_consumption(
 ) -> list[float]:
     """Per-step energy: the step factor of each move scaled by the consumption factor."""
     positions = path.positions
+    moves = tmap.moves
     for pos in positions:
-        if not tmap.is_free(pos):
+        if pos not in moves:
             raise InvalidPath(f"position {tuple(pos)} is not a free cell")
     out = []
     for here, there in zip(positions, positions[1:]):
-        if abs(here.row - there.row) + abs(here.col - there.col) != 1:
+        factor = moves[here].get(there)
+        if factor is None:
             raise InvalidPath(f"{tuple(here)} -> {tuple(there)} is not a 4-adjacent move")
-        out.append(step_factor(tmap.level(here), tmap.level(there)) * consumption_factor)
+        out.append(factor * consumption_factor)
     return out
 
 

@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BadSymbol, ParseError, RaggedRows, Unsatisfiable
@@ -122,6 +123,18 @@ class TerrainMap:
 
     def free_count(self) -> int:
         return sum(1 for _ in self.free_positions())
+
+    @cached_property
+    def moves(self) -> dict[Position, dict[Position, float]]:
+        """Each free cell's free neighbors in N, E, S, W order, with the step factor to each.
+
+        Built on first use and kept with the map, so planners and the
+        simulation share one table per map.
+        """
+        return {
+            pos: {nxt: step_factor(self.level(pos), self.level(nxt)) for nxt in neighbors(self, pos)}
+            for pos in self.free_positions()
+        }
 
 
 # Neighbor order is fixed N, E, S, W so planners stay deterministic.

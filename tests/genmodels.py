@@ -1,4 +1,4 @@
-"""Seeded random builders for models, patterns, and repositories.
+"""Seeded random builders for models, patterns, repositories, and terrain maps.
 
 Deterministic per seed so property tests can replay failures by seed alone.
 """
@@ -30,6 +30,7 @@ from refmodel.repository import (
     ViewpointAsset,
     add_asset,
 )
+from refmodel.terrain import OBSTACLE, Position, TerrainMap, generate_map
 
 TOKENS = ["Power", "Drive", "Sense", "Plan", "Cut", "MapData"]
 
@@ -221,3 +222,36 @@ def random_repository(seed: int) -> ReferenceRepository:
     for i in range(rng.randint(0, 2)):
         repo = add_asset(repo, ViewpointAsset(random_viewpoint(rng, f"vp{i}")))
     return repo
+
+
+def terrain_case(seed: int) -> tuple[TerrainMap, list[Position]]:
+    """A seeded map and four starts to plan from.
+
+    Odd seeds generate the map (one free component), even seeds draw raw cells,
+    which often leaves several components. Every tenth seed gives a 1x1 map
+    and every fiftieth a 24x24 one; the rest are 1x1 to 16x16. Obstacle
+    density is 0 to 0.6 and the highest level is seed % 4. The starts are the
+    first and the last free cell, a random free cell, and a random cell that
+    may be an obstacle.
+    """
+    rng = random.Random(seed)
+    max_level = seed % 4
+    if seed % 10 in (0, 5):
+        width = height = 1
+    elif seed % 50 == 1:
+        width = height = 24
+    else:
+        width, height = rng.randint(1, 16), rng.randint(1, 16)
+    density = rng.choice((0.0, 0.15, 0.3, 0.45, 0.6))
+    if seed % 2:
+        tmap = generate_map(width, height, density, seed, max_level=max_level)
+    else:
+        cells = [
+            [OBSTACLE if rng.random() < density else rng.randint(0, max_level) for _ in range(width)]
+            for _ in range(height)
+        ]
+        cells[rng.randrange(height)][rng.randrange(width)] = rng.randint(0, max_level)
+        tmap = TerrainMap(cells=tuple(map(tuple, cells)))
+    free = list(tmap.free_positions())
+    anywhere = Position(rng.randrange(height), rng.randrange(width))
+    return tmap, [free[0], free[-1], rng.choice(free), anywhere]

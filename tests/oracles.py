@@ -10,7 +10,10 @@ chains, coverage, DOT and the CLI's indented text) that the one iterative
 traversal replaced; they hold for trees shallower than the recursion limit.
 The persistence references are the per-record JSON writers and readers that
 the field tables replaced, so saved bytes and parse errors are checked
-against them.
+against them. The planner references are the two coverage loops with their
+breadth-first and uniform-cost relocation searches, and the consumption
+check, that the one coverage loop over the map's move table replaced; paths
+and consumption series are checked against them for equality.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ from refmodel.core import (
     connection_key,
     trace_key,
 )
-from refmodel.errors import NoAlternatives, ParseError, SchemaVersionMismatch
+from refmodel.errors import InvalidPath, NoAlternatives, ParseError, SchemaVersionMismatch, StartBlocked
 from refmodel.evaluator import ComparisonReport, EnsembleStats, PlannerStats, RankedConfiguration
-from refmodel.planners import resolve_planner
+from refmodel.planners import Path, resolve_planner
 from refmodel.repository import (
     SCHEMA_VERSION,
     Asset,
@@ -61,7 +64,7 @@ from refmodel.repository import (
     ViewpointAsset,
 )
 from refmodel.simulation import SimParams, Termination, run
-from refmodel.terrain import Position, TerrainMap, generate_map, step_factor
+from refmodel.terrain import Position, TerrainMap, generate_map, neighbors, step_factor
 
 
 def flood_fill(tmap: TerrainMap, start: Position) -> set[Position]:
@@ -672,3 +675,129 @@ def _parse_viewpoint(entry, path: str) -> Viewpoint:
         aspect=_parse_enum(Aspect, obj.get("aspect"), f"{path}.aspect"),
         name=_expect_str(obj.get("name", ""), f"{path}.name"),
     )
+
+
+# ---------------------------------------------------------------------------
+# Planners and consumption: the two coverage loops, the breadth-first and the
+# uniform-cost relocation searches and the position-by-position consumption
+# check that the one coverage loop, the one relocation search and the move
+# table in refmodel replaced, kept unchanged as the reference.
+# ---------------------------------------------------------------------------
+
+
+def reachable_free(tmap: TerrainMap, start: Position) -> set[Position]:
+    if not tmap.is_free(start):
+        raise StartBlocked(f"start {tuple(start)} is not a free cell")
+    return flood_fill(tmap, start)
+
+
+def plan_edge_follow(tmap: TerrainMap, start: Position) -> Path:
+    target = reachable_free(tmap, start)
+    visited = {start}
+    out = [start]
+    pos = start
+    heading = 1  # +1 sweeps east, -1 sweeps west
+    while len(visited) < len(target):
+        ahead = Position(pos.row, pos.col + heading)
+        below = Position(pos.row + 1, pos.col)
+        if tmap.is_free(ahead) and ahead not in visited:
+            pos = ahead
+        elif tmap.is_free(below) and below not in visited:
+            pos = below
+            heading = -heading
+        else:
+            hop = _bfs_relocation(tmap, pos, visited)
+            for cell in hop:
+                visited.add(cell)
+                out.append(cell)
+            pos = out[-1]
+            continue
+        visited.add(pos)
+        out.append(pos)
+    return Path(start=start, steps=tuple(out[1:]))
+
+
+def _bfs_relocation(tmap: TerrainMap, pos: Position, visited: set[Position]) -> list[Position]:
+    parents: dict[Position, Position] = {pos: pos}
+    queue = deque([pos])
+    while queue:
+        current = queue.popleft()
+        if current != pos and current not in visited:
+            return _walk_back(parents, pos, current)
+        for nxt in neighbors(tmap, current):
+            if nxt not in parents:
+                parents[nxt] = current
+                queue.append(nxt)
+    raise AssertionError("relocation called with no unvisited reachable cell")
+
+
+def plan_terrain_aware(tmap: TerrainMap, start: Position) -> Path:
+    target = reachable_free(tmap, start)
+    visited = {start}
+    out = [start]
+    pos = start
+    while len(visited) < len(target):
+        best = None
+        for index, nxt in enumerate(neighbors(tmap, pos)):
+            if nxt in visited:
+                continue
+            factor = step_factor(tmap.level(pos), tmap.level(nxt))
+            if best is None or (factor, index) < best[:2]:
+                best = (factor, index, nxt)
+        if best is not None:
+            pos = best[2]
+            visited.add(pos)
+            out.append(pos)
+        else:
+            hop = _ucs_relocation(tmap, pos, visited)
+            for cell in hop:
+                visited.add(cell)
+                out.append(cell)
+            pos = out[-1]
+    return Path(start=start, steps=tuple(out[1:]))
+
+
+def _ucs_relocation(tmap: TerrainMap, pos: Position, visited: set[Position]) -> list[Position]:
+    dist: dict[Position, float] = {pos: 0.0}
+    parents: dict[Position, Position] = {pos: pos}
+    heap: list[tuple[float, int, int]] = [(0.0, pos.row, pos.col)]
+    settled: set[Position] = set()
+    while heap:
+        cost, row, col = heapq.heappop(heap)
+        current = Position(row, col)
+        if current in settled:
+            continue
+        settled.add(current)
+        if current != pos and current not in visited:
+            return _walk_back(parents, pos, current)
+        for nxt in neighbors(tmap, current):
+            step = step_factor(tmap.level(current), tmap.level(nxt))
+            candidate = cost + step
+            if nxt not in dist or candidate < dist[nxt]:
+                dist[nxt] = candidate
+                parents[nxt] = current
+                heapq.heappush(heap, (candidate, nxt.row, nxt.col))
+    raise AssertionError("relocation called with no unvisited reachable cell")
+
+
+def _walk_back(parents: dict[Position, Position], origin: Position, end: Position) -> list[Position]:
+    path = [end]
+    current = end
+    while current != origin:
+        current = parents[current]
+        path.append(current)
+    path.reverse()
+    return path[1:]
+
+
+def power_consumption(path: Path, tmap: TerrainMap, consumption_factor: float = 1.0) -> list[float]:
+    positions = path.positions
+    for pos in positions:
+        if not tmap.is_free(pos):
+            raise InvalidPath(f"position {tuple(pos)} is not a free cell")
+    out = []
+    for here, there in zip(positions, positions[1:]):
+        if abs(here.row - there.row) + abs(here.col - there.col) != 1:
+            raise InvalidPath(f"{tuple(here)} -> {tuple(there)} is not a 4-adjacent move")
+        out.append(step_factor(tmap.level(here), tmap.level(there)) * consumption_factor)
+    return out

@@ -220,6 +220,26 @@ class TestModelCommands:
         model = repository.load_model(model_path.read_text())
         assert "svc.smart_mowing" in model.blocks
 
+    def test_failed_replace_keeps_old_model(self, demo_dir, capsys, monkeypatch):
+        """A write that fails at os.replace leaves the old model file byte-identical and no temp file."""
+        repo_arg = ("--repo", str(demo_dir / "demo.refrepo.json"))
+        model_path = demo_dir / "fresh.refmodel.json"
+        run_cli(capsys, "model", "adopt", "res.camera", *repo_arg, "--model", str(model_path))
+        before = model_path.read_bytes()
+        listing = sorted(demo_dir.iterdir())
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        code, out, err = run_cli(
+            capsys,
+            "model", "adapt", "res.battery", "--param", "capacity=5", *repo_arg, "--model", str(model_path),
+        )
+        assert (code, out, err) == (1, "", "error: disk full\n")
+        assert model_path.read_bytes() == before
+        assert sorted(demo_dir.iterdir()) == listing
+
     def test_domain_error_exits_one(self, demo_dir, capsys):
         repo_arg = ("--repo", str(demo_dir / "demo.refrepo.json"))
         model_path = demo_dir / "dup.refmodel.json"
@@ -356,15 +376,27 @@ class TestExitCodes:
             (("simulate", "--map", "{map}", "--consumption-factor", "inf"), "finite"),
             (("ensemble", "--n", "1", "--density", "nan"), "finite"),
             (("ensemble", "--n", "1", "--density", "inf"), "finite"),
+            (("model", "adapt", "res.battery", "--param", "capacity=nan", "{repo}", "{model}"), "finite"),
+            (("model", "adapt", "res.battery", "--param", "capacity=inf", "{repo}", "{model}"), "finite"),
+            (("model", "extend", "res.battery", "--param", "reserve=-inf", "{repo}", "{model}"), "finite"),
         ],
     )
     def test_library_value_error_is_usage_error(self, demo_dir, capsys, argv, message):
-        argv = [arg.format(map=demo_dir / "reference.terrain.txt") for arg in argv]
+        model = demo_dir / "new.refmodel.json"
+        argv = [
+            arg.format(
+                map=demo_dir / "reference.terrain.txt",
+                repo=f"--repo={demo_dir / 'demo.refrepo.json'}",
+                model=f"--model={model}",
+            )
+            for arg in argv
+        ]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("usage error:")
         assert message in err
+        assert not model.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -51,6 +51,11 @@ class TestBuildingBlock:
         with pytest.raises(ValueError, match="layer"):
             block("svc", BlockKind.SERVICE, ports=(foreign,))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_rejected(self, value):
+        with pytest.raises(ValueError, match="parameter 'capacity' must be finite"):
+            block("svc", BlockKind.SERVICE, parameters={"capacity": value})
+
     def test_empty_interface_type_rejected(self):
         with pytest.raises(ValueError):
             port("p", PortDirection.PROVIDED, "")

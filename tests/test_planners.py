@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from genmodels import terrain_case
 from oracles import flood_fill, min_coverage_energy
 from refmodel.core import BlockKind, BuildingBlock, ConcernLayer
 from refmodel.errors import StartBlocked, UnknownElement
@@ -19,6 +21,14 @@ from refmodel.simulation import power_consumption
 from refmodel.terrain import Position, generate_map, load_map
 
 PLANNERS = (plan_edge_follow, plan_terrain_aware)
+
+
+def outcome(planner, tmap, start):
+    """The planned path, or the message of the StartBlocked it raised."""
+    try:
+        return planner(tmap, start)
+    except StartBlocked as exc:
+        return f"StartBlocked: {exc}"
 
 
 def path_is_valid(tmap, path):
@@ -119,6 +129,38 @@ class TestCoverageProperties:
             for planner in PLANNERS:
                 total = sum(power_consumption(planner(tmap, start), tmap))
                 assert total >= best - 1e-9
+
+
+class TestMatchesReference:
+    """Both planners plan exactly the paths of the two-loop planners they replaced."""
+
+    @pytest.mark.parametrize(
+        "planner, reference",
+        [
+            (plan_edge_follow, oracles.plan_edge_follow),
+            (plan_terrain_aware, oracles.plan_terrain_aware),
+        ],
+        ids=["edge_follow", "terrain_aware"],
+    )
+    def test_paths_equal(self, planner, reference):
+        blocked = relocated = partial = 0
+        for seed in range(240):
+            tmap, starts = terrain_case(seed)
+            for start in starts:
+                expected = outcome(reference, tmap, start)
+                assert outcome(planner, tmap, start) == expected, (seed, start)
+                if isinstance(expected, str):
+                    blocked += 1
+                    continue
+                relocated += len(expected.visited()) <= expected.num_steps
+                partial += len(expected.visited()) < tmap.free_count()
+        # the cases reach blocked starts, relocations and unreachable free cells
+        assert min(blocked, relocated, partial) > 20
+
+    def test_ridge_paths_equal(self, ridge_map):
+        start = ridge_map.first_free()
+        assert plan_edge_follow(ridge_map, start) == oracles.plan_edge_follow(ridge_map, start)
+        assert plan_terrain_aware(ridge_map, start) == oracles.plan_terrain_aware(ridge_map, start)
 
 
 class TestAdaptiveSelection:

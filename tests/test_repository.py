@@ -173,6 +173,13 @@ class TestExtend:
         extended = extend(demo_repo, "res.camera", [], {}, Model(id="b")).block("res.camera")
         assert extended == replace(adopted, origin=Origin.EXTENDED)
 
+    def test_port_sorting_first_round_trips(self, demo_repo):
+        """A port whose id sorts before the existing ones survives save and load unchanged."""
+        extra = Port("aaa", PortDirection.PROVIDED, "Extra", ConcernLayer.RESOURCE)
+        model = extend(demo_repo, "res.camera", [extra], {}, Model(id="m"))
+        assert [p.id for p in model.block("res.camera").ports] == ["aaa", "out"]
+        assert load_model(save_model(model)) == model
+
     def test_clashing_port_id(self, demo_repo):
         clash = Port("out", PortDirection.PROVIDED, "Other", ConcernLayer.RESOURCE)
         with pytest.raises(DuplicatePortId):
@@ -218,6 +225,22 @@ class TestPersistence:
         text = save(demo_repo).replace('"schema_version": 1', '"schema_version": 99')
         with pytest.raises(SchemaVersionMismatch):
             load(text)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constants_rejected(self, demo_model, constant):
+        text = save_model(demo_model).replace('"capacity": 100.0', f'"capacity": {constant}')
+        assert constant in text
+        with pytest.raises(ParseError, match=f"{constant} is not a JSON number"):
+            load_model(text)
+        with pytest.raises(ParseError, match=f"{constant} is not a JSON number"):
+            load(f'{{"schema_version": 1, "version": {constant}, "assets": []}}')
+        with pytest.raises(ParseError, match=f"{constant} is not a JSON number"):
+            load_asset(f'{{"asset_kind": {constant}}}')
+
+    def test_overflowing_parameter_rejected(self, demo_model):
+        text = save_model(demo_model).replace('"capacity": 100.0', '"capacity": 1e999')
+        with pytest.raises(ParseError, match="parameter 'capacity' must be finite"):
+            load_model(text)
 
     def test_unexpected_field_rejected(self):
         with pytest.raises(ParseError, match="unexpected field"):

@@ -1,8 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from genmodels import terrain_case
 from refmodel.errors import InvalidPath, StartBlocked
 from refmodel.planners import Path, PlannerId
 from refmodel.simulation import (
@@ -45,6 +48,42 @@ class TestPowerConsumption:
         jumpy = Path(start=Position(0, 0), steps=(Position(0, 2),))
         with pytest.raises(InvalidPath):
             power_consumption(jumpy, tmap, 1.0)
+
+
+def consumption_outcome(consume, path, tmap, factor):
+    """The consumption series, or the message of the InvalidPath it raised."""
+    try:
+        return consume(path, tmap, factor)
+    except InvalidPath as exc:
+        return f"InvalidPath: {exc}"
+
+
+def broken_paths(rng, tmap, path):
+    """Variants of a valid path with one cell replaced, repeated or dropped, or a lone cell anywhere."""
+    positions = list(path.positions)
+    somewhere = Position(rng.randint(-1, tmap.height), rng.randint(-1, tmap.width))
+    i = rng.randrange(len(positions))
+    replaced = positions[:i] + [somewhere] + positions[i + 1 :]
+    repeated = positions[: i + 1] + positions[i:]
+    dropped = positions[:i] + positions[i + 1 :] or [somewhere]
+    return [Path(start=p[0], steps=tuple(p[1:])) for p in ([somewhere], replaced, repeated, dropped)]
+
+
+class TestConsumptionMatchesReference:
+    def test_series_and_errors_equal(self):
+        """power_consumption returns the same series and raises the same InvalidPath messages as
+        the position-by-position check it replaced."""
+        rejected = 0
+        for seed in range(240):
+            rng = random.Random(seed)
+            tmap, starts = terrain_case(seed)
+            path = oracles.plan_terrain_aware(tmap, starts[2])
+            factor = rng.choice((1.0, 0.3, 1.7))
+            for candidate in [path] + broken_paths(rng, tmap, path):
+                expected = consumption_outcome(oracles.power_consumption, candidate, tmap, factor)
+                assert consumption_outcome(power_consumption, candidate, tmap, factor) == expected
+                rejected += isinstance(expected, str)
+        assert rejected > 200
 
 
 class TestPowerState:
