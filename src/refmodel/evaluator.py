@@ -15,7 +15,7 @@ from typing import Iterator, Sequence, Union
 
 from .composition import enumerate_alternatives_with_slots
 from .core import BlockKind, Model
-from .errors import NoAlternatives
+from .errors import NoAlternatives, StartBlocked
 from .planners import PlannerId, PlannerRef, resolve_planner
 from .repository import ReferenceRepository
 from .simulation import SimParams, SimResult, Termination, run
@@ -88,14 +88,14 @@ class RankedConfiguration:
     model: Model
 
 
-def _maps(arena: Arena) -> Iterator[TerrainMap]:
-    """The arena's maps: the map itself, or one generated map per seed in seed order."""
+def _maps(arena: Arena) -> Iterator[tuple[int | None, TerrainMap]]:
+    """(seed, map) per arena map: (None, the map), or each generated map in seed order."""
     if isinstance(arena, TerrainMap):
-        yield arena
+        yield None, arena
         return
     gen = arena.gen
     for seed in range(arena.seed0, arena.seed0 + arena.n_maps):
-        yield generate_map(gen.width, gen.height, gen.obstacle_density, seed, max_level=gen.max_level)
+        yield seed, generate_map(gen.width, gen.height, gen.obstacle_density, seed, max_level=gen.max_level)
 
 
 def _rows(
@@ -103,13 +103,16 @@ def _rows(
 ) -> Iterator[tuple[Position, Row]]:
     """Per map, one (name, result) run per planner, all from the same start and params.
 
-    The start defaults to each map's first free cell. Callers reduce one row at a time.
+    The start defaults to each map's first free cell; a start blocked on a generated
+    map fails the run naming that map's seed, for replay. Callers reduce one row at a time.
     """
-    for tmap in _maps(arena):
+    for seed, tmap in _maps(arena):
         # Checked after the first map exists, so a generation error is reported first.
         if not planners:
             raise ValueError("compare needs at least one planner")
         origin = tmap.first_free() if start is None else start
+        if seed is not None and not tmap.is_free(origin):
+            raise StartBlocked(f"start {tuple(origin)} is not a free cell on the map of seed {seed}")
         yield origin, tuple(
             (resolve_planner(planner)[0], run(tmap, planner, start=origin, params=params))
             for planner in planners

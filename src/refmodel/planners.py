@@ -7,9 +7,11 @@ Two built-in planners cover every reachable free cell:
 * ``terrain_aware`` greedily picks the unvisited neighbor with the smallest
   step factor and relocates along the minimum-energy path when stuck.
 
-Both run one coverage loop over the map's move table and differ only in the
-next-cell rule they pass it and in the metric, hops or energy, of the one
-relocation search. Each concretizes the strategy it is named after in one
+Both run one coverage loop over the map's move table, which is indexed by cell
+index ``row * width + col``, and differ only in the next-cell rule they pass
+it and in the metric, hops or energy, of the one relocation search. The loop
+and the search work on cell indices; cells become positions only in the
+returned path. Each concretizes the strategy it is named after in one
 specific way; other readings are possible. Revisited cells cost travel energy
 but are only counted as covered on first visit. A registry maps algorithm
 names to planner functions so models can swap planners as algorithm blocks.
@@ -19,8 +21,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Union
 
 from .core import BlockKind, BuildingBlock
@@ -63,16 +67,17 @@ def plan_edge_follow(tmap: TerrainMap, start: Position) -> Path:
     the nearest unvisited cell along a breadth-first shortest path, revisiting
     cells as needed.
     """
+    moves, width = tmap.moves, tmap.width
     heading = 1  # +1 sweeps east, -1 sweeps west
 
-    def sweep(pos: Position, visited: set) -> Position | None:
+    def sweep(i: int, visited: bytearray) -> int | None:
         nonlocal heading
-        here = tmap.moves[pos]
-        ahead = Position(pos.row, pos.col + heading)
-        if ahead in here and ahead not in visited:
+        # Bounds by column and row: on a one-column map i + 1 is the cell below, not ahead.
+        ahead = i + heading
+        if 0 <= i % width + heading < width and moves[ahead] is not None and not visited[ahead]:
             return ahead
-        below = Position(pos.row + 1, pos.col)
-        if below in here and below not in visited:
+        below = i + width
+        if below < len(moves) and moves[below] is not None and not visited[below]:
             heading = -heading
             return below
         return None
@@ -89,56 +94,81 @@ def plan_terrain_aware(tmap: TerrainMap, start: Position) -> Path:
     factors as edge weights) to the nearest unvisited cell.
     """
 
-    def greedy(pos: Position, visited: set) -> Position | None:
+    def greedy(i: int, visited: bytearray) -> int | None:
         # min keeps the first of equal factors, which is the N, E, S, W order
-        here = tmap.moves[pos]
-        return min((nxt for nxt in here if nxt not in visited), key=here.get, default=None)
+        best = min((move for move in tmap.moves[i] if not visited[move[0]]), key=itemgetter(1), default=None)
+        return None if best is None else best[0]
 
     return _cover(tmap, start, greedy, by_energy=True)
 
 
 def _cover(tmap: TerrainMap, start: Position, next_cell: Callable, *, by_energy: bool) -> Path:
-    """Step to next_cell(pos, visited), or relocate when it is None, until no unvisited cell is reachable."""
+    """Step to next_cell(i, visited), or relocate when it is None, until no unvisited cell is reachable."""
     if not tmap.is_free(start):
         raise StartBlocked(f"start {tuple(start)} is not a free cell")
-    visited = {start}
-    out = [start]
-    while True:
-        nxt = next_cell(out[-1], visited)
-        hop = [nxt] if nxt is not None else _relocate(tmap.moves, out[-1], visited, by_energy)
+    moves, width = tmap.moves, tmap.width
+    here = start.row * width + start.col
+    visited = bytearray(len(moves))
+    visited[here] = 1
+    out = [here]
+    # Each hop ends on the one cell it newly visits (a relocation passes only
+    # visited cells before it), so the loop can stop without a search once
+    # every free cell is visited.
+    unvisited = len(moves) - moves.count(None) - 1
+    # One search's scratch, reused by every relocation of this plan.
+    dist = [math.inf] * len(moves)
+    parents = [0] * len(moves)
+    while unvisited:
+        nxt = next_cell(here, visited)
+        hop = [nxt] if nxt is not None else _relocate(moves, here, visited, by_energy, dist, parents)
         if not hop:
-            return Path(start=start, steps=tuple(out[1:]))
-        visited.update(hop)
+            break
         out.extend(hop)
+        here = hop[-1]
+        visited[here] = 1
+        unvisited -= 1
+    return Path(start=start, steps=tuple(Position(*divmod(i, width)) for i in out[1:]))
 
 
-def _relocate(moves: dict, pos: Position, visited: set, by_energy: bool) -> list[Position]:
-    """The cheapest path from pos to an unvisited cell, or [] when every reachable cell is visited.
+def _relocate(moves: tuple, source: int, visited: bytearray, by_energy: bool, dist: list, parents: list) -> list:
+    """The cheapest path from source to an unvisited cell, or [] when every reachable cell is visited.
 
     By hops each move weighs 1 and equal costs pop in push order, which is
     breadth-first order; by energy each move weighs its step factor and equal
-    costs pop by (row, col).
+    costs pop by (cost, index), which is (cost, row, col) order. dist is all
+    infinite on entry and on return; parents is read only where this search wrote it.
     """
     pushes = itertools.count()
-    dist = {pos: 0.0}
-    parents = {pos: pos}
-    heap = [(0.0, pos if by_energy else next(pushes), pos)]
+    dist[source] = 0.0
+    touched = [source]
+    heap = [(0.0, source if by_energy else next(pushes), source)]
+    # The cheapest unvisited cell pushed so far bounds the answer's cost. Since
+    # every move costs more than 0, a costlier cell can be neither the answer nor
+    # on its path and is not pushed; an equal one may still win the tie.
+    bound = math.inf
+    found = []
     while heap:
         cost, _, current = heapq.heappop(heap)
         if cost > dist[current]:
             continue  # a stale entry, superseded by a cheaper push
-        if current not in visited:
-            path = [current]
-            while parents[path[-1]] != pos:
-                path.append(parents[path[-1]])
-            return path[::-1]
-        for nxt, factor in moves[current].items():
-            candidate = cost + (factor if by_energy else 1.0)
-            if nxt not in dist or candidate < dist[nxt]:
+        if not visited[current]:
+            found.append(current)
+            while parents[found[-1]] != source:
+                found.append(parents[found[-1]])
+            break
+        for nxt, factor in moves[current]:
+            candidate = cost + factor if by_energy else cost + 1.0
+            known = dist[nxt]
+            if candidate < known and candidate <= bound:
+                touched.append(nxt)
                 dist[nxt] = candidate
                 parents[nxt] = current
+                if not visited[nxt]:
+                    bound = candidate
                 heapq.heappush(heap, (candidate, nxt if by_energy else next(pushes), nxt))
-    return []
+    for i in touched:
+        dist[i] = math.inf
+    return found[::-1]
 
 
 @dataclass(frozen=True)

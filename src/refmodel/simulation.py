@@ -61,17 +61,21 @@ def power_consumption(
     path: Path, tmap: TerrainMap, consumption_factor: float = 1.0
 ) -> list[float]:
     """Per-step energy: the step factor of each move scaled by the consumption factor."""
-    positions = path.positions
-    moves = tmap.moves
-    for pos in positions:
-        if pos not in moves:
-            raise InvalidPath(f"position {tuple(pos)} is not a free cell")
+    # Every position is checked to be a free cell before any move is checked to be 4-adjacent.
+    moves, width, height = tmap.moves, tmap.width, tmap.height
+    cells = [row * width + col for row, col in path.positions]
+    for (row, col), i in zip(path.positions, cells):
+        if not (0 <= row < height and 0 <= col < width) or moves[i] is None:
+            raise InvalidPath(f"position {(row, col)} is not a free cell")
     out = []
-    for here, there in zip(positions, positions[1:]):
-        factor = moves[here].get(there)
-        if factor is None:
+    for t, (here, there) in enumerate(zip(cells, cells[1:])):
+        for neighbor, factor in moves[here]:
+            if neighbor == there:
+                out.append(factor * consumption_factor)
+                break
+        else:
+            here, there = path.positions[t : t + 2]
             raise InvalidPath(f"{tuple(here)} -> {tuple(there)} is not a 4-adjacent move")
-        out.append(factor * consumption_factor)
     return out
 
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .errors import BadSymbol, ParseError, RaggedRows, Unsatisfiable
 
@@ -125,16 +125,32 @@ class TerrainMap:
         return sum(1 for _ in self.free_positions())
 
     @cached_property
-    def moves(self) -> dict[Position, dict[Position, float]]:
-        """Each free cell's free neighbors in N, E, S, W order, with the step factor to each.
+    def moves(self) -> tuple[tuple[tuple[int, float], ...] | None, ...]:
+        """The move table, indexed by cell index ``row * width + col``.
 
-        Built on first use and kept with the map, so planners and the
-        simulation share one table per map.
+        An obstacle's entry is None. A free cell's entry holds its free
+        neighbors in N, E, S, W order as ``(index, step factor)`` pairs.
+        Built on first use in one pass over the flat grid and kept with the
+        map, so planners and the simulation share one table per map.
         """
-        return {
-            pos: {nxt: step_factor(self.level(pos), self.level(nxt)) for nxt in neighbors(self, pos)}
-            for pos in self.free_positions()
-        }
+        width, height = self.width, self.height
+        flat = [value for row in self.cells for value in row]
+
+        def entry(i: int, level: int) -> tuple[tuple[int, float], ...]:
+            return tuple(
+                (j, HIGH_FACTOR if to > level else LOW_FACTOR if to < level else NORMAL_FACTOR)
+                for j, inside in _around(i, width, height)
+                if inside and (to := flat[j]) != OBSTACLE
+            )
+
+        return tuple(None if level == OBSTACLE else entry(i, level) for i, level in enumerate(flat))
+
+
+def _around(i: int, width: int, height: int) -> tuple[tuple[int, bool], ...]:
+    """The N, E, S, W neighbor indices of cell index i, each with whether it lies on the grid."""
+    # Bounds go by row and column: on a one-column grid i + 1 is the cell below.
+    row, col = divmod(i, width)
+    return ((i - width, row > 0), (i + 1, col + 1 < width), (i + width, row + 1 < height), (i - 1, col > 0))
 
 
 # Neighbor order is fixed N, E, S, W so planners stay deterministic.
@@ -219,121 +235,100 @@ def generate_map(
     if not 0 <= max_level <= MAX_LEVEL:
         raise ValueError(f"max_level must be within {MIN_LEVEL}..{MAX_LEVEL}")
 
-    scale = 0.35
-    raw = [
-        [_fbm(c * scale, r * scale, seed, octaves=3) for c in range(width)]
-        for r in range(height)
-    ]
-    lo = min(min(row) for row in raw)
-    hi = max(max(row) for row in raw)
+    raw = _fbm_grid(width, height, seed, scale=0.35, octaves=3)
+    lo, hi = min(raw), max(raw)
     span = hi - lo
-
-    def quantize(value: float) -> int:
-        if max_level == 0 or span <= 0.0:
-            return 0
-        return min(max_level, int((value - lo) / span * (max_level + 1)))
-
-    levels = [[quantize(v) for v in row] for row in raw]
+    if max_level == 0 or span <= 0.0:
+        levels = [0] * len(raw)
+    else:
+        levels = [min(max_level, int((value - lo) / span * (max_level + 1))) for value in raw]
 
     rng = random.Random(seed)
-    cells = [
-        [OBSTACLE if rng.random() < obstacle_density else levels[r][c] for c in range(width)]
-        for r in range(height)
-    ]
-    if all(value == OBSTACLE for row in cells for value in row):
-        cells[0][0] = levels[0][0]
-    _carve_connected(cells, levels)
-    return TerrainMap(cells=tuple(tuple(row) for row in cells))
+    cells = [OBSTACLE if rng.random() < obstacle_density else level for level in levels]
+    if all(value == OBSTACLE for value in cells):
+        cells[0] = levels[0]
+    _carve_connected(cells, levels, width)
+    return TerrainMap(cells=tuple(tuple(cells[r * width : (r + 1) * width]) for r in range(height)))
 
 
-def _carve_connected(cells: list[list[int]], levels: list[list[int]]):
-    """Turn obstacles back into free cells until the free set is one component."""
-    components = _free_components(cells)
+def _carve_connected(cells: list[int], levels: list[int], width: int):
+    """Turn obstacles of the flat grid back into free cells until the free set is one component."""
+    components = _free_components(cells, width)
     if len(components) <= 1:
         return
-    components.sort(key=lambda comp: (-len(comp), min(comp)))
-    main_row, main_col = min(components[0])
-    for comp in components[1:]:
-        r, c = min(comp)
-        while r != main_row:
-            r += 1 if main_row > r else -1
-            if cells[r][c] == OBSTACLE:
-                cells[r][c] = levels[r][c]
-        while c != main_col:
-            c += 1 if main_col > c else -1
-            if cells[r][c] == OBSTACLE:
-                cells[r][c] = levels[r][c]
+    components.sort(key=lambda comp: (-comp[0], comp[1]))
+    main = components[0][1]
+    for _, i in components[1:]:
+        # from the component's first cell along its column to main's row, then along that row to main
+        while i // width != main // width:
+            i += width if main > i else -width
+            if cells[i] == OBSTACLE:
+                cells[i] = levels[i]
+        while i != main:
+            i += 1 if main > i else -1
+            if cells[i] == OBSTACLE:
+                cells[i] = levels[i]
 
 
-def _free_components(cells: list[list[int]]) -> list[set[Position]]:
-    seen: set[Position] = set()
+def _free_components(cells: list[int], width: int) -> list[tuple[int, int]]:
+    """(size, first index) of each 4-connected free component; its first index is its smallest."""
+    height = len(cells) // width
+    seen = bytearray(len(cells))
     components = []
-    for r, row in enumerate(cells):
-        for c, value in enumerate(row):
-            if value == OBSTACLE or (r, c) in seen:
-                continue
-            comp = connected_free(cells, Position(r, c))
-            seen |= comp
-            components.append(comp)
+    for first, value in enumerate(cells):
+        if value == OBSTACLE or seen[first]:
+            continue
+        seen[first] = 1
+        stack, size = [first], 1
+        while stack:
+            for j, inside in _around(stack.pop(), width, height):
+                if inside and not seen[j] and cells[j] != OBSTACLE:
+                    seen[j] = 1
+                    stack.append(j)
+                    size += 1
+        components.append((size, first))
     return components
-
-
-def connected_free(cells: Sequence[Sequence[int]], start: Position) -> set[Position]:
-    """Flood fill: the free cells 4-connected to the free cell start, start included."""
-    height, width = len(cells), len(cells[0])
-    seen = {start}
-    stack = [start]
-    while stack:
-        row, col = stack.pop()
-        for dr, dc in _NEIGHBOR_STEPS:
-            nr, nc = row + dr, col + dc
-            if 0 <= nr < height and 0 <= nc < width and cells[nr][nc] != OBSTACLE and (nr, nc) not in seen:
-                nxt = Position(nr, nc)
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 # --- deterministic value noise ---------------------------------------------
 
 
-def _hash2(x: int, y: int, seed: int) -> int:
-    n = (x * 0x1F1F1F1F) ^ (y * 0x5F356495) ^ (seed & 0xFFFFFFFF)
+def _value_at(ix: int, iy: int, seed: int) -> float:
+    """The noise value of lattice point (ix, iy): a 32-bit hash mapped into [0, 1)."""
+    n = (ix * 0x1F1F1F1F) ^ (iy * 0x5F356495) ^ (seed & 0xFFFFFFFF)
     n &= 0xFFFFFFFF
     n ^= n >> 13
     n = (n * 0x85EBCA6B) & 0xFFFFFFFF
     n ^= n >> 16
-    return n
+    return (n % 1000003) / 1000003.0
 
 
-def _value_at(ix: int, iy: int, seed: int) -> float:
-    return (_hash2(ix, iy, seed) % 1000003) / 1000003.0
+def _lattice(x: float) -> tuple[int, float]:
+    """The lattice index below coordinate x and the smoothstep weight of x's offset from it."""
+    ix = int(x // 1)
+    t = x - ix
+    return ix, t * t * (3.0 - 2.0 * t)
 
 
-def _smoothstep(t: float) -> float:
-    return t * t * (3.0 - 2.0 * t)
+def _fbm_grid(width: int, height: int, seed: int, scale: float, octaves: int) -> list[float]:
+    """Fractal value noise at every cell (c * scale, r * scale), flat in row-major order.
 
-
-def _lerp(a: float, b: float, t: float) -> float:
-    return a + (b - a) * t
-
-
-def _value_noise(x: float, y: float, seed: int) -> float:
-    ix, iy = int(x // 1), int(y // 1)
-    fx, fy = x - ix, y - iy
-    v00 = _value_at(ix, iy, seed)
-    v10 = _value_at(ix + 1, iy, seed)
-    v01 = _value_at(ix, iy + 1, seed)
-    v11 = _value_at(ix + 1, iy + 1, seed)
-    sx, sy = _smoothstep(fx), _smoothstep(fy)
-    return _lerp(_lerp(v00, v10, sx), _lerp(v01, v11, sx), sy)
-
-
-def _fbm(x: float, y: float, seed: int, octaves: int, persistence: float = 0.5, lacunarity: float = 2.0) -> float:
-    amp, freq, total, norm = 1.0, 1.0, 0.0, 0.0
+    Each octave hashes each lattice point once, blends lattice rows along x
+    once, then blends those along y per cell: the float operations and their
+    order per cell are those of a per-point evaluation, so the bits are too.
+    """
+    total = [[0.0] * width for _ in range(height)]
+    amp, freq, norm = 1.0, 1.0, 0.0
     for octave in range(octaves):
-        total += _value_noise(x * freq, y * freq, seed + octave) * amp
+        cols = [_lattice(c * scale * freq) for c in range(width)]
+        rows = [_lattice(r * scale * freq) for r in range(height)]
+        blended = []  # per lattice row, the lattice values blended along x at each column
+        for iy in range(rows[-1][0] + 2):
+            values = [_value_at(ix, iy, seed + octave) for ix in range(cols[-1][0] + 2)]
+            blended.append([values[ix] + (values[ix + 1] - values[ix]) * sx for ix, sx in cols])
+        for acc, (iy, sy) in zip(total, rows):
+            acc[:] = [t + (a + (b - a) * sy) * amp for t, a, b in zip(acc, blended[iy], blended[iy + 1])]
         norm += amp
-        amp *= persistence
-        freq *= lacunarity
-    return total / norm
+        amp *= 0.5
+        freq *= 2.0
+    return [t / norm for acc in total for t in acc]

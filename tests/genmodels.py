@@ -30,7 +30,7 @@ from refmodel.repository import (
     ViewpointAsset,
     add_asset,
 )
-from refmodel.terrain import OBSTACLE, Position, TerrainMap, generate_map
+from refmodel.terrain import OBSTACLE, Position, TerrainMap, generate_map, load_map
 
 TOKENS = ["Power", "Drive", "Sense", "Plan", "Cut", "MapData"]
 
@@ -255,3 +255,22 @@ def terrain_case(seed: int) -> tuple[TerrainMap, list[Position]]:
     free = list(tmap.free_positions())
     anywhere = Position(rng.randrange(height), rng.randrange(width))
     return tmap, [free[0], free[-1], rng.choice(free), anywhere]
+
+
+def one_wide_maps() -> list[TerrainMap]:
+    """1xN and Nx1 maps, open and with obstacles, fixed and seeded.
+
+    On a one-column map cell index i + 1 is the cell below i, not one to its
+    east, so these maps catch index arithmetic that forgets the row bounds.
+    """
+    texts = ["0", "0123", "30X12X0", "X0000X", "0\n1\n2\n3", "3\n2\nX\n1\n0", "X\n0\n0\nX\n2"]
+    maps = [load_map(text) for text in texts]
+    for seed in range(12):
+        rng = random.Random(seed)
+        strip = [OBSTACLE if rng.random() < 0.3 else rng.randint(0, 3) for _ in range(rng.randint(2, 24))]
+        strip[rng.randrange(len(strip))] = rng.randint(0, 3)
+        maps.append(TerrainMap(cells=(tuple(strip),)))
+        maps.append(TerrainMap(cells=tuple((value,) for value in strip)))
+        maps.append(generate_map(len(strip), 1, 0.3, seed))
+        maps.append(generate_map(1, len(strip), 0.3, seed))
+    return maps

@@ -13,16 +13,23 @@ the field tables replaced, so saved bytes and parse errors are checked
 against them. The planner references are the two coverage loops with their
 breadth-first and uniform-cost relocation searches, and the consumption
 check, that the one coverage loop over the map's move table replaced; paths
-and consumption series are checked against them for equality.
+and consumption series are checked against them for equality, and the move
+table against one rebuilt from neighbors and step_factor. The terrain
+references are the per-point value noise and the flood fill over position
+sets that the lattice-cached noise field and the flat-index components
+replaced; generated cells and the noise field are checked against them for
+equality.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import random
 from collections import deque
 from typing import Any, Mapping
 
+from refmodel import terrain
 from refmodel.composition import (
     CapabilityCoverage,
     CoverageReport,
@@ -64,7 +71,7 @@ from refmodel.repository import (
     ViewpointAsset,
 )
 from refmodel.simulation import SimParams, Termination, run
-from refmodel.terrain import Position, TerrainMap, generate_map, neighbors, step_factor
+from refmodel.terrain import OBSTACLE, Position, TerrainMap, neighbors, step_factor
 
 
 def flood_fill(tmap: TerrainMap, start: Position) -> set[Position]:
@@ -119,7 +126,7 @@ def min_coverage_energy(tmap: TerrainMap, start: Position, factor: float = 1.0) 
 
 
 def _generate(gen, seed):
-    return generate_map(gen.width, gen.height, gen.obstacle_density, seed, max_level=gen.max_level)
+    return terrain.generate_map(gen.width, gen.height, gen.obstacle_density, seed, max_level=gen.max_level)
 
 
 def compare(tmap, planners, start=None, params=None, map_label=""):
@@ -801,3 +808,135 @@ def power_consumption(path: Path, tmap: TerrainMap, consumption_factor: float = 
             raise InvalidPath(f"{tuple(here)} -> {tuple(there)} is not a 4-adjacent move")
         out.append(step_factor(tmap.level(here), tmap.level(there)) * consumption_factor)
     return out
+
+
+def move_table(tmap: TerrainMap) -> tuple:
+    """TerrainMap.moves rebuilt cell by cell from neighbors and step_factor."""
+    return tuple(
+        tuple(
+            (nxt.row * tmap.width + nxt.col, step_factor(tmap.level(pos), tmap.level(nxt)))
+            for nxt in neighbors(tmap, pos)
+        )
+        if tmap.is_free(pos)
+        else None
+        for pos in (Position(r, c) for r in range(tmap.height) for c in range(tmap.width))
+    )
+
+
+# ---------------------------------------------------------------------------
+# Terrain generation: the per-point value noise, evaluated four lattice hashes
+# per cell per octave, and the flood fill over position sets that the
+# lattice-cached noise field and the flat-index components replaced.
+# ---------------------------------------------------------------------------
+
+
+def generate_map(width: int, height: int, obstacle_density: float, seed: int, *, max_level: int = 3) -> TerrainMap:
+    scale = 0.35
+    raw = [[fbm(c * scale, r * scale, seed, octaves=3) for c in range(width)] for r in range(height)]
+    lo = min(min(row) for row in raw)
+    hi = max(max(row) for row in raw)
+    span = hi - lo
+
+    def quantize(value: float) -> int:
+        if max_level == 0 or span <= 0.0:
+            return 0
+        return min(max_level, int((value - lo) / span * (max_level + 1)))
+
+    levels = [[quantize(v) for v in row] for row in raw]
+    rng = random.Random(seed)
+    cells = [
+        [OBSTACLE if rng.random() < obstacle_density else levels[r][c] for c in range(width)]
+        for r in range(height)
+    ]
+    if all(value == OBSTACLE for row in cells for value in row):
+        cells[0][0] = levels[0][0]
+    _carve_connected(cells, levels)
+    return TerrainMap(cells=tuple(tuple(row) for row in cells))
+
+
+def _carve_connected(cells: list[list[int]], levels: list[list[int]]):
+    components = _free_components(cells)
+    if len(components) <= 1:
+        return
+    components.sort(key=lambda comp: (-len(comp), min(comp)))
+    main_row, main_col = min(components[0])
+    for comp in components[1:]:
+        r, c = min(comp)
+        while r != main_row:
+            r += 1 if main_row > r else -1
+            if cells[r][c] == OBSTACLE:
+                cells[r][c] = levels[r][c]
+        while c != main_col:
+            c += 1 if main_col > c else -1
+            if cells[r][c] == OBSTACLE:
+                cells[r][c] = levels[r][c]
+
+
+def _free_components(cells: list[list[int]]) -> list[set[Position]]:
+    seen: set[Position] = set()
+    components = []
+    for r, row in enumerate(cells):
+        for c, value in enumerate(row):
+            if value == OBSTACLE or (r, c) in seen:
+                continue
+            comp = _connected_free(cells, Position(r, c))
+            seen |= comp
+            components.append(comp)
+    return components
+
+
+def _connected_free(cells: list[list[int]], start: Position) -> set[Position]:
+    height, width = len(cells), len(cells[0])
+    seen = {start}
+    stack = [start]
+    while stack:
+        row, col = stack.pop()
+        for dr, dc in ((-1, 0), (0, 1), (1, 0), (0, -1)):
+            nr, nc = row + dr, col + dc
+            if 0 <= nr < height and 0 <= nc < width and cells[nr][nc] != OBSTACLE and (nr, nc) not in seen:
+                nxt = Position(nr, nc)
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def _hash2(x: int, y: int, seed: int) -> int:
+    n = (x * 0x1F1F1F1F) ^ (y * 0x5F356495) ^ (seed & 0xFFFFFFFF)
+    n &= 0xFFFFFFFF
+    n ^= n >> 13
+    n = (n * 0x85EBCA6B) & 0xFFFFFFFF
+    n ^= n >> 16
+    return n
+
+
+def _value_at(ix: int, iy: int, seed: int) -> float:
+    return (_hash2(ix, iy, seed) % 1000003) / 1000003.0
+
+
+def _smoothstep(t: float) -> float:
+    return t * t * (3.0 - 2.0 * t)
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    return a + (b - a) * t
+
+
+def value_noise(x: float, y: float, seed: int) -> float:
+    ix, iy = int(x // 1), int(y // 1)
+    fx, fy = x - ix, y - iy
+    v00 = _value_at(ix, iy, seed)
+    v10 = _value_at(ix + 1, iy, seed)
+    v01 = _value_at(ix, iy + 1, seed)
+    v11 = _value_at(ix + 1, iy + 1, seed)
+    sx, sy = _smoothstep(fx), _smoothstep(fy)
+    return _lerp(_lerp(v00, v10, sx), _lerp(v01, v11, sx), sy)
+
+
+def fbm(x: float, y: float, seed: int, octaves: int, persistence: float = 0.5, lacunarity: float = 2.0) -> float:
+    amp, freq, total, norm = 1.0, 1.0, 0.0, 0.0
+    for octave in range(octaves):
+        total += value_noise(x * freq, y * freq, seed + octave) * amp
+        norm += amp
+        amp *= persistence
+        freq *= lacunarity
+    return total / norm

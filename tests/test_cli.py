@@ -299,6 +299,11 @@ class TestEvaluationCommands:
         assert code == 0
         assert out.splitlines()[0] == "planner,mean_total,min_total,max_total,wins,n_maps"
 
+    def test_ensemble_blocked_start_names_the_map_seed(self, capsys):
+        code, out, err = run_cli(capsys, "ensemble", "--n", "3", "--start", "0,0", "--density", "0.5")
+        assert (code, out) == (1, "")
+        assert err == "error: start (0, 0) is not a free cell on the map of seed 1\n"
+
     def test_rank_on_reference_map(self, demo_dir, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -4,7 +4,7 @@ import oracles
 import pytest
 
 from refmodel import evaluator
-from refmodel.errors import NoAlternatives
+from refmodel.errors import NoAlternatives, StartBlocked
 from refmodel.evaluator import (
     EnsembleSpec,
     compare,
@@ -103,6 +103,11 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             ensemble(GenParams(), 0)
 
+    def test_blocked_start_names_the_map_seed(self):
+        """A start blocked on one generated map fails the run, naming that map's seed for replay."""
+        with pytest.raises(StartBlocked, match=r"^start \(0, 0\) is not a free cell on the map of seed 1$"):
+            ensemble(GenParams(obstacle_density=0.5), 3, start=Position(0, 0))
+
     def test_repeated_planner_mean_is_per_run(self):
         gen = GenParams(width=6, height=5)
         single = ensemble(gen, 3, ["edge_follow"], seed0=4).per_planner[0]
@@ -143,6 +148,11 @@ class TestRankConfigurations:
         ranked = rank_configurations(demo_model, demo_repo, "alg.edge_follow", arena)
         assert len(ranked) == 2
         assert ranked[0].score <= ranked[1].score
+
+    def test_blocked_start_names_the_map_seed(self, demo_model, demo_repo):
+        arena = EnsembleSpec(GenParams(obstacle_density=0.5), n_maps=2, seed0=1)
+        with pytest.raises(StartBlocked, match=r"^start \(0, 0\) is not a free cell on the map of seed 1$"):
+            rank_configurations(demo_model, demo_repo, "alg.edge_follow", arena, start=Position(0, 0))
 
     def test_depleted_configuration_ranked_last(self, demo_model, demo_repo, ridge_map):
         ranked = rank_configurations(

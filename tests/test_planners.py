@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from genmodels import terrain_case
+from genmodels import one_wide_maps, terrain_case
 from oracles import flood_fill, min_coverage_energy
 from refmodel.core import BlockKind, BuildingBlock, ConcernLayer
 from refmodel.errors import StartBlocked, UnknownElement
@@ -161,6 +161,23 @@ class TestMatchesReference:
         start = ridge_map.first_free()
         assert plan_edge_follow(ridge_map, start) == oracles.plan_edge_follow(ridge_map, start)
         assert plan_terrain_aware(ridge_map, start) == oracles.plan_terrain_aware(ridge_map, start)
+
+
+class TestOneWideMaps:
+    """On 1xN and Nx1 maps both planners match the reference from every cell, blocked ones included."""
+
+    @pytest.mark.parametrize(
+        "planner, reference",
+        [
+            (plan_edge_follow, oracles.plan_edge_follow),
+            (plan_terrain_aware, oracles.plan_terrain_aware),
+        ],
+        ids=["edge_follow", "terrain_aware"],
+    )
+    def test_paths_equal_from_every_cell(self, planner, reference):
+        for tmap in one_wide_maps():
+            for start in (Position(r, c) for r in range(tmap.height) for c in range(tmap.width)):
+                assert outcome(planner, tmap, start) == outcome(reference, tmap, start), (tmap.cells, start)
 
 
 class TestAdaptiveSelection:

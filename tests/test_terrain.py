@@ -1,9 +1,13 @@
 import math
+import random
 
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genmodels import one_wide_maps, terrain_case
 from oracles import flood_fill
+from refmodel import terrain
 from refmodel.errors import BadSymbol, ParseError, RaggedRows, Unsatisfiable
 from refmodel.terrain import (
     Position,
@@ -151,3 +155,38 @@ def test_map_requires_a_free_cell():
 def test_map_rejects_out_of_band_levels():
     with pytest.raises(ValueError):
         TerrainMap(cells=((5,),))
+
+
+class TestGenerationMatchesReference:
+    """generate_map builds the maps of the per-point noise generator it replaced, cell for cell."""
+
+    @pytest.mark.parametrize(
+        "width, height, seeds",
+        [
+            (1, 1, range(12)),
+            (1, 23, range(12)),
+            (23, 1, range(12)),
+            (32, 32, (0, 3, 41, -7, 2**32 + 5, 10**9)),
+            (128, 128, (1, 6)),
+        ],
+    )
+    def test_cells_equal(self, width, height, seeds):
+        for seed in seeds:
+            density = (0.0, 0.15, 0.3, 0.6)[seed % 4]
+            max_level = seed % 4
+            expected = oracles.generate_map(width, height, density, seed, max_level=max_level)
+            assert generate_map(width, height, density, seed, max_level=max_level) == expected, seed
+
+    def test_noise_field_bit_identical(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            width, height, seed = rng.randint(1, 48), rng.randint(1, 48), rng.randrange(-(2**33), 2**33)
+            expected = [oracles.fbm(c * 0.35, r * 0.35, seed, octaves=3) for r in range(height) for c in range(width)]
+            assert terrain._fbm_grid(width, height, seed, scale=0.35, octaves=3) == expected
+
+
+class TestMoveTable:
+    def test_equals_table_from_neighbors(self):
+        """Each cell's entry is None for an obstacle, else its free neighbors by index in N, E, S, W order."""
+        for tmap in [terrain_case(seed)[0] for seed in range(120)] + one_wide_maps():
+            assert tmap.moves == oracles.move_table(tmap), tmap.cells
