@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Record one point of the benchmark trajectory as BENCH_<PR>.json at the repository root.
 
-Runs `bench/run.py --workload all` for the benchmark's declared run length
-(`run_seconds` in BENCHMARK.json) and writes the run's metadata and metrics.
+Runs `bench/run.py --workload all` at workload seed 11 for the benchmark's
+declared run length (`run_seconds` in BENCHMARK.json) and writes the run's
+metadata and metrics. Every record uses the same seed, so the ratios to an
+earlier record compare the same workloads.
 Refuses to write, and exits 1, unless the run reports `correct: true`. When
 an earlier BENCH_*.json exists, prints each metric's ratio to the latest one
 (new / old; below 1 is better for every metric whose unit is a time, a size
 or a count).
 
-Usage: python scripts/bench_record.py PR [--seed S]
+Usage: python scripts/bench_record.py PR
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 11
 
 
 def previous_record(pr: int) -> Path | None:
@@ -46,11 +49,10 @@ def git(*args: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("pr", type=int, help="number of the change being recorded")
-    parser.add_argument("--seed", type=int, default=11, help="workload seed (default 11)")
     args = parser.parse_args(argv)
 
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    command = [sys.executable, "bench/run.py", "--workload", "all", "--seed", str(args.seed), "--seconds", str(seconds)]
+    command = [sys.executable, "bench/run.py", "--workload", "all", "--seed", str(SEED), "--seconds", str(seconds)]
     proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
@@ -65,7 +67,7 @@ def main(argv=None) -> int:
 
     meta = {
         "pr": args.pr,
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": seconds,
         "command": ["python3", *command[1:]],
         "git_sha": git("rev-parse", "HEAD"),

@@ -111,12 +111,16 @@ def _rows(
         if not planners:
             raise ValueError("compare needs at least one planner")
         origin = tmap.first_free() if start is None else start
-        if seed is not None and not tmap.is_free(origin):
-            raise StartBlocked(f"start {tuple(origin)} is not a free cell on the map of seed {seed}")
-        yield origin, tuple(
-            (resolve_planner(planner)[0], run(tmap, planner, start=origin, params=params))
-            for planner in planners
-        )
+        try:
+            runs = tuple(
+                (resolve_planner(planner)[0], run(tmap, planner, start=origin, params=params))
+                for planner in planners
+            )
+        except StartBlocked as exc:
+            if seed is None:
+                raise
+            raise StartBlocked(f"{exc} on the map of seed {seed}") from None
+        yield origin, runs
 
 
 def _standing(completed: bool, energy: float, order: int | str) -> tuple:

@@ -65,6 +65,10 @@ def step_factor(from_level: int, to_level: int) -> float:
     return classify_step(from_level, to_level).factor
 
 
+# step_factor by [from level][to level], for the move table's one-pass build
+_LEVEL_FACTORS = tuple(tuple(step_factor(a, b) for b in range(MAX_LEVEL + 1)) for a in range(MAX_LEVEL + 1))
+
+
 @dataclass(frozen=True)
 class TerrainMap:
     """Rectangular grid of elevation levels 0-3 with obstacle cells (-1)."""
@@ -137,10 +141,9 @@ class TerrainMap:
         flat = [value for row in self.cells for value in row]
 
         def entry(i: int, level: int) -> tuple[tuple[int, float], ...]:
+            factors = _LEVEL_FACTORS[level]
             return tuple(
-                (j, HIGH_FACTOR if to > level else LOW_FACTOR if to < level else NORMAL_FACTOR)
-                for j, inside in _around(i, width, height)
-                if inside and (to := flat[j]) != OBSTACLE
+                (j, factors[to]) for j, inside in _around(i, width, height) if inside and (to := flat[j]) != OBSTACLE
             )
 
         return tuple(None if level == OBSTACLE else entry(i, level) for i, level in enumerate(flat))
@@ -148,23 +151,19 @@ class TerrainMap:
 
 def _around(i: int, width: int, height: int) -> tuple[tuple[int, bool], ...]:
     """The N, E, S, W neighbor indices of cell index i, each with whether it lies on the grid."""
+    # Neighbor order is fixed N, E, S, W so planners stay deterministic.
     # Bounds go by row and column: on a one-column grid i + 1 is the cell below.
     row, col = divmod(i, width)
     return ((i - width, row > 0), (i + 1, col + 1 < width), (i + width, row + 1 < height), (i - 1, col > 0))
 
 
-# Neighbor order is fixed N, E, S, W so planners stay deterministic.
-_NEIGHBOR_STEPS = ((-1, 0), (0, 1), (1, 0), (0, -1))
-
-
 def neighbors(tmap: TerrainMap, pos: Position) -> list[Position]:
-    """Free 4-connected neighbors of a cell, in N, E, S, W order."""
-    out = []
-    for dr, dc in _NEIGHBOR_STEPS:
-        candidate = Position(pos.row + dr, pos.col + dc)
-        if tmap.is_free(candidate):
-            out.append(candidate)
-    return out
+    """Free 4-connected neighbors of a cell on the map, in N, E, S, W order."""
+    if not tmap.in_bounds(pos):
+        raise ValueError(f"cell {tuple(pos)} is off the map")
+    width = tmap.width
+    around = _around(pos.row * width + pos.col, width, tmap.height)
+    return [nxt for j, inside in around if inside and tmap.is_free(nxt := Position(*divmod(j, width)))]
 
 
 _SYMBOLS = {str(level): level for level in range(MIN_LEVEL, MAX_LEVEL + 1)}

@@ -105,6 +105,18 @@ class TestNeighbors:
         tmap = load_map("XXX\nX0X\nXXX")
         assert neighbors(tmap, Position(1, 1)) == []
 
+    def test_no_wrap_across_rows(self):
+        """The cell after a row's last one is never its east neighbor: on one column it is south."""
+        assert neighbors(load_map("00\n00"), Position(0, 1)) == [Position(1, 1), Position(0, 0)]
+        column = load_map("0\n0\nX\n0")
+        assert [neighbors(column, Position(r, 0)) for r in (0, 1, 3)] == [[Position(1, 0)], [Position(0, 0)], []]
+        row = load_map("00X0")
+        assert [neighbors(row, Position(0, c)) for c in (0, 1, 3)] == [[Position(0, 1)], [Position(0, 0)], []]
+
+    def test_off_the_map_rejected(self):
+        with pytest.raises(ValueError, match="off the map"):
+            neighbors(load_map("00"), Position(0, 2))
+
 
 class TestGeneration:
     def test_deterministic_per_seed(self):
