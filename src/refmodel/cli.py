@@ -1,8 +1,10 @@
 """Command-line entry point exposing the toolkit as subcommands.
 
 Every subcommand is a thin adapter over the library: it loads files, calls
-one library function, and prints or writes the result. Exit codes: 0 on
-success, 1 on validation findings or domain errors, 2 on usage errors.
+one library function, and prints or writes the result. COMMANDS, at the end
+of the module, declares each subcommand with the options its handler reads.
+Exit codes: 0 on success, 1 on validation findings or domain errors, 2 on
+usage errors, including a flag the subcommand does not take.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path as FilePath
+from typing import Callable, NamedTuple
 
 from . import composition, demo, evaluator, planners, repository, simulation, terrain
 from .core import Aspect, BlockKind, ConcernLayer, Model, Port, PortDirection, PortRef
@@ -18,6 +22,8 @@ from .errors import ParseError, RefModelError
 from .terrain import GenParams, Position
 
 _ENV_HOME = "REFMODEL_HOME"
+# The generation flags' dests, one per GenParams field.
+_GEN_FIELDS = tuple(field.name for field in fields(GenParams))
 
 
 def main(argv=None) -> int:
@@ -39,150 +45,49 @@ def main(argv=None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--repo", help="repository file (*.refrepo.json)")
-    common.add_argument("--model", help="model file (*.refmodel.json)")
-    common.add_argument("--map", dest="map_file", help="terrain file (*.terrain.txt)")
-    common.add_argument("--seed", type=int, default=0, help="base seed for generated maps")
-    common.add_argument("--capacity", type=float, default=100.0, help="battery capacity")
-    common.add_argument(
-        "--consumption-factor", type=float, default=1.0, help="per-step consumption scale"
-    )
-    common.add_argument("--start", help="start cell as row,col (default: first free cell)")
-    common.add_argument("--out", help="directory for written artifacts")
-    common.add_argument(
-        "--format",
-        choices=["text", "csv", "dot", "svg"],
-        default="text",
-        help="stdout format where applicable",
-    )
-
+    """The argparse tree of COMMANDS: each command takes exactly the options its row declares."""
     parser = argparse.ArgumentParser(
         prog="refmodel",
         description="Reference-modeling toolkit with an energy-simulation evaluator.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    repo_cmd = sub.add_parser("repo", help="manage a reference repository")
-    repo_sub = repo_cmd.add_subparsers(dest="repo_command", required=True)
-    p = repo_sub.add_parser("init", parents=[common], help="create an empty repository")
-    p.set_defaults(func=cmd_repo_init)
-    p = repo_sub.add_parser("add", parents=[common], help="add an asset from a JSON file")
-    p.add_argument("asset_file", help="JSON file with one asset document")
-    p.set_defaults(func=cmd_repo_add)
-    p = repo_sub.add_parser("list", parents=[common], help="list asset ids")
-    p.add_argument("--layer", choices=[l.value for l in ConcernLayer])
-    p.add_argument("--kind", choices=[k.value for k in BlockKind])
-    p.set_defaults(func=cmd_repo_list)
-
-    model_cmd = sub.add_parser("model", help="compose an application model")
-    model_sub = model_cmd.add_subparsers(dest="model_command", required=True)
-    p = model_sub.add_parser("adopt", parents=[common], help="copy a reference block verbatim")
-    p.add_argument("asset_id")
-    p.set_defaults(func=cmd_model_adopt)
-    p = model_sub.add_parser("adapt", parents=[common], help="copy a reference block with overrides")
-    p.add_argument("asset_id")
-    p.add_argument("--name", dest="new_name", help="replacement block name")
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--port-type", action="append", default=[], metavar="PORT=TYPE")
-    p.set_defaults(func=cmd_model_adapt)
-    p = model_sub.add_parser("extend", parents=[common], help="copy a reference block with additions")
-    p.add_argument("asset_id")
-    p.add_argument("--port", action="append", default=[], metavar="ID:DIRECTION:TYPE")
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_model_extend)
-    p = model_sub.add_parser("connect", parents=[common], help="wire a provided port to a required port")
-    p.add_argument("provided", metavar="BLOCK:PORT")
-    p.add_argument("required", metavar="BLOCK:PORT")
-    p.set_defaults(func=cmd_model_connect)
-    p = model_sub.add_parser("apply-pattern", parents=[common], help="merge a pattern asset into the model")
-    p.add_argument("pattern_id")
-    p.add_argument("--bind", action="append", default=[], metavar="ANCHOR=BLOCK")
-    p.add_argument("--force-theirs", action="store_true", help="replace conflicting blocks")
-    p.set_defaults(func=cmd_model_apply_pattern)
-
-    p = sub.add_parser("validate", parents=[common], help="check wiring and trace legality")
-    p.set_defaults(func=cmd_validate)
-    p = sub.add_parser("trace", parents=[common], help="follow trace links from an element")
-    p.add_argument("element")
-    p.add_argument("--direction", choices=["up", "down"], default="down")
-    p.set_defaults(func=cmd_trace)
-    p = sub.add_parser("coverage", parents=[common], help="capability coverage statuses")
-    p.set_defaults(func=cmd_coverage)
-    p = sub.add_parser("view", parents=[common], help="extract a viewpoint-filtered view")
-    p.add_argument("--subject", required=True, choices=[l.value for l in ConcernLayer])
-    p.add_argument("--aspect", required=True, choices=[a.value for a in Aspect])
-    p.set_defaults(func=cmd_view)
-    p = sub.add_parser("alternatives", parents=[common], help="plug-compatible slot alternatives")
-    p.add_argument("--slot", required=True, help="block id to exchange")
-    p.set_defaults(func=cmd_alternatives)
-
-    p = sub.add_parser("simulate", parents=[common], help="simulate one planner on a map")
-    p.add_argument(
-        "--planner",
-        default="edge_follow",
-        help="planner name, or 'adaptive' to pick by terrain variance",
-    )
-    p.set_defaults(func=cmd_simulate)
-    p = sub.add_parser("compare", parents=[common], help="compare planners on one map")
-    p.add_argument("--planners", default="edge_follow,terrain_aware", help="comma-separated names")
-    p.set_defaults(func=cmd_compare)
-    p = sub.add_parser("ensemble", parents=[common], help="compare planners over generated maps")
-    p.add_argument("--n", type=int, default=10, help="number of generated maps")
-    p.add_argument("--planners", default="edge_follow,terrain_aware", help="comma-separated names")
-    _add_gen_options(p)
-    p.set_defaults(func=cmd_ensemble)
-    p = sub.add_parser("rank", parents=[common], help="rank slot alternatives by simulated energy")
-    p.add_argument("--slot", required=True)
-    p.add_argument("--n", type=int, default=0, help="rank over N generated maps instead of --map")
-    _add_gen_options(p)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("demo", parents=[common], help="write the example repository, model, and map")
-    p.set_defaults(func=cmd_demo)
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for command in COMMANDS:
+        *group, name = command.words.split()
+        group = tuple(group)
+        if group not in subparsers:
+            group_parser = subparsers[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
+            subparsers[group] = group_parser.add_subparsers(dest=f"{group[0]}_command", required=True)
+        leaf = subparsers[group].add_parser(name, help=command.help)
+        for flags, settings in command.options:
+            leaf.add_argument(*flags, **settings)
+        leaf.set_defaults(func=command.handler)
     return parser
-
-
-def _add_gen_options(parser: argparse.ArgumentParser):
-    """The map-generation flags that _gen_params reads."""
-    parser.add_argument("--width", type=int, default=9)
-    parser.add_argument("--height", type=int, default=7)
-    parser.add_argument("--density", type=float, default=0.15)
-    parser.add_argument("--max-level", type=int, default=3)
 
 
 # --- shared plumbing --------------------------------------------------------
 
 
-def _repo_path(args) -> FilePath | None:
+def _repo_path(args) -> FilePath:
+    """The --repo file, else the default repository under $REFMODEL_HOME."""
     if args.repo:
         return FilePath(args.repo)
     home = os.environ.get(_ENV_HOME)
-    if home:
-        return FilePath(home) / f"default{repository.REPOSITORY_SUFFIX}"
-    return None
+    if not home:
+        raise _UsageError(f"--repo is required (or set {_ENV_HOME})")
+    return FilePath(home) / f"default{repository.REPOSITORY_SUFFIX}"
 
 
 def _load_repo(args) -> repository.ReferenceRepository:
-    path = _repo_path(args)
-    if path is None:
-        raise _UsageError(f"--repo is required (or set {_ENV_HOME})")
-    return repository.load(_read(path, "repository"))
-
-
-def _model_path(args) -> FilePath:
-    if not args.model:
-        raise _UsageError("--model is required")
-    return FilePath(args.model)
+    return repository.load(_read(_repo_path(args), "repository"))
 
 
 def _load_model(args) -> Model:
-    return repository.load_model(_read(_model_path(args), "model"))
+    return repository.load_model(_read(FilePath(args.model), "model"))
 
 
 def _load_or_new_model(args) -> tuple[Model, FilePath]:
     """The model a ``model ...`` command edits; a missing file starts an empty model."""
-    path = _model_path(args)
+    path = FilePath(args.model)
     if path.exists():
         return _load_model(args), path
     stem = path.name
@@ -220,32 +125,34 @@ def _read(path: FilePath, what: str) -> str:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _gen_params(args) -> GenParams:
-    return GenParams(args.width, args.height, args.density, args.max_level)
+def _write_out(out: str | None, name: str, text: str):
+    """Under --out DIR, write the artifact DIR/name and say so on stdout."""
+    if out:
+        path = FilePath(out) / name
+        _write(path, text)
+        print(f"wrote {path}")
+
+
+def _given(args, *dests: str) -> dict:
+    """The flags among dests that were given, by dest; the library supplies the rest's defaults."""
+    return {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
 
 
 def _sim_params(args) -> simulation.SimParams:
-    return simulation.SimParams(
-        capacity=args.capacity, consumption_factor=args.consumption_factor
-    )
+    return simulation.SimParams(**_given(args, "capacity", "consumption_factor"))
 
 
-def _start(args) -> Position | None:
-    if not args.start:
-        return None
+def _position(text: str) -> Position:
+    """The --start cell, given as row,col."""
     try:
-        row_text, col_text = args.start.split(",")
+        row_text, col_text = text.split(",")
         return Position(int(row_text), int(col_text))
     except ValueError:
-        raise _UsageError(f"--start expects row,col, got '{args.start}'") from None
+        raise argparse.ArgumentTypeError(f"expects row,col, got '{text}'") from None
 
 
-def _out_dir(args) -> FilePath | None:
-    if not args.out:
-        return None
-    out = FilePath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _planner_list(text: str) -> list[str]:
+    return [piece.strip() for piece in text.split(",") if piece.strip()]
 
 
 def _parse_kv(entries, flag) -> dict:
@@ -300,8 +207,6 @@ class _UsageError(Exception):
 
 def cmd_repo_init(args) -> int:
     path = _repo_path(args)
-    if path is None:
-        raise _UsageError(f"--repo is required (or set {_ENV_HOME})")
     if path.exists():
         print(f"error: {path} already exists", file=sys.stderr)
         return 1
@@ -478,7 +383,7 @@ def cmd_simulate(args) -> int:
     planner = args.planner
     if planner == "adaptive":
         planner = planners.select_adaptive(tmap).value
-    result = simulation.run(tmap, planner, start=_start(args), params=_sim_params(args))
+    result = simulation.run(tmap, planner, start=args.start, params=_sim_params(args))
     csv_text = simulation.sim_result_to_csv(result)
     if args.format == "csv":
         print(csv_text, end="")
@@ -487,25 +392,18 @@ def cmd_simulate(args) -> int:
             f"planner {planner}: {result.steps_completed} step(s), "
             f"total {result.total_consumed:.6f}, {result.terminated.value}"
         )
-    out = _out_dir(args)
-    if out:
-        _write(out / "simulate.csv", csv_text)
-        print(f"wrote {out / 'simulate.csv'}")
+    _write_out(args.out, "simulate.csv", csv_text)
     return 0
-
-
-def _planner_list(text: str) -> list[str]:
-    return [piece.strip() for piece in text.split(",") if piece.strip()]
 
 
 def cmd_compare(args) -> int:
     tmap = _load_map(args)
     report = evaluator.compare(
         tmap,
-        _planner_list(args.planners),
-        start=_start(args),
+        start=args.start,
         params=_sim_params(args),
         map_label=FilePath(args.map_file).name,
+        **_given(args, "planners"),
     )
     if args.format == "csv":
         print(evaluator.comparison_to_csv(report), end="")
@@ -513,8 +411,8 @@ def cmd_compare(args) -> int:
         print(evaluator.remaining_chart_svg(report), end="")
     else:
         print(evaluator.comparison_to_table(report), end="")
-    out = _out_dir(args)
-    if out:
+    if args.out:
+        out = FilePath(args.out)
         _write(out / "compare.csv", evaluator.comparison_to_csv(report))
         _write(out / "compare.txt", evaluator.comparison_to_table(report))
         _write(out / "remaining.svg", evaluator.remaining_chart_svg(report))
@@ -525,58 +423,142 @@ def cmd_compare(args) -> int:
 
 def cmd_ensemble(args) -> int:
     stats = evaluator.ensemble(
-        _gen_params(args),
+        GenParams(**_given(args, *_GEN_FIELDS)),
         args.n,
-        _planner_list(args.planners),
         params=_sim_params(args),
-        seed0=args.seed,
-        start=_start(args),
+        start=args.start,
+        **_given(args, "planners", "seed0"),
     )
     if args.format == "csv":
         print(evaluator.ensemble_to_csv(stats), end="")
     else:
         print(evaluator.ensemble_to_table(stats), end="")
-    out = _out_dir(args)
-    if out:
-        _write(out / "ensemble.csv", evaluator.ensemble_to_csv(stats))
-        print(f"wrote {out / 'ensemble.csv'}")
+    _write_out(args.out, "ensemble.csv", evaluator.ensemble_to_csv(stats))
     return 0
 
 
 def cmd_rank(args) -> int:
+    # --n N (N >= 1) ranks over generated maps, and only then do the generation flags apply.
+    generated = args.n is not None and args.n > 0
+    gen = _given(args, *_GEN_FIELDS)
+    seed = _given(args, "seed0")
+    if generated and args.map_file is not None:
+        raise _UsageError("rank takes --map or --n, not both")
+    if not generated and (gen or seed):
+        raise _UsageError("--seed, --width, --height, --density and --max-level need --n N with N >= 1")
     repo = _load_repo(args)
     model = _load_model(args)
-    if args.n > 0:
-        arena = evaluator.EnsembleSpec(gen=_gen_params(args), n_maps=args.n, seed0=args.seed)
-    else:
-        arena = _load_map(args)
+    arena = evaluator.EnsembleSpec(GenParams(**gen), args.n, **seed) if generated else _load_map(args)
     ranked = evaluator.rank_configurations(
-        model, repo, args.slot, arena, params=_sim_params(args), start=_start(args)
+        model, repo, args.slot, arena, params=_sim_params(args), start=args.start
     )
     for position, entry in enumerate(ranked, start=1):
         flag = "" if entry.completed else " [incomplete coverage]"
         print(f"{position}. {entry.block_id} ({entry.planner}) score {entry.score:.6f}{flag}")
-    out = _out_dir(args)
-    if out:
-        _write(out / "rank.csv", evaluator.ranking_to_csv(ranked))
-        print(f"wrote {out / 'rank.csv'}")
+    _write_out(args.out, "rank.csv", evaluator.ranking_to_csv(ranked))
     return 0
 
 
 def cmd_demo(args) -> int:
-    out = _out_dir(args) or FilePath(".")
     repo = demo.build_demo_repository()
-    model = demo.build_demo_model(repo)
-    repo_path = out / f"demo{repository.REPOSITORY_SUFFIX}"
-    model_path = out / f"demo{repository.MODEL_SUFFIX}"
-    map_path = out / "reference.terrain.txt"
-    _write(repo_path, repository.save(repo))
-    _write(model_path, repository.save_model(model))
-    _write(map_path, demo.REFERENCE_MAP_TEXT)
-    print(f"wrote {repo_path}")
-    print(f"wrote {model_path}")
-    print(f"wrote {map_path}")
+    for name, text in (
+        (f"demo{repository.REPOSITORY_SUFFIX}", repository.save(repo)),
+        (f"demo{repository.MODEL_SUFFIX}", repository.save_model(demo.build_demo_model(repo))),
+        ("reference.terrain.txt", demo.REFERENCE_MAP_TEXT),
+    ):
+        _write_out(args.out or ".", name, text)
     return 0
+
+
+# --- command table ----------------------------------------------------------
+
+
+class Command(NamedTuple):
+    """One subcommand: the words after ``refmodel``, its help, its handler, and the options it reads."""
+
+    words: str
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    options: tuple
+
+
+def _opt(*flags: str, **settings) -> tuple:
+    """One option, as the arguments of add_argument."""
+    return flags, settings
+
+
+def _format(*choices: str) -> tuple:
+    """--format: text, the default, or one of the other formats the command prints."""
+    return _opt("--format", choices=["text", *choices], default="text", help="stdout format")
+
+
+# Options that several commands read, each stated once. A flag the library has a default
+# for defaults to None, so that the library's value applies, and its dest is the library's keyword.
+_REPO = _opt("--repo", help="repository file (*.refrepo.json)")
+_MODEL = _opt("--model", required=True, help="model file (*.refmodel.json)")
+_MAP = _opt("--map", dest="map_file", help="terrain file (*.terrain.txt)")
+_OUT = _opt("--out", help="directory for written artifacts")
+_SLOT = _opt("--slot", required=True, help="block id to exchange")
+_ASSET = _opt("asset_id")
+_PARAM = _opt("--param", action="append", default=[], metavar="KEY=VALUE")
+_PLANNERS = _opt("--planners", type=_planner_list, help="comma-separated names")
+_SEED = _opt("--seed", dest="seed0", type=int, metavar="SEED", help="base seed for generated maps")
+_GEN = (
+    _opt("--width", type=int),
+    _opt("--height", type=int),
+    _opt("--density", dest="obstacle_density", type=float, metavar="DENSITY"),
+    _opt("--max-level", type=int),
+)
+_SIM = (
+    _opt("--capacity", type=float, help="battery capacity"),
+    _opt("--consumption-factor", type=float, help="per-step consumption scale"),
+    _opt("--start", type=_position, help="start cell as row,col (default: first free cell)"),
+)
+_LAYERS = [layer.value for layer in ConcernLayer]
+
+_GROUP_HELP = {"repo": "manage a reference repository", "model": "compose an application model"}
+
+COMMANDS = (
+    Command("repo init", "create an empty repository", cmd_repo_init, (_REPO,)),
+    Command("repo add", "add an asset from a JSON file", cmd_repo_add,
+            (_opt("asset_file", help="JSON file with one asset document"), _REPO)),
+    Command("repo list", "list asset ids", cmd_repo_list,
+            (_REPO, _opt("--layer", choices=_LAYERS), _opt("--kind", choices=[k.value for k in BlockKind]))),
+    Command("model adopt", "copy a reference block verbatim", cmd_model_adopt, (_ASSET, _REPO, _MODEL)),
+    Command("model adapt", "copy a reference block with overrides", cmd_model_adapt,
+            (_ASSET, _opt("--name", dest="new_name", help="replacement block name"), _PARAM,
+             _opt("--port-type", action="append", default=[], metavar="PORT=TYPE"), _REPO, _MODEL)),
+    Command("model extend", "copy a reference block with additions", cmd_model_extend,
+            (_ASSET, _opt("--port", action="append", default=[], metavar="ID:DIRECTION:TYPE"), _PARAM,
+             _REPO, _MODEL)),
+    Command("model connect", "wire a provided port to a required port", cmd_model_connect,
+            (_opt("provided", metavar="BLOCK:PORT"), _opt("required", metavar="BLOCK:PORT"), _MODEL)),
+    Command("model apply-pattern", "merge a pattern asset into the model", cmd_model_apply_pattern,
+            (_opt("pattern_id"), _opt("--bind", action="append", default=[], metavar="ANCHOR=BLOCK"),
+             _opt("--force-theirs", action="store_true", help="replace conflicting blocks"), _REPO, _MODEL)),
+    Command("validate", "check wiring and trace legality", cmd_validate, (_MODEL,)),
+    Command("trace", "follow trace links from an element", cmd_trace,
+            (_opt("element"), _opt("--direction", choices=["up", "down"], default="down"), _MODEL,
+             _format("dot"))),
+    Command("coverage", "capability coverage statuses", cmd_coverage, (_MODEL,)),
+    Command("view", "extract a viewpoint-filtered view", cmd_view,
+            (_opt("--subject", required=True, choices=_LAYERS),
+             _opt("--aspect", required=True, choices=[a.value for a in Aspect]), _MODEL, _format("dot"))),
+    Command("alternatives", "plug-compatible slot alternatives", cmd_alternatives, (_SLOT, _REPO, _MODEL)),
+    Command("simulate", "simulate one planner on a map", cmd_simulate,
+            (_MAP, _opt("--planner", default="edge_follow",
+                        help="planner name, or 'adaptive' to pick by terrain variance"),
+             *_SIM, _format("csv"), _OUT)),
+    Command("compare", "compare planners on one map", cmd_compare,
+            (_MAP, _PLANNERS, *_SIM, _format("csv", "svg"), _OUT)),
+    Command("ensemble", "compare planners over generated maps", cmd_ensemble,
+            (_opt("--n", type=int, default=10, help="number of generated maps"), _PLANNERS, _SEED, *_GEN,
+             *_SIM, _format("csv"), _OUT)),
+    Command("rank", "rank slot alternatives by simulated energy", cmd_rank,
+            (_SLOT, _opt("--n", type=int, help="rank over N generated maps instead of --map"), _MAP, _SEED,
+             *_GEN, _REPO, _MODEL, *_SIM, _OUT)),
+    Command("demo", "write the example repository, model, and map", cmd_demo, (_OUT,)),
+)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .core import (
     TraceKind,
     TraceLink,
     add_trace,
+    layer_for_kind,
 )
 from .repository import (
     BlockAsset,
@@ -40,15 +41,75 @@ DEMO_PATTERN_ID = "pat.smart_mowing_services"
 # Narrow strip with a full-height ridge in the middle column. A row-by-row
 # sweep has to climb the ridge once per row; a terrain-hugging planner mows
 # each flank, then walks the ridge crest once.
-REFERENCE_MAP_TEXT = (
-    "030\n"
-    "030\n"
-    "030\n"
-    "030\n"
-    "030\n"
-    "030\n"
-    "030\n"
-    "030\n"
+REFERENCE_MAP_TEXT = "030\n" * 8
+
+# One row per block: (id, name, kind, required ports, provided ports, parameters),
+# each port as {port id: interface type}. The kind fixes the layer of the block and its ports.
+_REFERENCE_ROWS = (
+    ("cap.recognition", "Object Recognition", BlockKind.CAPABILITY, {}, {}, {}),
+    ("cap.mobility", "Green Area Mobility", BlockKind.CAPABILITY, {}, {}, {}),
+    ("cap.mowing", "Mowing", BlockKind.CAPABILITY, {}, {}, {}),
+    (
+        "op.mowing_node", "Mowing Node", BlockKind.OPERATIONAL_PERFORMER,
+        {"in_smart_mowing": "SmartMowing"}, {}, {},
+    ),
+    ("op.act.recognize", "Recognize Mowing Object", BlockKind.OPERATIONAL_ACTIVITY, {}, {}, {}),
+    ("op.act.move", "Move In Green Areas", BlockKind.OPERATIONAL_ACTIVITY, {}, {}, {}),
+    ("op.act.mow", "Mowing Process", BlockKind.OPERATIONAL_ACTIVITY, {}, {}, {}),
+    (
+        "res.mowing_robot", "Mowing Robot", BlockKind.RESOURCE_CONFIGURATION,
+        {"in_power": "Power"}, {}, {"weight": 12.5},
+    ),
+    ("res.camera", "Camera", BlockKind.RESOURCE_COMPONENT, {}, {"out": "ImageStream"}, {}),
+    ("res.battery", "Battery", BlockKind.RESOURCE_COMPONENT, {}, {"out": "Power"}, {"capacity": 100.0}),
+    ("res.blade", "Mowing Blades", BlockKind.RESOURCE_COMPONENT, {}, {"out": "Cutting"}, {}),
+    (
+        "res.propulsion", "Propulsion", BlockKind.RESOURCE_COMPONENT,
+        {}, {"out": "Drive"}, {"consumption_factor": 1.0},
+    ),
+    (
+        "res.fn.preprocess", "Pre-Processing", BlockKind.FUNCTION,
+        {"in_images": "ImageStream"}, {"out": "PreprocessedImages"}, {},
+    ),
+    (
+        "res.fn.detect", "Detecting", BlockKind.FUNCTION,
+        {"in_frames": "PreprocessedImages"}, {"out": "Detection"}, {},
+    ),
+    (
+        "res.fn.classify", "Classifying", BlockKind.FUNCTION,
+        {"in_detections": "Detection"}, {"out": "ObjectClassification"}, {},
+    ),
+    (
+        "alg.edge_follow", "Edge Follow Planner", BlockKind.ALGORITHM_BLOCK,
+        {}, {"out": "CoveragePlanning"}, {"algorithm": "edge_follow"},
+    ),
+    (
+        "alg.terrain_aware", "Terrain Aware Planner", BlockKind.ALGORITHM_BLOCK,
+        {}, {"out": "CoveragePlanning"}, {"algorithm": "terrain_aware"},
+    ),
+)
+
+_SERVICE_ROWS = (
+    (
+        "svc.smart_mowing", "Smart Mowing Service", BlockKind.SERVICE,
+        {
+            "in_mobility": "GreenAreaMobility", "in_mowing": "MowingService",
+            "in_recognition": "ObjectRecognition",
+        },
+        {"out": "SmartMowing"}, {},
+    ),
+    (
+        "svc.object_recognition", "Object Recognition Service", BlockKind.SERVICE,
+        {"in_classified": "ObjectClassification"}, {"out": "ObjectRecognition"}, {},
+    ),
+    (
+        "svc.green_area_mobility", "Green Area Mobility Service", BlockKind.SERVICE,
+        {"in_drive": "Drive", "in_path": "CoveragePlanning"}, {"out": "GreenAreaMobility"}, {},
+    ),
+    (
+        "svc.mowing", "Mowing Service", BlockKind.SERVICE,
+        {"in_cutting": "Cutting"}, {"out": "MowingService"}, {},
+    ),
 )
 
 
@@ -56,214 +117,56 @@ def reference_map() -> TerrainMap:
     return load_map(REFERENCE_MAP_TEXT)
 
 
-def _provided(port_id: str, interface: str, layer: ConcernLayer) -> Port:
-    return Port(id=port_id, direction=PortDirection.PROVIDED, interface_type=interface, layer=layer)
+def _blocks(rows, origin: Origin = Origin.REFERENCE_ASSET) -> list[BuildingBlock]:
+    """The blocks of a row table, each on the layer its kind fixes, its ports on that layer too."""
+    blocks = []
+    for block_id, name, kind, required, provided, parameters in rows:
+        layer = layer_for_kind(kind)
+        ports = [
+            Port(port_id, direction, interface, layer)
+            for direction, table in ((PortDirection.REQUIRED, required), (PortDirection.PROVIDED, provided))
+            for port_id, interface in table.items()
+        ]
+        blocks.append(BuildingBlock(block_id, name, layer, kind, tuple(ports), parameters, origin))
+    return blocks
 
 
-def _required(port_id: str, interface: str, layer: ConcernLayer) -> Port:
-    return Port(id=port_id, direction=PortDirection.REQUIRED, interface_type=interface, layer=layer)
+def _connections(*pairs: tuple[str, str]) -> list[Connection]:
+    """Connections from ("block:port", "block:port") pairs, the provided end first."""
+    return [Connection(PortRef(*source.split(":")), PortRef(*target.split(":"))) for source, target in pairs]
 
 
 def _reference_blocks() -> list[BuildingBlock]:
-    strategic = ConcernLayer.STRATEGIC
-    operational = ConcernLayer.OPERATIONAL
-    service = ConcernLayer.SERVICE
-    resource = ConcernLayer.RESOURCE
-    return [
-        BuildingBlock("cap.recognition", "Object Recognition", strategic, BlockKind.CAPABILITY),
-        BuildingBlock("cap.mobility", "Green Area Mobility", strategic, BlockKind.CAPABILITY),
-        BuildingBlock("cap.mowing", "Mowing", strategic, BlockKind.CAPABILITY),
-        BuildingBlock(
-            "op.mowing_node",
-            "Mowing Node",
-            operational,
-            BlockKind.OPERATIONAL_PERFORMER,
-            ports=(_required("in_smart_mowing", "SmartMowing", operational),),
-        ),
-        BuildingBlock(
-            "op.act.recognize", "Recognize Mowing Object", operational, BlockKind.OPERATIONAL_ACTIVITY
-        ),
-        BuildingBlock(
-            "op.act.move", "Move In Green Areas", operational, BlockKind.OPERATIONAL_ACTIVITY
-        ),
-        BuildingBlock("op.act.mow", "Mowing Process", operational, BlockKind.OPERATIONAL_ACTIVITY),
-        BuildingBlock(
-            "res.mowing_robot",
-            "Mowing Robot",
-            resource,
-            BlockKind.RESOURCE_CONFIGURATION,
-            ports=(_required("in_power", "Power", resource),),
-            parameters={"weight": 12.5},
-        ),
-        BuildingBlock(
-            "res.camera",
-            "Camera",
-            resource,
-            BlockKind.RESOURCE_COMPONENT,
-            ports=(_provided("out", "ImageStream", resource),),
-        ),
-        BuildingBlock(
-            "res.battery",
-            "Battery",
-            resource,
-            BlockKind.RESOURCE_COMPONENT,
-            ports=(_provided("out", "Power", resource),),
-            parameters={"capacity": 100.0},
-        ),
-        BuildingBlock(
-            "res.blade",
-            "Mowing Blades",
-            resource,
-            BlockKind.RESOURCE_COMPONENT,
-            ports=(_provided("out", "Cutting", resource),),
-        ),
-        BuildingBlock(
-            "res.propulsion",
-            "Propulsion",
-            resource,
-            BlockKind.RESOURCE_COMPONENT,
-            ports=(_provided("out", "Drive", resource),),
-            parameters={"consumption_factor": 1.0},
-        ),
-        BuildingBlock(
-            "res.fn.preprocess",
-            "Pre-Processing",
-            resource,
-            BlockKind.FUNCTION,
-            ports=(
-                _required("in_images", "ImageStream", resource),
-                _provided("out", "PreprocessedImages", resource),
-            ),
-        ),
-        BuildingBlock(
-            "res.fn.detect",
-            "Detecting",
-            resource,
-            BlockKind.FUNCTION,
-            ports=(
-                _required("in_frames", "PreprocessedImages", resource),
-                _provided("out", "Detection", resource),
-            ),
-        ),
-        BuildingBlock(
-            "res.fn.classify",
-            "Classifying",
-            resource,
-            BlockKind.FUNCTION,
-            ports=(
-                _required("in_detections", "Detection", resource),
-                _provided("out", "ObjectClassification", resource),
-            ),
-        ),
-        BuildingBlock(
-            "alg.edge_follow",
-            "Edge Follow Planner",
-            resource,
-            BlockKind.ALGORITHM_BLOCK,
-            ports=(_provided("out", "CoveragePlanning", resource),),
-            parameters={"algorithm": "edge_follow"},
-        ),
-        BuildingBlock(
-            "alg.terrain_aware",
-            "Terrain Aware Planner",
-            resource,
-            BlockKind.ALGORITHM_BLOCK,
-            ports=(_provided("out", "CoveragePlanning", resource),),
-            parameters={"algorithm": "terrain_aware"},
-        ),
-    ]
-
-
-def _service_blocks() -> list[BuildingBlock]:
-    service = ConcernLayer.SERVICE
-    return [
-        BuildingBlock(
-            "svc.smart_mowing",
-            "Smart Mowing Service",
-            service,
-            BlockKind.SERVICE,
-            ports=(
-                _required("in_mobility", "GreenAreaMobility", service),
-                _required("in_mowing", "MowingService", service),
-                _required("in_recognition", "ObjectRecognition", service),
-                _provided("out", "SmartMowing", service),
-            ),
-        ),
-        BuildingBlock(
-            "svc.object_recognition",
-            "Object Recognition Service",
-            service,
-            BlockKind.SERVICE,
-            ports=(
-                _required("in_classified", "ObjectClassification", service),
-                _provided("out", "ObjectRecognition", service),
-            ),
-        ),
-        BuildingBlock(
-            "svc.green_area_mobility",
-            "Green Area Mobility Service",
-            service,
-            BlockKind.SERVICE,
-            ports=(
-                _required("in_drive", "Drive", service),
-                _required("in_path", "CoveragePlanning", service),
-                _provided("out", "GreenAreaMobility", service),
-            ),
-        ),
-        BuildingBlock(
-            "svc.mowing",
-            "Mowing Service",
-            service,
-            BlockKind.SERVICE,
-            ports=(
-                _required("in_cutting", "Cutting", service),
-                _provided("out", "MowingService", service),
-            ),
-        ),
-    ]
+    return _blocks(_REFERENCE_ROWS)
 
 
 def services_pattern() -> Pattern:
     """The service layer as a reusable pattern anchored to capabilities and resources."""
-    blocks = tuple(
-        # Applied pattern content lands in application models, hence adopted.
-        # Sorted by id so the pattern equals its canonical serialized form.
-        BuildingBlock(
-            b.id, b.name, b.layer, b.kind, ports=b.ports, parameters=b.parameters, origin=Origin.ADOPTED
-        )
-        for b in sorted(_service_blocks(), key=lambda b: b.id)
-    )
-    connections = frozenset(
-        {
-            Connection(PortRef("svc.object_recognition", "out"), PortRef("svc.smart_mowing", "in_recognition")),
-            Connection(PortRef("svc.green_area_mobility", "out"), PortRef("svc.smart_mowing", "in_mobility")),
-            Connection(PortRef("svc.mowing", "out"), PortRef("svc.smart_mowing", "in_mowing")),
-            Connection(PortRef("res.fn.classify", "out"), PortRef("svc.object_recognition", "in_classified")),
-            Connection(PortRef("res.propulsion", "out"), PortRef("svc.green_area_mobility", "in_drive")),
-            Connection(PortRef("alg.edge_follow", "out"), PortRef("svc.green_area_mobility", "in_path")),
-            Connection(PortRef("res.blade", "out"), PortRef("svc.mowing", "in_cutting")),
-        }
+    # Applied pattern content lands in application models, hence adopted.
+    # Sorted by id so the pattern equals its canonical serialized form.
+    blocks = sorted(_blocks(_SERVICE_ROWS, Origin.ADOPTED), key=lambda b: b.id)
+    connections = _connections(
+        ("svc.object_recognition:out", "svc.smart_mowing:in_recognition"),
+        ("svc.green_area_mobility:out", "svc.smart_mowing:in_mobility"),
+        ("svc.mowing:out", "svc.smart_mowing:in_mowing"),
+        ("res.fn.classify:out", "svc.object_recognition:in_classified"),
+        ("res.propulsion:out", "svc.green_area_mobility:in_drive"),
+        ("alg.edge_follow:out", "svc.green_area_mobility:in_path"),
+        ("res.blade:out", "svc.mowing:in_cutting"),
     )
     traces = frozenset(
-        {
-            TraceLink(TraceKind.MAPS_TO, "svc.object_recognition", "cap.recognition"),
-            TraceLink(TraceKind.MAPS_TO, "svc.green_area_mobility", "cap.mobility"),
-            TraceLink(TraceKind.MAPS_TO, "svc.mowing", "cap.mowing"),
-            TraceLink(TraceKind.MAPS_TO, "svc.smart_mowing", "cap.mowing"),
-        }
+        TraceLink(TraceKind.MAPS_TO, source, target)
+        for source, target in [
+            ("svc.object_recognition", "cap.recognition"),
+            ("svc.green_area_mobility", "cap.mobility"),
+            ("svc.mowing", "cap.mowing"),
+            ("svc.smart_mowing", "cap.mowing"),
+        ]
     )
-    anchors = (
-        PatternAnchor("alg.edge_follow", ConcernLayer.RESOURCE, BlockKind.ALGORITHM_BLOCK),
-        PatternAnchor("cap.mobility", ConcernLayer.STRATEGIC, BlockKind.CAPABILITY),
-        PatternAnchor("cap.mowing", ConcernLayer.STRATEGIC, BlockKind.CAPABILITY),
-        PatternAnchor("cap.recognition", ConcernLayer.STRATEGIC, BlockKind.CAPABILITY),
-        PatternAnchor("res.blade", ConcernLayer.RESOURCE, BlockKind.RESOURCE_COMPONENT),
-        PatternAnchor("res.fn.classify", ConcernLayer.RESOURCE, BlockKind.FUNCTION),
-        PatternAnchor("res.propulsion", ConcernLayer.RESOURCE, BlockKind.RESOURCE_COMPONENT),
-    )
-    return Pattern(
-        id=DEMO_PATTERN_ID, blocks=blocks, connections=connections, traces=traces, anchors=anchors
-    )
+    # The anchors are the reference blocks that the pattern's wiring and traces name.
+    named = {c.source.block for c in connections} | {t.target for t in traces}
+    anchors = [PatternAnchor(b.id, b.layer, b.kind) for b in _reference_blocks() if b.id in named]
+    return Pattern(DEMO_PATTERN_ID, blocks, connections, traces, sorted(anchors, key=lambda a: a.id))
 
 
 def _viewpoints() -> list[Viewpoint]:
@@ -278,7 +181,7 @@ def _viewpoints() -> list[Viewpoint]:
 
 def build_demo_repository() -> ReferenceRepository:
     repo = ReferenceRepository()
-    for block in _reference_blocks() + _service_blocks():
+    for block in _reference_blocks() + _blocks(_SERVICE_ROWS):
         repo = add_asset(repo, BlockAsset(block))
     repo = add_asset(repo, PatternAsset(services_pattern()))
     for viewpoint in _viewpoints():
@@ -298,11 +201,14 @@ def build_demo_model(repo: ReferenceRepository | None = None) -> Model:
     model = apply_pattern(
         model, services_pattern(), {anchor: anchor for anchor in services_pattern().anchor_ids()}
     )
-    model = connect(model, PortRef("svc.smart_mowing", "out"), PortRef("op.mowing_node", "in_smart_mowing"))
-    model = connect(model, PortRef("res.camera", "out"), PortRef("res.fn.preprocess", "in_images"))
-    model = connect(model, PortRef("res.fn.preprocess", "out"), PortRef("res.fn.detect", "in_frames"))
-    model = connect(model, PortRef("res.fn.detect", "out"), PortRef("res.fn.classify", "in_detections"))
-    model = connect(model, PortRef("res.battery", "out"), PortRef("res.mowing_robot", "in_power"))
+    for wire in _connections(
+        ("svc.smart_mowing:out", "op.mowing_node:in_smart_mowing"),
+        ("res.camera:out", "res.fn.preprocess:in_images"),
+        ("res.fn.preprocess:out", "res.fn.detect:in_frames"),
+        ("res.fn.detect:out", "res.fn.classify:in_detections"),
+        ("res.battery:out", "res.mowing_robot:in_power"),
+    ):
+        model = connect(model, wire.source, wire.target)
     for kind, source, target in [
         (TraceKind.EXHIBITS, "op.act.recognize", "cap.recognition"),
         (TraceKind.EXHIBITS, "op.act.move", "cap.mobility"),

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import oracles
 import pytest
 
 from genmodels import dense_trace_model, performs_chain_model
-from refmodel import cli, composition, demo, evaluator, repository, simulation
+from refmodel import cli, composition, demo, evaluator, repository, simulation, terrain
 
 
 def run_cli(capsys, *argv):
@@ -316,6 +317,242 @@ class TestEvaluationCommands:
         lines = out.strip().split("\n")
         assert lines[0].startswith("1. alg.terrain_aware")
         assert lines[1].startswith("2. alg.edge_follow")
+
+
+    def test_defaults_match_library(self, demo_dir, capsys):
+        """With no optional flag, simulate, compare and ensemble print what the library's defaults give."""
+        map_path = demo_dir / "reference.terrain.txt"
+        result = simulation.run(demo.reference_map(), "edge_follow")
+        assert run_cli(capsys, "simulate", "--map", str(map_path)) == (
+            0,
+            f"planner edge_follow: {result.steps_completed} step(s), "
+            f"total {result.total_consumed:.6f}, {result.terminated.value}\n",
+            "",
+        )
+        report = evaluator.compare(demo.reference_map(), map_label=map_path.name)
+        assert run_cli(capsys, "compare", "--map", str(map_path)) == (
+            0, evaluator.comparison_to_table(report), ""
+        )
+        stats = evaluator.ensemble(terrain.GenParams(), 10)
+        assert run_cli(capsys, "ensemble") == (0, evaluator.ensemble_to_table(stats), "")
+
+
+class TestRankArena:
+    """rank reads either --map or --n N with the generation flags, never a mix."""
+
+    @pytest.mark.parametrize(
+        "arena",
+        [
+            ("--n", "2", "--map", "no_such.terrain.txt"),
+            ("--n", "2", "--map", "{map}"),
+            ("--map", "{map}", "--width", "40", "--density", "0.9"),
+            ("--map", "{map}", "--seed", "3"),
+            ("--map", "{map}", "--width", "4"),
+            ("--map", "{map}", "--height", "4"),
+            ("--map", "{map}", "--density", "0.2"),
+            ("--map", "{map}", "--max-level", "2"),
+            ("--n", "0", "--map", "{map}", "--seed", "3"),
+            ("--seed", "3",),
+        ],
+    )
+    def test_flag_of_the_other_arena_is_usage_error(self, demo_dir, capsys, arena):
+        arena = [arg.format(map=demo_dir / "reference.terrain.txt") for arg in arena]
+        code, out, err = run_cli(
+            capsys,
+            "rank", "--slot", "alg.edge_follow", *arena,
+            "--repo", str(demo_dir / "demo.refrepo.json"),
+            "--model", str(demo_dir / "demo.refmodel.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:") and "--n" in err
+
+    def test_generated_arena_matches_library(self, demo_dir, capsys):
+        repo = repository.load((demo_dir / "demo.refrepo.json").read_text())
+        model = repository.load_model((demo_dir / "demo.refmodel.json").read_text())
+        spec = evaluator.EnsembleSpec(terrain.GenParams(), 3)
+        ranked = evaluator.rank_configurations(model, repo, "alg.edge_follow", spec)
+        code, out, _ = run_cli(
+            capsys,
+            "rank", "--slot", "alg.edge_follow", "--n", "3",
+            "--repo", str(demo_dir / "demo.refrepo.json"),
+            "--model", str(demo_dir / "demo.refmodel.json"),
+        )
+        assert code == 0
+        assert out == "".join(
+            f"{i}. {r.block_id} ({r.planner}) score {r.score:.6f}\n" for i, r in enumerate(ranked, start=1)
+        )
+
+
+def _recording(namespace: argparse.Namespace) -> tuple[argparse.Namespace, set]:
+    """A copy of the namespace that adds the name of every attribute read to the returned set."""
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recorder(**vars(namespace)), reads
+
+
+# Command lines that together give every option a command declares, with values its handler
+# accepts. {dir} holds the demo files {repo}, {model} and {map}; {new} is a model file not yet written.
+FULL_LINES = {
+    "repo init": [("--repo", "{dir}/team.refrepo.json")],
+    "repo add": [("{dir}/asset.json", "--repo", "{repo}")],
+    "repo list": [("--repo", "{repo}", "--layer", "resource", "--kind", "function")],
+    "model adopt": [("res.camera", "--repo", "{repo}", "--model", "{new}")],
+    "model adapt": [
+        (
+            "res.battery", "--name", "Big Battery", "--param", "capacity=250", "--port-type", "out=Power",
+            "--repo", "{repo}", "--model", "{new}",
+        )
+    ],
+    "model extend": [
+        (
+            "res.mowing_robot", "--port", "tp:required:TerrainProfile", "--param", "reserve=5",
+            "--repo", "{repo}", "--model", "{new}",
+        )
+    ],
+    "model connect": [("res.camera:out", "res.fn.preprocess:in_images", "--model", "{new}")],
+    "model apply-pattern": [
+        (
+            demo.DEMO_PATTERN_ID,
+            *(
+                arg
+                for anchor in demo.services_pattern().anchor_ids()
+                for arg in ("--bind", f"{anchor}={anchor}")
+            ),
+            "--force-theirs", "--repo", "{repo}", "--model", "{model}",
+        )
+    ],
+    "validate": [("--model", "{model}")],
+    "trace": [("cap.mowing", "--direction", "down", "--format", "dot", "--model", "{model}")],
+    "coverage": [("--model", "{model}")],
+    "view": [("--subject", "service", "--aspect", "structure", "--format", "dot", "--model", "{model}")],
+    "alternatives": [("--slot", "alg.edge_follow", "--repo", "{repo}", "--model", "{model}")],
+    "simulate": [
+        (
+            "--map", "{map}", "--planner", "terrain_aware", "--capacity", "90",
+            "--consumption-factor", "1.5", "--start", "0,0", "--format", "csv", "--out", "{dir}/out",
+        )
+    ],
+    "compare": [
+        (
+            "--map", "{map}", "--planners", "edge_follow", "--capacity", "90",
+            "--consumption-factor", "1.5", "--start", "0,0", "--format", "svg", "--out", "{dir}/out",
+        )
+    ],
+    "ensemble": [
+        (
+            "--n", "2", "--planners", "terrain_aware", "--seed", "4", "--width", "5", "--height", "4",
+            "--density", "0", "--max-level", "2", "--capacity", "90", "--consumption-factor", "1.5",
+            "--start", "0,0", "--format", "csv", "--out", "{dir}/out",
+        )
+    ],
+    "rank": [
+        (
+            "--slot", "alg.edge_follow", "--map", "{map}", "--repo", "{repo}", "--model", "{model}",
+            "--capacity", "90", "--consumption-factor", "1.5", "--start", "0,0", "--out", "{dir}/out",
+        ),
+        (
+            "--slot", "alg.edge_follow", "--n", "2", "--seed", "4", "--width", "5", "--height", "4",
+            "--density", "0", "--max-level", "2", "--repo", "{repo}", "--model", "{model}",
+            "--capacity", "90", "--consumption-factor", "1.5", "--start", "0,0", "--out", "{dir}/out",
+        ),
+    ],
+    "demo": [("--out", "{dir}/out")],
+}
+
+WATERING_ASSET = {
+    "id": "cap.watering",
+    "asset_kind": "block",
+    "block": {
+        "id": "cap.watering",
+        "name": "Watering",
+        "layer": "strategic",
+        "kind": "capability",
+        "ports": [],
+        "parameters": {},
+        "origin": "reference_asset",
+    },
+}
+
+# Lines run first, so that the command under test finds what it needs.
+SETUP_LINES = {
+    "model connect": [
+        ("model", "adopt", block, "--repo", "{repo}", "--model", "{new}")
+        for block in ("res.camera", "res.fn.preprocess")
+    ],
+}
+
+
+class TestCommandTable:
+    def test_every_command_has_full_lines(self):
+        """FULL_LINES covers each row of the command table."""
+        assert sorted(FULL_LINES) == sorted(command.words for command in cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", cli.COMMANDS, ids=lambda command: command.words)
+    def test_handler_reads_every_declared_option(self, demo_dir, capsys, command):
+        """Run with every option it declares, the handler reads each declared dest."""
+        (demo_dir / "asset.json").write_text(json.dumps(WATERING_ASSET))
+        places = {
+            "dir": demo_dir,
+            "repo": demo_dir / "demo.refrepo.json",
+            "model": demo_dir / "demo.refmodel.json",
+            "map": demo_dir / "reference.terrain.txt",
+            "new": demo_dir / "new.refmodel.json",
+        }
+        for line in SETUP_LINES.get(command.words, []):
+            assert cli.main([arg.format(**places) for arg in line]) == 0
+        parser = cli.build_parser()
+        read = set()
+        given = set()
+        for line in FULL_LINES[command.words]:
+            line = [arg.format(**places) for arg in line]
+            given |= set(line)
+            args = parser.parse_args([*command.words.split(), *line])
+            recorder, reads = _recording(args)
+            assert command.handler(recorder) == 0
+            read |= reads
+        declared = set(vars(args)) - {"func", "command", "repo_command", "model_command"}
+        for flags, _ in command.options:
+            assert flags[0] in given or not flags[0].startswith("-"), flags
+        assert declared <= read, sorted(declared - read)
+
+    @pytest.mark.parametrize("command", cli.COMMANDS, ids=lambda command: command.words)
+    def test_help_exits_zero(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.words.split(), "-h")
+        assert code == 0
+        assert out.startswith(f"usage: refmodel {command.words} ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ensemble", "--n", "2", "--format", "dot"),
+            ("ensemble", "--n", "2", "--format", "svg"),
+            ("validate", "--model", "{dir}/demo.refmodel.json", "--map", "x"),
+            ("demo", "--seed", "3"),
+            ("coverage", "--model", "{dir}/demo.refmodel.json", "--format", "csv"),
+            (
+                "model", "connect", "svc.smart_mowing:out", "op.mowing_node:in_smart_mowing",
+                "--model", "{dir}/new.refmodel.json", "--repo", "{dir}/demo.refrepo.json",
+            ),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(
+        self, demo_dir, tmp_path, capsys, monkeypatch, argv
+    ):
+        """Such a flag exits 2 before the handler runs: nothing on stdout, no file written."""
+        workdir = tmp_path / "cwd"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        before = {path: path.read_bytes() for path in demo_dir.rglob("*") if path.is_file()}
+        code, out, err = run_cli(capsys, *(arg.format(dir=demo_dir) for arg in argv))
+        assert (code, out) == (2, "")
+        assert "error:" in err
+        assert list(workdir.iterdir()) == []
+        assert {path: path.read_bytes() for path in demo_dir.rglob("*") if path.is_file()} == before
 
 
 class TestTraceCommands:
