@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="refmodel",
         description="Reference-modeling toolkit with an energy-simulation evaluator.",
     )
-    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    subparsers = {(): parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)}
     for command in COMMANDS:
         *group, name = command.words.split()
         group = tuple(group)
@@ -62,6 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
             leaf.add_argument(*flags, **settings)
         leaf.set_defaults(func=command.handler)
     return parser
+
+
+class _Subparser(argparse.ArgumentParser):
+    """A command's parser: an argument it does not take is reported with the command's own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 # --- shared plumbing --------------------------------------------------------

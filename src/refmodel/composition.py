@@ -230,13 +230,10 @@ def connect(model: Model, provided_ref: PortRef, required_ref: PortRef) -> Model
             f"'{provided.interface_type}') cannot feed {required_ref.block}:{required_ref.port} "
             f"({required.direction.value} '{required.interface_type}')"
         )
-    for conn in model.connections:
-        if conn.target == required_ref:
-            raise AlreadyBound(
-                f"required port {required_ref.block}:{required_ref.port} is already bound"
-            )
+    if model.connections.binds(required_ref):
+        raise AlreadyBound(f"required port {required_ref.block}:{required_ref.port} is already bound")
     connection = Connection(source=provided_ref, target=required_ref)
-    return replace(model, connections=model.connections | {connection})
+    return replace(model, connections=model.connections.appended(connection))
 
 
 def _resolve_port(model: Model, ref: PortRef) -> Port:
@@ -282,35 +279,21 @@ def apply_pattern(
             )
         substitution[anchor.id] = target_id
 
-    blocks = dict(model.blocks)
+    blocks = dict(model.blocks.items())
     for block in pattern.blocks:
-        existing = blocks.get(block.id)
-        if existing is None:
-            blocks[block.id] = block
-        elif existing == block:
-            continue
-        elif force_theirs:
-            blocks[block.id] = block
-        else:
-            raise MergeConflict(
-                f"block '{block.id}' already exists with different content"
-            )
+        if blocks.get(block.id, block) != block and not force_theirs:
+            raise MergeConflict(f"block '{block.id}' already exists with different content")
+        blocks[block.id] = block
 
     def sub(block_id: str) -> str:
         return substitution.get(block_id, block_id)
 
-    connections = set(model.connections)
-    for conn in pattern.connections:
-        connections.add(
-            Connection(
-                source=PortRef(sub(conn.source.block), conn.source.port),
-                target=PortRef(sub(conn.target.block), conn.target.port),
-            )
-        )
-    traces = set(model.traces)
-    for link in pattern.traces:
-        traces.add(TraceLink(kind=link.kind, source=sub(link.source), target=sub(link.target)))
-    return replace(model, blocks=blocks, connections=frozenset(connections), traces=frozenset(traces))
+    connections = model.connections | {
+        Connection(PortRef(sub(c.source.block), c.source.port), PortRef(sub(c.target.block), c.target.port))
+        for c in pattern.connections
+    }
+    traces = model.traces | {TraceLink(t.kind, sub(t.source), sub(t.target)) for t in pattern.traces}
+    return replace(model, blocks=blocks, connections=connections, traces=traces)
 
 
 def validate_configuration(model: Model) -> ValidationReport:
@@ -392,53 +375,40 @@ def enumerate_alternatives_with_slots(
     """Like enumerate_alternatives, but pairs each model with its slot block id."""
     slot_block = model.block(slot)
     signature = (slot_block.layer, slot_block.kind, slot_block.port_signature())
+    original: list[tuple[str, Model]] = []
     results: list[tuple[str, Model]] = []
-    original_first: list[tuple[str, Model]] = []
     for asset in repo.block_assets():
         candidate = asset.block
         if (candidate.layer, candidate.kind, candidate.port_signature()) != signature:
             continue
-        swapped = _swap_block(model, slot, candidate)
-        if swapped == model:
-            original_first.append((candidate.id, swapped))
+        replacement = replace(candidate, origin=Origin.ADOPTED)
+        # An equal block maps each port to itself, so swapping it in changes
+        # nothing, and any other candidate changes the block set or the slot block.
+        if replacement.id == slot and replacement == slot_block:
+            original.append((slot, model))
         else:
-            results.append((candidate.id, swapped))
-    ordered = original_first + sorted(results, key=lambda pair: pair[0])
-    if not ordered:
-        return [(slot, model)]
-    return ordered
+            results.append((candidate.id, _swap_block(model, slot, replacement)))
+    # block_assets() is in id order, so the alternatives are too.
+    return original + results or [(slot, model)]
 
 
-def _swap_block(model: Model, slot: str, candidate: BuildingBlock) -> Model:
-    """Replace the slot block with the candidate, rewiring incident references."""
-    replacement = replace(candidate, origin=Origin.ADOPTED)
+def _swap_block(model: Model, slot: str, replacement: BuildingBlock) -> Model:
+    """Replace the slot block with the replacement, rewiring incident references."""
     if replacement.id != slot and replacement.id in model.blocks:
-        raise DuplicateId(
-            f"cannot swap '{slot}' for '{replacement.id}': id already present in model"
-        )
-    old = model.blocks[slot]
-    port_map = _match_ports(old, replacement)
-
-    blocks = dict(model.blocks)
+        raise DuplicateId(f"cannot swap '{slot}' for '{replacement.id}': id already present in model")
+    port_map = _match_ports(model.blocks[slot], replacement)
+    blocks = dict(model.blocks.items())
     del blocks[slot]
     blocks[replacement.id] = replacement
 
-    def sub_ref(ref: PortRef) -> PortRef:
-        if ref.block != slot:
-            return ref
-        return PortRef(replacement.id, port_map.get(ref.port, ref.port))
+    def sub(block_id: str) -> str:
+        return replacement.id if block_id == slot else block_id
 
-    connections = frozenset(
-        Connection(source=sub_ref(c.source), target=sub_ref(c.target)) for c in model.connections
-    )
-    traces = frozenset(
-        TraceLink(
-            kind=t.kind,
-            source=replacement.id if t.source == slot else t.source,
-            target=replacement.id if t.target == slot else t.target,
-        )
-        for t in model.traces
-    )
+    def sub_ref(ref: PortRef) -> PortRef:
+        return ref if ref.block != slot else PortRef(replacement.id, port_map.get(ref.port, ref.port))
+
+    connections = frozenset(Connection(sub_ref(c.source), sub_ref(c.target)) for c in model.connections)
+    traces = frozenset(TraceLink(t.kind, sub(t.source), sub(t.target)) for t in model.traces)
     return replace(model, blocks=blocks, connections=connections, traces=traces)
 
 
@@ -465,7 +435,15 @@ def trace(model: Model, element_id: str, direction: TraceDirection) -> TraceNode
     """
     if element_id not in model.blocks:
         raise UnknownElement(f"model '{model.id}' has no block '{element_id}'")
-    return _tree(_steps(model, direction), element_id)
+    return _tree(_cached_steps(model, direction), element_id)
+
+
+def _cached_steps(model: Model, direction: TraceDirection) -> dict[str, list[tuple[str, TraceKind]]]:
+    """`_steps(model, direction)`, computed once per model version and kept on the version."""
+    steps = model._derived.get(direction)
+    if steps is None:
+        steps = model._derived[direction] = _steps(model, direction)
+    return steps
 
 
 def _steps(model: Model, direction: TraceDirection) -> dict[str, list[tuple[str, TraceKind]]]:
@@ -508,7 +486,7 @@ def _tree(steps: Mapping[str, list[tuple[str, TraceKind]]], root: str) -> TraceN
 
 def capability_coverage(model: Model) -> CoverageReport:
     """Classify every capability by how far trace chains reach down the layers."""
-    steps = _steps(model, TraceDirection.DOWN)
+    steps = _cached_steps(model, TraceDirection.DOWN)
     entries = []
     for block in model.sorted_blocks():
         if block.kind is not BlockKind.CAPABILITY:

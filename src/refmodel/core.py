@@ -3,20 +3,25 @@
 Everything here is an immutable value; operations return new models instead of
 mutating. Blocks are bound to exactly one concern layer, ports carry nominal
 interface types, and cross-layer trace links are restricted to a fixed table of
-permitted (source layer, target layer, kind) triples.
+permitted (source layer, target layer, kind) triples. A model's blocks,
+connections and traces, and a repository's assets, are versions of append-only
+logs that successive versions share, so a write costs amortised O(1).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import count, islice
 from operator import attrgetter
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import DuplicateId, IllegalTraceKind, UnknownElement
 
 Scalar = Union[str, int, float, bool]
+_by_id = attrgetter("id")
 
 
 class ConcernLayer(Enum):
@@ -109,7 +114,7 @@ class BuildingBlock:
     origin: Origin = Origin.REFERENCE_ASSET
 
     def __post_init__(self):
-        object.__setattr__(self, "ports", tuple(sorted(self.ports, key=attrgetter("id"))))
+        object.__setattr__(self, "ports", tuple(sorted(self.ports, key=_by_id)))
         object.__setattr__(self, "parameters", dict(self.parameters))
         if not self.id:
             raise ValueError("block id must be non-empty")
@@ -186,23 +191,130 @@ def trace_pair_permitted(source: ConcernLayer, target: ConcernLayer, kind: Trace
     return (source, target, kind) in PERMITTED_TRACE_PAIRS
 
 
+class _Log(dict):
+    """Append-only entries, in insertion order, shared by the versions of one lineage.
+
+    `positions` (key to position) is built when an older version is first read,
+    `targets` (required port to its first connection) on the lineage's first `connect`.
+    """
+
+    positions = targets = None
+
+    def holds(self, key, length: int) -> bool:
+        """Whether the version of this length holds the key."""
+        if length == len(self):
+            return key in self
+        if self.positions is None or len(self.positions) < len(self):
+            self.positions = dict(zip(self, count()))
+        return self.positions.get(key, length) < length
+
+
+class _Version:
+    """The first `length` entries of a `_Log`; only the newest, as long as the log, appends in place."""
+
+    __slots__ = ("_log", "_len")
+
+    def __init__(self, log: _Log, length: int):
+        self._log, self._len = log, length
+
+    def __len__(self):
+        return self._len
+
+    def __contains__(self, key):
+        return self._log.holds(key, self._len)
+
+    def __iter__(self):
+        # A snapshot, so that a write inside the loop cannot change what it walks.
+        return iter(list(islice(self._log, self._len)))
+
+    def _entries(self) -> dict:
+        """This version's entries: the log itself for the newest version, else a copy."""
+        log = self._log
+        return log if self._len == len(log) else dict(islice(log.items(), self._len))
+
+    def appended(self, key, value=None):
+        """This version plus one entry, or itself if it holds the key; an older version copies first."""
+        if key in self:
+            return self
+        log = self._log if self._len == len(self._log) else _Log(islice(self._log.items(), self._len))
+        log[key] = value
+        if log.targets is not None:
+            log.targets.setdefault(key.target, key)
+        return type(self)(log, self._len + 1)
+
+
+class _Map(_Version, Mapping):
+    """A read-only mapping over one version of a log; `values()` and `items()` return list snapshots."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        if key in self:
+            return self._log[key]
+        raise KeyError(key)
+
+    def values(self) -> list:
+        return list(self._entries().values())
+
+    def items(self) -> list:
+        return list(self._entries().items())
+
+    def __repr__(self):
+        return repr(self._entries())
+
+
+class _Set(_Version, Set):
+    """A read-only set over one version of a log; `|`, `&`, `-` and `^` return frozensets."""
+
+    __slots__ = ()
+    _from_iterable = frozenset
+
+    def binds(self, target: PortRef) -> bool:
+        """For a set of connections: whether one of them feeds the required port `target`."""
+        log = self._log
+        if log.targets is None:
+            log.targets = {conn.target: conn for conn in reversed(log)}
+        first = log.targets.get(target)
+        return first is not None and first in self
+
+    def __repr__(self):
+        return repr(frozenset(self))
+
+
+def _map_by_id(entries: Mapping, owner: str, what: str) -> _Map:
+    """A `_Map` as it is, else a new log of the entries, whose keys must be their values' ids."""
+    if isinstance(entries, _Map):
+        return entries
+    log = _Log(entries)
+    for key, value in log.items():
+        if key != value.id:
+            raise ValueError(f"{owner} '{key}' does not match {what} '{value.id}'")
+    return _Map(log, len(log))
+
+
+def _set_of(items) -> _Set:
+    """A `_Set` as it is, else a new log of the items."""
+    if isinstance(items, _Set):
+        return items
+    log = _Log.fromkeys(items)
+    return _Set(log, len(log))
+
+
 @dataclass(frozen=True)
 class Model:
     """An identified set of blocks plus the connections and traces between them."""
 
     id: str
     blocks: Mapping[str, BuildingBlock] = field(default_factory=dict)
-    connections: frozenset[Connection] = frozenset()
-    traces: frozenset[TraceLink] = frozenset()
+    connections: Set[Connection] = frozenset()
+    traces: Set[TraceLink] = frozenset()
+    # Values computed from this version by the modules that read it, kept out of ==, repr and the JSON.
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = dict(self.blocks)
-        for key, block in blocks.items():
-            if key != block.id:
-                raise ValueError(f"model '{self.id}': key '{key}' does not match block id '{block.id}'")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "connections", frozenset(self.connections))
-        object.__setattr__(self, "traces", frozenset(self.traces))
+        object.__setattr__(self, "blocks", _map_by_id(self.blocks, f"model '{self.id}': key", "block id"))
+        object.__setattr__(self, "connections", _set_of(self.connections))
+        object.__setattr__(self, "traces", _set_of(self.traces))
 
     def block(self, block_id: str) -> BuildingBlock:
         try:
@@ -215,7 +327,7 @@ class Model:
         return block.find_port(ref.port) if block else None
 
     def sorted_blocks(self) -> list[BuildingBlock]:
-        return [self.blocks[key] for key in sorted(self.blocks)]
+        return sorted(self.blocks.values(), key=_by_id)
 
     def sorted_connections(self) -> list[Connection]:
         return sorted(self.connections, key=connection_key)
@@ -233,15 +345,13 @@ def trace_key(link: TraceLink) -> tuple[str, str, str]:
 
 
 def add_block(model: Model, block: BuildingBlock) -> Model:
-    """Return a copy of the model with one more block.
+    """Return the model with one more block.
 
     Raises DuplicateId if the block's id is already taken.
     """
     if block.id in model.blocks:
         raise DuplicateId(f"model '{model.id}' already contains block '{block.id}'")
-    blocks = dict(model.blocks)
-    blocks[block.id] = block
-    return replace(model, blocks=blocks)
+    return replace(model, blocks=model.blocks.appended(block.id, block))
 
 
 def port_compatible(provided: Port, required: Port) -> bool:
@@ -254,7 +364,7 @@ def port_compatible(provided: Port, required: Port) -> bool:
 
 
 def add_trace(model: Model, link: TraceLink) -> Model:
-    """Return a copy of the model with one more trace link.
+    """Return the model with one more trace link.
 
     The link is accepted only if both endpoints exist and the
     (source layer, target layer, kind) triple is in the permitted table.
@@ -265,4 +375,4 @@ def add_trace(model: Model, link: TraceLink) -> Model:
         raise IllegalTraceKind(
             f"{link.kind.value} from {source.layer.value} to {target.layer.value} is not permitted"
         )
-    return replace(model, traces=model.traces | {link})
+    return replace(model, traces=model.traces.appended(link))

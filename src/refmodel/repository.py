@@ -27,6 +27,7 @@ from .core import (
     Scalar,
     TraceKind,
     TraceLink,
+    _map_by_id,
     add_block,
     connection_key,
     trace_key,
@@ -99,11 +100,7 @@ class ReferenceRepository:
     version: int = 0
 
     def __post_init__(self):
-        assets = dict(self.assets)
-        for key, asset in assets.items():
-            if key != asset.id:
-                raise ValueError(f"repository key '{key}' does not match asset id '{asset.id}'")
-        object.__setattr__(self, "assets", assets)
+        object.__setattr__(self, "assets", _map_by_id(self.assets, "repository key", "asset id"))
 
     def asset(self, asset_id: str) -> Asset:
         try:
@@ -115,16 +112,14 @@ class ReferenceRepository:
         return [a for a in self.sorted_assets() if isinstance(a, BlockAsset)]
 
     def sorted_assets(self) -> list[Asset]:
-        return [self.assets[key] for key in sorted(self.assets)]
+        return sorted(self.assets.values(), key=_by_id)
 
 
 def add_asset(repo: ReferenceRepository, asset: Asset) -> ReferenceRepository:
     """Return a repository with the asset added and the version bumped by one."""
     if asset.id in repo.assets:
         raise DuplicateId(f"repository already contains asset '{asset.id}'")
-    assets = dict(repo.assets)
-    assets[asset.id] = asset
-    return ReferenceRepository(assets=assets, version=repo.version + 1)
+    return ReferenceRepository(assets=repo.assets.appended(asset.id, asset), version=repo.version + 1)
 
 
 def list_assets(
@@ -353,8 +348,8 @@ def _check_schema_version(found, path: str):
 _SCHEMA_VERSION = _Codec(lambda _: SCHEMA_VERSION, _check_schema_version)
 
 
-def _array(item: _Codec, key, into=tuple, unique: str = "") -> _Codec:
-    """A list written sorted by `key` and read, in document order, into `into`.
+def _array(item: _Codec, key, unique: str = "") -> _Codec:
+    """A list written sorted by `key` and read, in document order, into a tuple.
 
     A `unique` list stores a dict by id instead: it is written from the dict's
     values, read into a dict, and an entry that repeats an id is rejected as a
@@ -373,7 +368,7 @@ def _array(item: _Codec, key, into=tuple, unique: str = "") -> _Codec:
                     raise ParseError(f"{path}[{i}]: duplicate {unique} id '{record.id}'")
                 ids.add(record.id)
             records.append(record)
-        return {r.id: r for r in records} if unique else into(records)
+        return {r.id: r for r in records} if unique else tuple(records)
 
     return _Codec(encode, decode)
 
@@ -435,7 +430,6 @@ _PORT_REF = _record(PortRef, (("block", "block", _STR, ""), ("port", "port", _ST
 _CONNECTIONS = _array(
     _record(Connection, (("from", "source", _PORT_REF, None), ("to", "target", _PORT_REF, None))),
     connection_key,
-    frozenset,
 )
 _TRACES = _array(
     _record(TraceLink, (
@@ -444,7 +438,6 @@ _TRACES = _array(
         ("target", "target", _STR, ""),
     )),
     trace_key,
-    frozenset,
 )
 _ANCHOR = _record(PatternAnchor, (
     ("id", "id", _STR, ""), ("layer", "layer", _LAYER, None), ("kind", "kind", _BLOCK_KIND, None)

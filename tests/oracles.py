@@ -18,7 +18,10 @@ table against one rebuilt from neighbors and step_factor. The terrain
 references are the per-point value noise and the flood fill over position
 sets that the lattice-cached noise field and the flat-index components
 replaced; generated cells and the noise field are checked against them for
-equality.
+equality. The model-write references are the copy-on-write add_block,
+add_trace, connect and add_asset that copied the whole model or repository on
+every write, before versions shared one append-only store; random write
+sequences against any version are checked against them.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import heapq
 import json
 import random
 from collections import deque
+from dataclasses import replace
 from typing import Any, Mapping
 
 from refmodel import terrain
@@ -57,9 +61,22 @@ from refmodel.core import (
     TraceKind,
     TraceLink,
     connection_key,
+    port_compatible,
     trace_key,
+    trace_pair_permitted,
 )
-from refmodel.errors import InvalidPath, NoAlternatives, ParseError, SchemaVersionMismatch, StartBlocked
+from refmodel.errors import (
+    AlreadyBound,
+    DuplicateId,
+    IllegalTraceKind,
+    InvalidPath,
+    NoAlternatives,
+    ParseError,
+    SchemaVersionMismatch,
+    StartBlocked,
+    TypeMismatch,
+    UnknownElement,
+)
 from refmodel.evaluator import ComparisonReport, EnsembleStats, PlannerStats, RankedConfiguration
 from refmodel.planners import Path, resolve_planner
 from refmodel.repository import (
@@ -940,3 +957,61 @@ def fbm(x: float, y: float, seed: int, octaves: int, persistence: float = 0.5, l
         amp *= persistence
         freq *= lacunarity
     return total / norm
+
+
+# ---------------------------------------------------------------------------
+# Model writes: the copy-on-write writes that copied the whole model or
+# repository each time, kept unchanged as the reference for the shared store.
+# ---------------------------------------------------------------------------
+
+
+def add_block(model: Model, block: BuildingBlock) -> Model:
+    if block.id in model.blocks:
+        raise DuplicateId(f"model '{model.id}' already contains block '{block.id}'")
+    blocks = dict(model.blocks)
+    blocks[block.id] = block
+    return replace(model, blocks=blocks)
+
+
+def add_trace(model: Model, link: TraceLink) -> Model:
+    source = model.block(link.source)
+    target = model.block(link.target)
+    if not trace_pair_permitted(source.layer, target.layer, link.kind):
+        raise IllegalTraceKind(
+            f"{link.kind.value} from {source.layer.value} to {target.layer.value} is not permitted"
+        )
+    return replace(model, traces=model.traces | {link})
+
+
+def connect(model: Model, provided_ref: PortRef, required_ref: PortRef) -> Model:
+    provided = _resolve_port(model, provided_ref)
+    required = _resolve_port(model, required_ref)
+    if not port_compatible(provided, required):
+        raise TypeMismatch(
+            f"{provided_ref.block}:{provided_ref.port} ({provided.direction.value} "
+            f"'{provided.interface_type}') cannot feed {required_ref.block}:{required_ref.port} "
+            f"({required.direction.value} '{required.interface_type}')"
+        )
+    for conn in model.connections:
+        if conn.target == required_ref:
+            raise AlreadyBound(
+                f"required port {required_ref.block}:{required_ref.port} is already bound"
+            )
+    connection = Connection(source=provided_ref, target=required_ref)
+    return replace(model, connections=model.connections | {connection})
+
+
+def _resolve_port(model: Model, ref: PortRef) -> Port:
+    block = model.block(ref.block)
+    port = block.find_port(ref.port)
+    if port is None:
+        raise UnknownElement(f"block '{ref.block}' has no port '{ref.port}'")
+    return port
+
+
+def add_asset(repo: ReferenceRepository, asset: Asset) -> ReferenceRepository:
+    if asset.id in repo.assets:
+        raise DuplicateId(f"repository already contains asset '{asset.id}'")
+    assets = dict(repo.assets)
+    assets[asset.id] = asset
+    return ReferenceRepository(assets=assets, version=repo.version + 1)

@@ -554,6 +554,23 @@ class TestCommandTable:
         assert list(workdir.iterdir()) == []
         assert {path: path.read_bytes() for path in demo_dir.rglob("*") if path.is_file()} == before
 
+    @pytest.mark.parametrize(
+        ("argv", "words"),
+        [
+            (("validate", "--model", "{dir}/demo.refmodel.json", "--map", "x"), "validate"),
+            (
+                ("model", "connect", "a:b", "c:d", "--model", "{dir}/new.refmodel.json", "--repo", "R"),
+                "model connect",
+            ),
+        ],
+    )
+    def test_unread_flag_is_reported_with_the_command_usage(self, demo_dir, capsys, argv, words):
+        code, out, err = run_cli(capsys, *(arg.format(dir=demo_dir) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: refmodel {words} ")
+        unread = " ".join(argv[-2:])
+        assert err.splitlines()[-1] == f"refmodel {words}: error: unrecognized arguments: {unread}"
+
 
 class TestTraceCommands:
     def test_trace_matches_reference(self, tmp_path, capsys):

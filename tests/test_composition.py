@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from refmodel.composition import (
     capability_coverage,
     connect,
     enumerate_alternatives,
+    enumerate_alternatives_with_slots,
     export_dot,
     extract_view,
     trace,
@@ -31,6 +34,7 @@ from refmodel.core import (
     ConcernLayer,
     Connection,
     Model,
+    Origin,
     PortRef,
     TraceKind,
     TraceLink,
@@ -231,6 +235,32 @@ class TestEnumerateAlternatives:
             assert "alg.edge_follow" in (conn.source.block, conn.target.block) or (
                 "alg.terrain_aware" in (conn.source.block, conn.target.block)
             )
+
+    def test_slot_own_asset_is_element_zero(self, demo_model, demo_repo):
+        """The current model leads even when another alternative's id sorts first."""
+        swapped = enumerate_alternatives(demo_model, demo_repo, "alg.edge_follow")[1]
+        pairs = enumerate_alternatives_with_slots(swapped, demo_repo, "alg.terrain_aware")
+        assert [slot for slot, _ in pairs] == ["alg.terrain_aware", "alg.edge_follow"]
+        assert pairs[0][1] == swapped
+        assert pairs[1][1] == demo_model
+
+    @pytest.mark.parametrize(
+        "change", [{"name": "Sweep, renamed"}, {"parameters": {"speed": 2}}, {"origin": Origin.ADAPTED}]
+    )
+    def test_differing_slot_block_with_equal_signature_is_not_current(self, demo_model, demo_repo, change):
+        """Swapping the asset in changes the slot block, so that alternative is not the current model."""
+        slot = "alg.edge_follow"
+        differing = replace(demo_model.blocks[slot], **change)
+        model = Model(
+            id=demo_model.id,
+            blocks={**dict(demo_model.blocks.items()), slot: differing},
+            connections=demo_model.connections,
+            traces=demo_model.traces,
+        )
+        pairs = enumerate_alternatives_with_slots(model, demo_repo, slot)
+        assert [slot for slot, _ in pairs] == ["alg.edge_follow", "alg.terrain_aware"]
+        assert pairs[0][1] != model
+        assert pairs[0][1] == demo_model
 
     def test_no_match_returns_current_model(self, demo_model):
         empty_repo = ReferenceRepository()
