@@ -201,9 +201,7 @@ class _Log(dict):
     positions = targets = None
 
     def holds(self, key, length: int) -> bool:
-        """Whether the version of this length holds the key."""
-        if length == len(self):
-            return key in self
+        """Whether the version of this length, shorter than the log, holds the key."""
         if self.positions is None or len(self.positions) < len(self):
             self.positions = dict(zip(self, count()))
         return self.positions.get(key, length) < length
@@ -221,7 +219,8 @@ class _Version:
         return self._len
 
     def __contains__(self, key):
-        return self._log.holds(key, self._len)
+        log = self._log
+        return key in log if self._len == len(log) else log.holds(key, self._len)
 
     def __iter__(self):
         # A snapshot, so that a write inside the loop cannot change what it walks.
@@ -249,8 +248,9 @@ class _Map(_Version, Mapping):
     __slots__ = ()
 
     def __getitem__(self, key):
-        if key in self:
-            return self._log[key]
+        log = self._log
+        if self._len == len(log) or log.holds(key, self._len):
+            return log[key]
         raise KeyError(key)
 
     def values(self) -> list:
