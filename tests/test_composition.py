@@ -240,7 +240,7 @@ class TestEnumerateAlternatives:
         """The current model leads even when another alternative's id sorts first."""
         swapped = enumerate_alternatives(demo_model, demo_repo, "alg.edge_follow")[1]
         pairs = enumerate_alternatives_with_slots(swapped, demo_repo, "alg.terrain_aware")
-        assert [slot for slot, _ in pairs] == ["alg.terrain_aware", "alg.edge_follow"]
+        assert [block_id for block_id, _ in pairs] == ["alg.terrain_aware", "alg.edge_follow"]
         assert pairs[0][1] == swapped
         assert pairs[1][1] == demo_model
 
@@ -253,12 +253,12 @@ class TestEnumerateAlternatives:
         differing = replace(demo_model.blocks[slot], **change)
         model = Model(
             id=demo_model.id,
-            blocks={**dict(demo_model.blocks.items()), slot: differing},
+            blocks={**demo_model.blocks, slot: differing},
             connections=demo_model.connections,
             traces=demo_model.traces,
         )
         pairs = enumerate_alternatives_with_slots(model, demo_repo, slot)
-        assert [slot for slot, _ in pairs] == ["alg.edge_follow", "alg.terrain_aware"]
+        assert [block_id for block_id, _ in pairs] == ["alg.edge_follow", "alg.terrain_aware"]
         assert pairs[0][1] != model
         assert pairs[0][1] == demo_model
 
