@@ -25,6 +25,7 @@ from .core import (
     PortRef,
     TraceKind,
     TraceLink,
+    _by_id,
     connection_key,
     port_compatible,
     trace_key,
@@ -56,7 +57,7 @@ class PatternAnchor:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A self-contained sub-model template, applied to a model by merge."""
+    """A self-contained sub-model template, applied to a model by merge; blocks and anchors in id order."""
 
     id: str
     blocks: tuple[BuildingBlock, ...] = ()
@@ -65,10 +66,10 @@ class Pattern:
     anchors: tuple[PatternAnchor, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+        object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=_by_id)))
         object.__setattr__(self, "connections", frozenset(self.connections))
         object.__setattr__(self, "traces", frozenset(self.traces))
-        object.__setattr__(self, "anchors", tuple(self.anchors))
+        object.__setattr__(self, "anchors", tuple(sorted(self.anchors, key=_by_id)))
         known = set()
         for block in self.blocks:
             if block.id in known:
@@ -78,20 +79,16 @@ class Pattern:
             if anchor.id in known:
                 raise ValueError(f"pattern '{self.id}': anchor id '{anchor.id}' clashes with a block id")
             known.add(anchor.id)
-        for conn in self.connections:
-            for ref in (conn.source, conn.target):
-                if ref.block not in known:
-                    raise ValueError(
-                        f"pattern '{self.id}': connection endpoint '{ref.block}' is neither a "
-                        f"pattern block nor an anchor"
-                    )
-        for link in self.traces:
-            for endpoint in (link.source, link.target):
-                if endpoint not in known:
-                    raise ValueError(
-                        f"pattern '{self.id}': trace endpoint '{endpoint}' is neither a "
-                        f"pattern block nor an anchor"
-                    )
+        connections = sorted(self.connections, key=connection_key)
+        traces = sorted(self.traces, key=trace_key)
+        endpoints = [("connection", ref.block) for conn in connections for ref in (conn.source, conn.target)]
+        endpoints += [("trace", end) for link in traces for end in (link.source, link.target)]
+        for what, endpoint in endpoints:
+            if endpoint not in known:
+                raise ValueError(
+                    f"pattern '{self.id}': {what} endpoint '{endpoint}' is neither a "
+                    f"pattern block nor an anchor"
+                )
 
     def anchor_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.anchors)
@@ -154,22 +151,20 @@ class ValidationReport:
 
     @property
     def is_valid(self) -> bool:
-        return not (
-            self.unbound_required
-            or self.multiply_bound
-            or self.type_mismatches
-            or self.illegal_traces
-            or self.dangling
-        )
+        return not any(getattr(self, name) for name, _ in _FINDINGS)
 
     def findings(self) -> list[str]:
-        out = []
-        out.extend(f"unbound required port: {f}" for f in self.unbound_required)
-        out.extend(f"multiply bound required port: {f}" for f in self.multiply_bound)
-        out.extend(f"type mismatch: {f}" for f in self.type_mismatches)
-        out.extend(f"illegal trace: {f}" for f in self.illegal_traces)
-        out.extend(f"dangling reference: {f}" for f in self.dangling)
-        return out
+        return [f"{label}: {finding}" for name, label in _FINDINGS for finding in getattr(self, name)]
+
+
+# The ValidationReport fields, in the order findings() prints them, each with its label.
+_FINDINGS = (
+    ("unbound_required", "unbound required port"),
+    ("multiply_bound", "multiply bound required port"),
+    ("type_mismatches", "type mismatch"),
+    ("illegal_traces", "illegal trace"),
+    ("dangling", "dangling reference"),
+)
 
 
 class TraceDirection(Enum):
@@ -284,42 +279,45 @@ def apply_pattern(
         if blocks.get(block.id, block) != block and not force_theirs:
             raise MergeConflict(f"block '{block.id}' already exists with different content")
         blocks[block.id] = block
+    connections, traces = _relinked(pattern, substitution, {})
+    return replace(
+        model, blocks=blocks, connections=model.connections | connections, traces=model.traces | traces
+    )
 
-    def sub(block_id: str) -> str:
-        return substitution.get(block_id, block_id)
 
-    connections = model.connections | {
-        Connection(PortRef(sub(c.source.block), c.source.port), PortRef(sub(c.target.block), c.target.port))
-        for c in pattern.connections
-    }
-    traces = model.traces | {TraceLink(t.kind, sub(t.source), sub(t.target)) for t in pattern.traces}
-    return replace(model, blocks=blocks, connections=connections, traces=traces)
+def _relinked(
+    links: Model | Pattern, block_ids: Mapping[str, str], port_ids: Mapping[str, str]
+) -> tuple[frozenset[Connection], frozenset[TraceLink]]:
+    """The connections and traces with each block in `block_ids` renamed, and its ports per `port_ids`."""
+
+    def ref(old: PortRef) -> PortRef:
+        if old.block not in block_ids:
+            return old
+        return PortRef(block_ids[old.block], port_ids.get(old.port, old.port))
+
+    def block(old: str) -> str:
+        return block_ids.get(old, old)
+
+    connections = frozenset(Connection(ref(c.source), ref(c.target)) for c in links.connections)
+    return connections, frozenset(TraceLink(t.kind, block(t.source), block(t.target)) for t in links.traces)
 
 
 def validate_configuration(model: Model) -> ValidationReport:
     """Check interface wiring and trace legality; total, never raises."""
-    unbound: list[str] = []
-    multiply: list[str] = []
-    mismatches: list[str] = []
-    illegal: list[str] = []
-    dangling: list[str] = []
-
+    found: dict[str, list[str]] = {name: [] for name, _ in _FINDINGS}
     bound_count: dict[PortRef, int] = {}
     for conn in model.sorted_connections():
         source = model.port(conn.source)
         target = model.port(conn.target)
-        broken = False
         for ref, port in ((conn.source, source), (conn.target, target)):
             if ref.block not in model.blocks:
-                dangling.append(f"connection endpoint block '{ref.block}' does not exist")
-                broken = True
+                found["dangling"].append(f"connection endpoint block '{ref.block}' does not exist")
             elif port is None:
-                dangling.append(f"connection endpoint port '{ref.block}:{ref.port}' does not exist")
-                broken = True
-        if broken:
+                found["dangling"].append(f"connection endpoint port '{ref.block}:{ref.port}' does not exist")
+        if source is None or target is None:
             continue
         if not port_compatible(source, target):
-            mismatches.append(
+            found["type_mismatches"].append(
                 f"{conn.source.block}:{conn.source.port} ({source.direction.value} "
                 f"'{source.interface_type}') -> {conn.target.block}:{conn.target.port} "
                 f"({target.direction.value} '{target.interface_type}')"
@@ -333,30 +331,23 @@ def validate_configuration(model: Model) -> ValidationReport:
             ref = PortRef(block.id, port.id)
             count = bound_count.get(ref, 0)
             if count == 0:
-                unbound.append(f"{block.id}:{port.id} ('{port.interface_type}')")
+                found["unbound_required"].append(f"{block.id}:{port.id} ('{port.interface_type}')")
             elif count > 1:
-                multiply.append(f"{block.id}:{port.id} bound {count} times")
+                found["multiply_bound"].append(f"{block.id}:{port.id} bound {count} times")
 
     for link in model.sorted_traces():
         source = model.blocks.get(link.source)
         target = model.blocks.get(link.target)
         if source is None or target is None:
             missing = link.source if source is None else link.target
-            dangling.append(f"trace endpoint block '{missing}' does not exist")
+            found["dangling"].append(f"trace endpoint block '{missing}' does not exist")
             continue
         if not trace_pair_permitted(source.layer, target.layer, link.kind):
-            illegal.append(
+            found["illegal_traces"].append(
                 f"{link.kind.value} {link.source} ({source.layer.value}) -> "
                 f"{link.target} ({target.layer.value})"
             )
-
-    return ValidationReport(
-        unbound_required=tuple(unbound),
-        multiply_bound=tuple(multiply),
-        type_mismatches=tuple(mismatches),
-        illegal_traces=tuple(illegal),
-        dangling=tuple(dangling),
-    )
+    return ValidationReport(**{name: tuple(items) for name, items in found.items()})
 
 
 def enumerate_alternatives(model: Model, repo: "ReferenceRepository", slot: str) -> list[Model]:
@@ -396,34 +387,20 @@ def _swap_block(model: Model, slot: str, replacement: BuildingBlock) -> Model:
     """Replace the slot block with the replacement, rewiring incident references."""
     if replacement.id != slot and replacement.id in model.blocks:
         raise DuplicateId(f"cannot swap '{slot}' for '{replacement.id}': id already present in model")
-    port_map = _match_ports(model.blocks[slot], replacement)
     blocks = dict(model.blocks.items())
     del blocks[slot]
     blocks[replacement.id] = replacement
-
-    def sub(block_id: str) -> str:
-        return replacement.id if block_id == slot else block_id
-
-    def sub_ref(ref: PortRef) -> PortRef:
-        return ref if ref.block != slot else PortRef(replacement.id, port_map.get(ref.port, ref.port))
-
-    connections = frozenset(Connection(sub_ref(c.source), sub_ref(c.target)) for c in model.connections)
-    traces = frozenset(TraceLink(t.kind, sub(t.source), sub(t.target)) for t in model.traces)
+    port_ids = _match_ports(model.blocks[slot], replacement)
+    connections, traces = _relinked(model, {slot: replacement.id}, port_ids)
     return replace(model, blocks=blocks, connections=connections, traces=traces)
 
 
 def _match_ports(old: BuildingBlock, new: BuildingBlock) -> dict[str, str]:
-    """Map old port ids onto new ones with the same (direction, type), in sorted order."""
-    groups: dict[tuple[str, str], list[str]] = {}
+    """Map old port ids onto new ones with the same (direction, type), both taken in id order."""
+    groups: dict[tuple[PortDirection, str], list[str]] = {}
     for port in new.ports:
-        groups.setdefault((port.direction.value, port.interface_type), []).append(port.id)
-    for ids in groups.values():
-        ids.sort()
-    mapping: dict[str, str] = {}
-    for port in sorted(old.ports, key=lambda p: p.id):
-        bucket = groups[(port.direction.value, port.interface_type)]
-        mapping[port.id] = bucket.pop(0)
-    return mapping
+        groups.setdefault((port.direction, port.interface_type), []).append(port.id)
+    return {port.id: groups[(port.direction, port.interface_type)].pop(0) for port in old.ports}
 
 
 def trace(model: Model, element_id: str, direction: TraceDirection) -> TraceNode:
@@ -521,8 +498,11 @@ def viewpoint_valid(viewpoint: Viewpoint) -> bool:
     )
 
 
-_REQUIREMENT_KINDS = frozenset({TraceKind.MAPS_TO, TraceKind.EXHIBITS})
-_BEHAVIOR_KINDS = frozenset({TraceKind.PERFORMS, TraceKind.IMPLEMENTS})
+# The trace kinds a view of each aspect shows; the aspects not listed show no traces.
+_ASPECT_TRACE_KINDS = {
+    Aspect.BEHAVIOR: frozenset({TraceKind.PERFORMS, TraceKind.IMPLEMENTS}),
+    Aspect.REQUIREMENTS: frozenset({TraceKind.MAPS_TO, TraceKind.EXHIBITS}),
+}
 
 
 def extract_view(model: Model, viewpoint: Viewpoint) -> View:
@@ -544,17 +524,12 @@ def extract_view(model: Model, viewpoint: Viewpoint) -> View:
             for c in model.sorted_connections()
             if c.source.block in element_set and c.target.block in element_set
         )
-    elif viewpoint.aspect is Aspect.REQUIREMENTS:
+    kinds = _ASPECT_TRACE_KINDS.get(viewpoint.aspect)
+    if kinds:
         traces = tuple(
             t
             for t in model.sorted_traces()
-            if t.kind in _REQUIREMENT_KINDS and t.source in element_set and t.target in element_set
-        )
-    elif viewpoint.aspect is Aspect.BEHAVIOR:
-        traces = tuple(
-            t
-            for t in model.sorted_traces()
-            if t.kind in _BEHAVIOR_KINDS and t.source in element_set and t.target in element_set
+            if t.kind in kinds and t.source in element_set and t.target in element_set
         )
     return View(
         viewpoint=viewpoint,

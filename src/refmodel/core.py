@@ -195,14 +195,15 @@ class _Log(dict):
     """Append-only entries, in insertion order, shared by the versions of one lineage.
 
     `positions` (key to position) is built when an older version is first read,
-    `targets` (required port to its first connection) on the lineage's first `connect`.
+    `targets` (required port to its first connection) on the lineage's first `connect`;
+    after that, each append keeps both up to date.
     """
 
     positions = targets = None
 
     def holds(self, key, length: int) -> bool:
         """Whether the version of this length, shorter than the log, holds the key."""
-        if self.positions is None or len(self.positions) < len(self):
+        if self.positions is None:
             self.positions = dict(zip(self, count()))
         return self.positions.get(key, length) < length
 
@@ -237,6 +238,8 @@ class _Version:
             return self
         log = self._log if self._len == len(self._log) else _Log(islice(self._log.items(), self._len))
         log[key] = value
+        if log.positions is not None:
+            log.positions[key] = self._len
         if log.targets is not None:
             log.targets.setdefault(key.target, key)
         return type(self)(log, self._len + 1)

@@ -143,8 +143,7 @@ def _reference_blocks() -> list[BuildingBlock]:
 def services_pattern() -> Pattern:
     """The service layer as a reusable pattern anchored to capabilities and resources."""
     # Applied pattern content lands in application models, hence adopted.
-    # Sorted by id so the pattern equals its canonical serialized form.
-    blocks = sorted(_blocks(_SERVICE_ROWS, Origin.ADOPTED), key=lambda b: b.id)
+    blocks = _blocks(_SERVICE_ROWS, Origin.ADOPTED)
     connections = _connections(
         ("svc.object_recognition:out", "svc.smart_mowing:in_recognition"),
         ("svc.green_area_mobility:out", "svc.smart_mowing:in_mobility"),
@@ -166,7 +165,7 @@ def services_pattern() -> Pattern:
     # The anchors are the reference blocks that the pattern's wiring and traces name.
     named = {c.source.block for c in connections} | {t.target for t in traces}
     anchors = [PatternAnchor(b.id, b.layer, b.kind) for b in _reference_blocks() if b.id in named]
-    return Pattern(DEMO_PATTERN_ID, blocks, connections, traces, sorted(anchors, key=lambda a: a.id))
+    return Pattern(DEMO_PATTERN_ID, blocks, connections, traces, anchors)
 
 
 def _viewpoints() -> list[Viewpoint]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
 
 from .composition import Pattern, PatternAnchor, Viewpoint
@@ -27,6 +26,7 @@ from .core import (
     Scalar,
     TraceKind,
     TraceLink,
+    _by_id,
     _map_by_id,
     add_block,
     connection_key,
@@ -128,17 +128,13 @@ def list_assets(
     kind: BlockKind | None = None,
 ) -> list[str]:
     """Asset ids in lexicographic order; layer/kind filters select block assets."""
-    out = []
-    for asset in repo.sorted_assets():
-        if layer is not None or kind is not None:
-            if not isinstance(asset, BlockAsset):
-                continue
-            if layer is not None and asset.block.layer is not layer:
-                continue
-            if kind is not None and asset.block.kind is not kind:
-                continue
-        out.append(asset.id)
-    return out
+    if layer is None and kind is None:
+        return [asset.id for asset in repo.sorted_assets()]
+    return [
+        asset.id
+        for asset in repo.block_assets()
+        if (layer is None or asset.block.layer is layer) and (kind is None or asset.block.kind is kind)
+    ]
 
 
 def _block_asset(repo: ReferenceRepository, asset_id: str) -> BuildingBlock:
@@ -179,15 +175,12 @@ def adapt(
     name = overrides.get("name", block.name)
     parameters = dict(block.parameters)
     parameters.update(overrides.get("parameters", {}))
-    ports = list(block.ports)
+    ports = {port.id: port for port in block.ports}
     for port_id, token in dict(overrides.get("port_types", {})).items():
-        for i, port in enumerate(ports):
-            if port.id == port_id:
-                ports[i] = replace(port, interface_type=token)
-                break
-        else:
+        if port_id not in ports:
             raise UnknownElement(f"block '{block.id}' has no port '{port_id}' to retype")
-    adapted = replace(block, name=name, parameters=parameters, ports=tuple(ports), origin=Origin.ADAPTED)
+        ports[port_id] = replace(ports[port_id], interface_type=token)
+    adapted = replace(block, name=name, parameters=parameters, ports=ports.values(), origin=Origin.ADAPTED)
     return add_block(model, adapted)
 
 
@@ -407,7 +400,6 @@ def _check_fields(obj: Mapping[str, Any], path: str, allowed: set[str]):
         raise ParseError(f"{path}: unexpected field '{sorted(unknown)[0]}'")
 
 
-_by_id = attrgetter("id")
 _LAYER = _enum(ConcernLayer)
 _BLOCK_KIND = _enum(BlockKind)
 

@@ -6,6 +6,7 @@ Deterministic per seed so property tests can replay failures by seed alone.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from refmodel.composition import Pattern, PatternAnchor, Viewpoint, viewpoint_valid
 from refmodel.core import (
@@ -191,6 +192,106 @@ def random_model_and_pattern(seed: int) -> tuple[Model, Pattern, dict[str, str]]
         anchors=anchors,
     )
     return model, pattern, {bid: bid for bid in anchor_blocks}
+
+
+def tangled_model(seed: int) -> Model:
+    """A random model with dangling, illegal, mismatched and multiply bound links mixed in.
+
+    Connection ends may name a missing block or a missing port of a block, trace
+    ends a missing block, and one required port, when there is one, gets up to
+    two providers.
+    """
+    rng = random.Random(seed)
+    model = random_model(rng.randint(0, 10**6))
+    ids = sorted(model.blocks)
+    refs = [PortRef(b.id, p.id) for b in model.sorted_blocks() for p in b.ports]
+    ends = refs + [PortRef("ghost", "p0"), PortRef(rng.choice(ids), "p9")]
+    connections = set(model.connections)
+    connections.update(Connection(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randint(0, 4)))
+    provided = [ref for ref in refs if model.port(ref).direction is PortDirection.PROVIDED]
+    required = [ref for ref in refs if model.port(ref).direction is PortDirection.REQUIRED]
+    if provided and required:
+        target = rng.choice(required)
+        connections.update(Connection(rng.choice(provided), target) for _ in range(2))
+    kinds, names = list(TraceKind), ids + ["ghost"]
+    traces = set(model.traces)
+    traces.update(
+        TraceLink(rng.choice(kinds), rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 3))
+    )
+    return Model(model.id, model.blocks, frozenset(connections), frozenset(traces))
+
+
+def pattern_case(seed: int) -> tuple[Model, Pattern, dict[str, str], bool]:
+    """A model, a pattern built out of id order, anchor bindings and a force_theirs flag.
+
+    A binding may be left out, name a missing block or a block of another
+    kind, or name no anchor at all; the model may hold a pattern block's id
+    with other content.
+    """
+    rng = random.Random(seed)
+    model, pattern, bindings = random_model_and_pattern(rng.randint(0, 10**6))
+    pattern = Pattern(
+        pattern.id,
+        tuple(reversed(pattern.blocks)),
+        pattern.connections,
+        pattern.traces,
+        tuple(reversed(pattern.anchors)),
+    )
+    anchors, roll = pattern.anchor_ids(), rng.random()
+    if anchors and roll < 0.15:
+        del bindings[rng.choice(anchors)]
+    elif anchors and roll < 0.3:
+        bindings[rng.choice(anchors)] = "ghost"
+    elif anchors and roll < 0.45:
+        bindings[rng.choice(anchors)] = rng.choice(sorted(model.blocks))
+    elif roll < 0.55:
+        bindings["nobody"] = rng.choice(sorted(model.blocks))
+    if pattern.blocks and rng.random() < 0.3:
+        clash = random_block(rng, rng.choice(pattern.blocks).id)
+        model = Model(model.id, {**model.blocks, clash.id: clash}, model.connections, model.traces)
+    return model, pattern, bindings, rng.random() < 0.3
+
+
+def swap_case(seed: int) -> tuple[Model, ReferenceRepository, str]:
+    """A tangled model with a wired "slot" block, and a repository of blocks to swap in for it.
+
+    The slot has three ports of one direction and type. The block assets
+    carry the slot's ports under other ids, listed in shuffled order; one may
+    equal the slot, and one may reuse the id of another block of the model.
+    """
+    rng = random.Random(seed)
+    model = tangled_model(rng.randint(0, 10**6))
+    slot = random_block(rng, "slot", origin=Origin.ADOPTED)
+    twin = rng.choice(slot.ports) if slot.ports else Port("p0", PortDirection.PROVIDED, "Power", slot.layer)
+    twins = tuple(replace(twin, id=f"q{i}") for i in range(2))
+    slot = replace(slot, ports=(slot.ports or (twin,)) + twins)
+    ids = sorted(model.blocks)
+    others = [PortRef(b.id, p.id) for b in model.sorted_blocks() for p in b.ports] or [PortRef("ghost", "p0")]
+    connections = {Connection(PortRef("slot", "p9"), rng.choice(others))}
+    for port in slot.ports:
+        here, there = PortRef("slot", port.id), rng.choice(others)
+        provided = port.direction is PortDirection.PROVIDED
+        connections.add(Connection(here, there) if provided else Connection(there, here))
+    kinds = list(TraceKind)
+    traces = {
+        TraceLink(rng.choice(kinds), "slot", rng.choice(ids)),
+        TraceLink(rng.choice(kinds), rng.choice(ids), "slot"),
+    }
+    blocks = {**model.blocks, "slot": slot}
+    model = Model(model.id, blocks, model.connections | connections, model.traces | traces)
+    pool = ["a", "b", "p0", "p1", "p2", "q0", "q1", "z"]
+    candidates = ["slot", "alt0", "alt1"]
+    if rng.random() < 0.2:
+        candidates.append(rng.choice(ids))
+    repo = ReferenceRepository()
+    for block_id in candidates:
+        shuffled = rng.sample(slot.ports, len(slot.ports))
+        ports = [replace(port, id=new_id) for port, new_id in zip(shuffled, rng.sample(pool, len(shuffled)))]
+        candidate = replace(slot, id=block_id, ports=ports, origin=Origin.REFERENCE_ASSET)
+        if block_id == "slot" and rng.random() < 0.3:
+            candidate = replace(slot, origin=Origin.REFERENCE_ASSET)
+        repo = add_asset(repo, BlockAsset(candidate))
+    return model, add_asset(repo, BlockAsset(random_block(rng, "other"))), "slot"
 
 
 def random_viewpoint(rng: random.Random, name: str) -> Viewpoint:

@@ -21,7 +21,12 @@ replaced; generated cells and the noise field are checked against them for
 equality. The model-write references are the copy-on-write add_block,
 add_trace, connect and add_asset that copied the whole model or repository on
 every write, before versions shared one append-only store; random write
-sequences against any version are checked against them.
+sequences against any version are checked against them. The composition-rule
+references are validate_configuration, extract_view, apply_pattern and the
+block swap behind enumerate_alternatives_with_slots as they stood before each
+of their rules (findings, aspect kinds, link rewrite) was stated once; seeded
+models, patterns and swaps are checked against them for equal results or
+equal errors.
 """
 
 from __future__ import annotations
@@ -42,9 +47,10 @@ from refmodel.composition import (
     PatternAnchor,
     TraceDirection,
     TraceNode,
+    ValidationReport,
     View,
     Viewpoint,
-    enumerate_alternatives_with_slots,
+    viewpoint_valid,
 )
 from refmodel.core import (
     Aspect,
@@ -67,9 +73,13 @@ from refmodel.core import (
 )
 from refmodel.errors import (
     AlreadyBound,
+    AnchorKindMismatch,
+    AnchorUnbound,
     DuplicateId,
     IllegalTraceKind,
     InvalidPath,
+    InvalidViewpoint,
+    MergeConflict,
     NoAlternatives,
     ParseError,
     SchemaVersionMismatch,
@@ -1015,3 +1025,230 @@ def add_asset(repo: ReferenceRepository, asset: Asset) -> ReferenceRepository:
     assets = dict(repo.assets)
     assets[asset.id] = asset
     return ReferenceRepository(assets=assets, version=repo.version + 1)
+
+
+# ---------------------------------------------------------------------------
+# Composition rules: validation with one list and one line per finding kind,
+# views with one branch per aspect, and the pattern merge and block swap with
+# their own rename closures, kept unchanged as the reference.
+# ---------------------------------------------------------------------------
+
+
+def apply_pattern(
+    model: Model,
+    pattern: Pattern,
+    anchor_bindings: Mapping[str, str] | None = None,
+    *,
+    force_theirs: bool = False,
+) -> Model:
+    bindings = dict(anchor_bindings or {})
+    unknown = set(bindings) - set(pattern.anchor_ids())
+    if unknown:
+        raise ValueError(f"bindings name unknown anchors: {sorted(unknown)}")
+    substitution: dict[str, str] = {}
+    for anchor in pattern.anchors:
+        if anchor.id not in bindings:
+            raise AnchorUnbound(f"pattern '{pattern.id}': anchor '{anchor.id}' is unbound")
+        target_id = bindings[anchor.id]
+        target = model.blocks.get(target_id)
+        if target is None:
+            raise AnchorUnbound(
+                f"pattern '{pattern.id}': anchor '{anchor.id}' is bound to missing block '{target_id}'"
+            )
+        if target.layer is not anchor.layer or target.kind is not anchor.kind:
+            raise AnchorKindMismatch(
+                f"anchor '{anchor.id}' expects {anchor.layer.value}/{anchor.kind.value}, "
+                f"but '{target_id}' is {target.layer.value}/{target.kind.value}"
+            )
+        substitution[anchor.id] = target_id
+
+    blocks = dict(model.blocks.items())
+    for block in pattern.blocks:
+        if blocks.get(block.id, block) != block and not force_theirs:
+            raise MergeConflict(f"block '{block.id}' already exists with different content")
+        blocks[block.id] = block
+
+    def sub(block_id: str) -> str:
+        return substitution.get(block_id, block_id)
+
+    connections = model.connections | {
+        Connection(PortRef(sub(c.source.block), c.source.port), PortRef(sub(c.target.block), c.target.port))
+        for c in pattern.connections
+    }
+    traces = model.traces | {TraceLink(t.kind, sub(t.source), sub(t.target)) for t in pattern.traces}
+    return replace(model, blocks=blocks, connections=connections, traces=traces)
+
+
+def validate_configuration(model: Model) -> ValidationReport:
+    unbound: list[str] = []
+    multiply: list[str] = []
+    mismatches: list[str] = []
+    illegal: list[str] = []
+    dangling: list[str] = []
+
+    bound_count: dict[PortRef, int] = {}
+    for conn in model.sorted_connections():
+        source = model.port(conn.source)
+        target = model.port(conn.target)
+        broken = False
+        for ref, port in ((conn.source, source), (conn.target, target)):
+            if ref.block not in model.blocks:
+                dangling.append(f"connection endpoint block '{ref.block}' does not exist")
+                broken = True
+            elif port is None:
+                dangling.append(f"connection endpoint port '{ref.block}:{ref.port}' does not exist")
+                broken = True
+        if broken:
+            continue
+        if not port_compatible(source, target):
+            mismatches.append(
+                f"{conn.source.block}:{conn.source.port} ({source.direction.value} "
+                f"'{source.interface_type}') -> {conn.target.block}:{conn.target.port} "
+                f"({target.direction.value} '{target.interface_type}')"
+            )
+        bound_count[conn.target] = bound_count.get(conn.target, 0) + 1
+
+    for block in model.sorted_blocks():
+        for port in block.ports:
+            if port.direction is not PortDirection.REQUIRED:
+                continue
+            ref = PortRef(block.id, port.id)
+            count = bound_count.get(ref, 0)
+            if count == 0:
+                unbound.append(f"{block.id}:{port.id} ('{port.interface_type}')")
+            elif count > 1:
+                multiply.append(f"{block.id}:{port.id} bound {count} times")
+
+    for link in model.sorted_traces():
+        source = model.blocks.get(link.source)
+        target = model.blocks.get(link.target)
+        if source is None or target is None:
+            missing = link.source if source is None else link.target
+            dangling.append(f"trace endpoint block '{missing}' does not exist")
+            continue
+        if not trace_pair_permitted(source.layer, target.layer, link.kind):
+            illegal.append(
+                f"{link.kind.value} {link.source} ({source.layer.value}) -> "
+                f"{link.target} ({target.layer.value})"
+            )
+
+    return ValidationReport(
+        unbound_required=tuple(unbound),
+        multiply_bound=tuple(multiply),
+        type_mismatches=tuple(mismatches),
+        illegal_traces=tuple(illegal),
+        dangling=tuple(dangling),
+    )
+
+
+def findings(report: ValidationReport) -> list[str]:
+    out = []
+    out.extend(f"unbound required port: {f}" for f in report.unbound_required)
+    out.extend(f"multiply bound required port: {f}" for f in report.multiply_bound)
+    out.extend(f"type mismatch: {f}" for f in report.type_mismatches)
+    out.extend(f"illegal trace: {f}" for f in report.illegal_traces)
+    out.extend(f"dangling reference: {f}" for f in report.dangling)
+    return out
+
+
+def is_valid(report: ValidationReport) -> bool:
+    return not (
+        report.unbound_required
+        or report.multiply_bound
+        or report.type_mismatches
+        or report.illegal_traces
+        or report.dangling
+    )
+
+
+def enumerate_alternatives_with_slots(
+    model: Model, repo: ReferenceRepository, slot: str
+) -> list[tuple[str, Model]]:
+    slot_block = model.block(slot)
+    signature = (slot_block.layer, slot_block.kind, slot_block.port_signature())
+    original: list[tuple[str, Model]] = []
+    results: list[tuple[str, Model]] = []
+    for asset in repo.block_assets():
+        candidate = asset.block
+        if (candidate.layer, candidate.kind, candidate.port_signature()) != signature:
+            continue
+        replacement = replace(candidate, origin=Origin.ADOPTED)
+        if replacement.id == slot and replacement == slot_block:
+            original.append((slot, model))
+        else:
+            results.append((candidate.id, swap_block(model, slot, replacement)))
+    return original + results or [(slot, model)]
+
+
+def swap_block(model: Model, slot: str, replacement: BuildingBlock) -> Model:
+    if replacement.id != slot and replacement.id in model.blocks:
+        raise DuplicateId(f"cannot swap '{slot}' for '{replacement.id}': id already present in model")
+    port_map = _match_ports(model.blocks[slot], replacement)
+    blocks = dict(model.blocks.items())
+    del blocks[slot]
+    blocks[replacement.id] = replacement
+
+    def sub(block_id: str) -> str:
+        return replacement.id if block_id == slot else block_id
+
+    def sub_ref(ref: PortRef) -> PortRef:
+        return ref if ref.block != slot else PortRef(replacement.id, port_map.get(ref.port, ref.port))
+
+    connections = frozenset(Connection(sub_ref(c.source), sub_ref(c.target)) for c in model.connections)
+    traces = frozenset(TraceLink(t.kind, sub(t.source), sub(t.target)) for t in model.traces)
+    return replace(model, blocks=blocks, connections=connections, traces=traces)
+
+
+def _match_ports(old: BuildingBlock, new: BuildingBlock) -> dict[str, str]:
+    groups: dict[tuple[str, str], list[str]] = {}
+    for port in new.ports:
+        groups.setdefault((port.direction.value, port.interface_type), []).append(port.id)
+    for ids in groups.values():
+        ids.sort()
+    mapping: dict[str, str] = {}
+    for port in sorted(old.ports, key=lambda p: p.id):
+        bucket = groups[(port.direction.value, port.interface_type)]
+        mapping[port.id] = bucket.pop(0)
+    return mapping
+
+
+_REQUIREMENT_KINDS = frozenset({TraceKind.MAPS_TO, TraceKind.EXHIBITS})
+_BEHAVIOR_KINDS = frozenset({TraceKind.PERFORMS, TraceKind.IMPLEMENTS})
+
+
+def extract_view(model: Model, viewpoint: Viewpoint) -> View:
+    if not viewpoint_valid(viewpoint):
+        raise InvalidViewpoint(
+            f"({viewpoint.subject.value}, {viewpoint.aspect.value}) is not a valid viewpoint"
+        )
+    element_set = {
+        block.id for block in model.blocks.values() if block.layer is viewpoint.subject
+    }
+    if viewpoint.aspect is Aspect.PARAMETERS:
+        element_set = {bid for bid in element_set if model.blocks[bid].parameters}
+    connections: tuple[Connection, ...] = ()
+    traces: tuple[TraceLink, ...] = ()
+    if viewpoint.aspect is Aspect.STRUCTURE:
+        connections = tuple(
+            c
+            for c in model.sorted_connections()
+            if c.source.block in element_set and c.target.block in element_set
+        )
+    elif viewpoint.aspect is Aspect.REQUIREMENTS:
+        traces = tuple(
+            t
+            for t in model.sorted_traces()
+            if t.kind in _REQUIREMENT_KINDS and t.source in element_set and t.target in element_set
+        )
+    elif viewpoint.aspect is Aspect.BEHAVIOR:
+        traces = tuple(
+            t
+            for t in model.sorted_traces()
+            if t.kind in _BEHAVIOR_KINDS and t.source in element_set and t.target in element_set
+        )
+    return View(
+        viewpoint=viewpoint,
+        elements=tuple(sorted(element_set)),
+        connections=connections,
+        traces=traces,
+    )

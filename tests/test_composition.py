@@ -1,14 +1,23 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import refmodel
 from genmodels import (
     dense_trace_model,
+    pattern_case,
     performs_chain_model,
     random_model,
     random_model_and_pattern,
+    swap_case,
+    tangled_model,
 )
 from refmodel.composition import (
     CoverageStatus,
@@ -45,6 +54,7 @@ from refmodel.errors import (
     AlreadyBound,
     AnchorKindMismatch,
     AnchorUnbound,
+    DuplicateId,
     InvalidViewpoint,
     MergeConflict,
     TypeMismatch,
@@ -161,6 +171,15 @@ class TestApplyPattern:
             apply_pattern(demo_model, pattern)
         forced = apply_pattern(demo_model, pattern, force_theirs=True)
         assert forced.block("svc.mowing").name == "Different Mowing"
+
+    def test_errors_name_the_first_anchor_or_block_in_id_order(self, demo_model):
+        anchors = [PatternAnchor(a, ConcernLayer.STRATEGIC, BlockKind.CAPABILITY) for a in ("z", "a")]
+        with pytest.raises(AnchorUnbound, match="anchor 'a' is unbound"):
+            apply_pattern(demo_model, Pattern(id="p", anchors=anchors), {})
+        ids = ("svc.mowing", "svc.green_area_mobility")
+        divergent = [replace(demo_model.block(block_id), name="Other") for block_id in ids]
+        with pytest.raises(MergeConflict, match="block 'svc.green_area_mobility'"):
+            apply_pattern(demo_model, Pattern(id="p", blocks=divergent))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
@@ -395,6 +414,95 @@ class TestTraceMatchesReference:
             assert next_depth <= depth + 1
             if next_depth == depth + 1:
                 assert node.children
+
+
+def outcome(function, *args, **kwargs):
+    """The function's result, or the type and message of the error it raised."""
+    try:
+        return function(*args, **kwargs), None
+    except Exception as exc:  # every error type is compared with the reference's
+        return None, (type(exc), str(exc))
+
+
+RULE_SEEDS = range(300)
+FINDING_FIELDS = ("unbound_required", "multiply_bound", "type_mismatches", "illegal_traces", "dangling")
+
+
+class TestRulesMatchReference:
+    """Validation, views, pattern merge and block swap against the copies kept in oracles.py."""
+
+    def test_validate(self, demo_model):
+        fields, dangling = set(), set()
+        for model in [demo_model, *(tangled_model(seed) for seed in RULE_SEEDS)]:
+            report = validate_configuration(model)
+            assert report == oracles.validate_configuration(model), model.id
+            assert report.findings() == oracles.findings(report), model.id
+            assert report.is_valid == oracles.is_valid(report), model.id
+            fields.update(name for name in FINDING_FIELDS if getattr(report, name))
+            dangling.update(finding.split(" '")[0] for finding in report.dangling)
+        assert fields == set(FINDING_FIELDS)
+        assert dangling == {"connection endpoint block", "connection endpoint port", "trace endpoint block"}
+
+    def test_views_of_every_viewpoint(self, demo_model):
+        for model in [demo_model, *(tangled_model(seed) for seed in RULE_SEEDS[:100])]:
+            for subject, aspect in product(ConcernLayer, Aspect):
+                viewpoint = Viewpoint(subject, aspect)
+                expected = outcome(oracles.extract_view, model, viewpoint)
+                assert outcome(extract_view, model, viewpoint) == expected, (model.id, viewpoint)
+
+    def test_apply_pattern(self):
+        errors = set()
+        for seed in RULE_SEEDS:
+            model, pattern, bindings, force_theirs = pattern_case(seed)
+            args = (model, pattern, bindings)
+            got = outcome(apply_pattern, *args, force_theirs=force_theirs)
+            assert got == outcome(oracles.apply_pattern, *args, force_theirs=force_theirs), seed
+            errors.add(got[1] and got[1][0])
+        assert errors == {None, ValueError, AnchorUnbound, AnchorKindMismatch, MergeConflict}
+
+    def test_swaps(self):
+        errors = set()
+        for seed in RULE_SEEDS:
+            model, repo, slot = swap_case(seed)
+            got = outcome(enumerate_alternatives_with_slots, model, repo, slot)
+            assert got == outcome(oracles.enumerate_alternatives_with_slots, model, repo, slot), seed
+            errors.add(got[1] and got[1][0])
+        assert errors == {None, DuplicateId}
+
+
+# A pattern with several endpoints that are neither blocks nor anchors, built in
+# a fresh interpreter so that set iteration order follows PYTHONHASHSEED.
+BAD_ENDPOINTS = """
+from refmodel.composition import Pattern
+from refmodel.core import Connection, PortRef, TraceKind, TraceLink
+
+ghosts = [f"ghost{i}" for i in range(6)]
+kinds = [TraceKind.PERFORMS, TraceKind.EXHIBITS, TraceKind.MAPS_TO]
+connections = [Connection(PortRef(g, "out"), PortRef(h, "in")) for g, h in zip(ghosts[::-1], ghosts)]
+traces = [TraceLink(kinds[i % 3], g, h) for i, (g, h) in enumerate(zip(ghosts, ghosts[::-1]))]
+for links in ({"connections": connections, "traces": traces}, {"traces": traces}):
+    try:
+        Pattern("p", **links)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2", "3"])
+def test_bad_pattern_endpoint_does_not_depend_on_hash_seed(hash_seed):
+    """The first bad endpoint in connection order, then trace order, is named.
+
+    When the check walked the sets in iteration order, these four hash seeds
+    named ghost2/ghost3, ghost3/ghost5, ghost1/ghost1 and ghost5/ghost4.
+    """
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(Path(refmodel.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", BAD_ENDPOINTS], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert proc.stdout.splitlines() == [
+        "pattern 'p': connection endpoint 'ghost0' is neither a pattern block nor an anchor",
+        "pattern 'p': trace endpoint 'ghost1' is neither a pattern block nor an anchor",
+    ]
 
 
 class TestDeepChain:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from genmodels import dense_trace_model, random_model, random_repository
 from refmodel import demo
+from refmodel.composition import Pattern
 from refmodel.core import (
     BlockKind,
     BuildingBlock,
@@ -196,6 +197,21 @@ class TestPersistence:
 
     def test_demo_model_round_trip_is_equal(self, demo_model):
         assert load_model(save_model(demo_model)) == demo_model
+
+    def test_pattern_built_out_of_id_order_round_trips(self):
+        pattern = demo.services_pattern()
+        reversed_pattern = Pattern(
+            pattern.id,
+            tuple(reversed(pattern.blocks)),
+            pattern.connections,
+            pattern.traces,
+            tuple(reversed(pattern.anchors)),
+        )
+        assert reversed_pattern == pattern
+        repo = add_asset(ReferenceRepository(), PatternAsset(reversed_pattern))
+        assert load(save(repo)) == repo
+        (document,) = repository_to_document(repo)["assets"]
+        assert load_asset(json.dumps(document)) == PatternAsset(reversed_pattern)
 
     def test_version_survives_round_trip(self, demo_repo):
         assert load(save(demo_repo)).version == demo_repo.version

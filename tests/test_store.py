@@ -287,6 +287,23 @@ def test_connect_chain_scales_linearly():
     assert long <= 8 * short, (long, short)
 
 
+def older_reads_seconds(writes):
+    """Grow a model by `writes` blocks, reading the version before each write right after it."""
+    model = Model(id="grow")
+    start = time.perf_counter()
+    for i in range(writes):
+        older, model = model, add_block(model, service(f"s{i}"))
+        assert f"s{i}" not in older.blocks and f"s{i // 2}" in model.blocks
+    return time.perf_counter() - start
+
+
+def test_reading_an_older_version_while_the_log_grows_scales_linearly():
+    """The position index is built once and kept up by each append, not rebuilt as the log grows."""
+    short = min(older_reads_seconds(500) for _ in range(3))
+    long = min(older_reads_seconds(4000) for _ in range(3))
+    assert long <= 16 * short, (long, short)
+
+
 def test_steps_run_once_per_model_and_direction(monkeypatch):
     runs = []
     steps = composition._steps
