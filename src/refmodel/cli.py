@@ -165,24 +165,14 @@ def _planner_list(text: str) -> list[str]:
     return [piece.strip() for piece in text.split(",") if piece.strip()]
 
 
-def _parse_kv(entries, flag) -> dict:
-    out = {}
-    for entry in entries:
-        key, sep, value = entry.partition("=")
-        if not sep or not key:
-            raise _UsageError(f"{flag} expects KEY=VALUE, got '{entry}'")
-        out[key] = _coerce_scalar(value)
-    return out
-
-
-def _name_values(entries, flag: str, metavar: str) -> dict[str, str]:
-    """Repeated NAME=VALUE flags as a dict; an empty name or value is a usage error."""
+def _name_values(entries, flag: str, metavar: str, scalars: bool = False) -> dict:
+    """Repeated NAME=VALUE flags as a dict; with scalars, a value may be empty and is coerced to a scalar."""
     out = {}
     for entry in entries:
         name, sep, value = entry.partition("=")
-        if not sep or not name or not value:
+        if not sep or not name or not (value or scalars):
             raise _UsageError(f"{flag} expects {metavar}, got '{entry}'")
-        out[name] = value
+        out[name] = _coerce_scalar(value) if scalars else value
     return out
 
 
@@ -246,40 +236,37 @@ def cmd_repo_list(args) -> int:
 # --- model commands ---------------------------------------------------------
 
 
+def _save_model(path: FilePath, model: Model, message: str) -> int:
+    """The last step of every model command: write the edited model, then say what was done."""
+    _write(path, repository.save_model(model))
+    print(message)
+    return 0
+
+
 def cmd_model_adopt(args) -> int:
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
     model = repository.adopt(repo, args.asset_id, model)
-    _write(path, repository.save_model(model))
-    print(f"adopted '{args.asset_id}' into {path}")
-    return 0
+    return _save_model(path, model, f"adopted '{args.asset_id}' into {path}")
 
 
 def cmd_model_adapt(args) -> int:
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
-    overrides: dict = {}
-    if args.new_name:
-        overrides["name"] = args.new_name
-    params = _parse_kv(args.param, "--param")
-    if params:
-        overrides["parameters"] = params
-    port_types = _name_values(args.port_type, "--port-type", "PORT=TYPE")
-    if port_types:
-        overrides["port_types"] = port_types
+    overrides = {
+        "name": args.new_name,
+        "parameters": _name_values(args.param, "--param", "KEY=VALUE", scalars=True),
+        "port_types": _name_values(args.port_type, "--port-type", "PORT=TYPE"),
+    }
+    overrides = {field: value for field, value in overrides.items() if value}
     model = repository.adapt(repo, args.asset_id, overrides, model)
-    _write(path, repository.save_model(model))
-    print(f"adapted '{args.asset_id}' into {path}")
-    return 0
+    return _save_model(path, model, f"adapted '{args.asset_id}' into {path}")
 
 
 def cmd_model_extend(args) -> int:
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
-    block = repo.asset(args.asset_id)
-    if not isinstance(block, repository.BlockAsset):
-        raise repository.WrongAssetKind(f"asset '{args.asset_id}' is not a block asset")
-    layer = block.block.layer
+    layer = repository.asset_of_kind(repo, args.asset_id, repository.BlockAsset).block.layer
     ports = []
     for entry in args.port:
         pieces = entry.split(":")
@@ -289,11 +276,9 @@ def cmd_model_extend(args) -> int:
         if direction not in (d.value for d in PortDirection):
             raise _UsageError(f"--port direction must be provided or required, got '{direction}'")
         ports.append(Port(port_id, PortDirection(direction), interface, layer))
-    params = _parse_kv(args.param, "--param")
+    params = _name_values(args.param, "--param", "KEY=VALUE", scalars=True)
     model = repository.extend(repo, args.asset_id, ports, params, model)
-    _write(path, repository.save_model(model))
-    print(f"extended '{args.asset_id}' into {path}")
-    return 0
+    return _save_model(path, model, f"extended '{args.asset_id}' into {path}")
 
 
 def cmd_model_connect(args) -> int:
@@ -301,24 +286,16 @@ def cmd_model_connect(args) -> int:
     provided = _parse_port_ref(args.provided, "provided endpoint")
     required = _parse_port_ref(args.required, "required endpoint")
     model = composition.connect(model, provided, required)
-    _write(path, repository.save_model(model))
-    print(f"connected {args.provided} -> {args.required}")
-    return 0
+    return _save_model(path, model, f"connected {args.provided} -> {args.required}")
 
 
 def cmd_model_apply_pattern(args) -> int:
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
-    asset = repo.asset(args.pattern_id)
-    if not isinstance(asset, repository.PatternAsset):
-        raise repository.WrongAssetKind(f"asset '{args.pattern_id}' is not a pattern asset")
+    pattern = repository.asset_of_kind(repo, args.pattern_id, repository.PatternAsset).pattern
     bindings = _name_values(args.bind, "--bind", "ANCHOR=BLOCK")
-    model = composition.apply_pattern(
-        model, asset.pattern, bindings, force_theirs=args.force_theirs
-    )
-    _write(path, repository.save_model(model))
-    print(f"applied pattern '{args.pattern_id}' into {path}")
-    return 0
+    model = composition.apply_pattern(model, pattern, bindings, force_theirs=args.force_theirs)
+    return _save_model(path, model, f"applied pattern '{args.pattern_id}' into {path}")
 
 
 # --- analysis commands ------------------------------------------------------
@@ -406,6 +383,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_COMPARE_FORMATS = {
+    "text": evaluator.comparison_to_table,
+    "csv": evaluator.comparison_to_csv,
+    "svg": evaluator.remaining_chart_svg,
+}
+
+
 def cmd_compare(args) -> int:
     tmap = _load_map(args)
     report = evaluator.compare(
@@ -415,12 +399,7 @@ def cmd_compare(args) -> int:
         map_label=FilePath(args.map_file).name,
         **_given(args, "planners"),
     )
-    if args.format == "csv":
-        print(evaluator.comparison_to_csv(report), end="")
-    elif args.format == "svg":
-        print(evaluator.remaining_chart_svg(report), end="")
-    else:
-        print(evaluator.comparison_to_table(report), end="")
+    print(_COMPARE_FORMATS[args.format](report), end="")
     if args.out:
         out = FilePath(args.out)
         _write(out / "compare.csv", evaluator.comparison_to_csv(report))
@@ -431,6 +410,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
+_ENSEMBLE_FORMATS = {"text": evaluator.ensemble_to_table, "csv": evaluator.ensemble_to_csv}
+
+
 def cmd_ensemble(args) -> int:
     stats = evaluator.ensemble(
         GenParams(**_given(args, *_GEN_FIELDS)),
@@ -439,10 +421,7 @@ def cmd_ensemble(args) -> int:
         start=args.start,
         **_given(args, "planners", "seed0"),
     )
-    if args.format == "csv":
-        print(evaluator.ensemble_to_csv(stats), end="")
-    else:
-        print(evaluator.ensemble_to_table(stats), end="")
+    print(_ENSEMBLE_FORMATS[args.format](stats), end="")
     _write_out(args.out, "ensemble.csv", evaluator.ensemble_to_csv(stats))
     return 0
 
@@ -498,8 +477,8 @@ def _opt(*flags: str, **settings) -> tuple:
 
 
 def _format(*choices: str) -> tuple:
-    """--format: text, the default, or one of the other formats the command prints."""
-    return _opt("--format", choices=["text", *choices], default="text", help="stdout format")
+    """--format: one of the formats the command prints, text by default."""
+    return _opt("--format", choices=list(choices), default="text", help="stdout format")
 
 
 # Options that several commands read, each stated once. A flag the library has a default
@@ -524,6 +503,7 @@ _SIM = (
     _opt("--consumption-factor", type=float, help="per-step consumption scale"),
     _opt("--start", type=_position, help="start cell as row,col (default: first free cell)"),
 )
+_DOT = _format("text", "dot")
 _LAYERS = [layer.value for layer in ConcernLayer]
 
 _GROUP_HELP = {"repo": "manage a reference repository", "model": "compose an application model"}
@@ -548,22 +528,21 @@ COMMANDS = (
              _opt("--force-theirs", action="store_true", help="replace conflicting blocks"), _REPO, _MODEL)),
     Command("validate", "check wiring and trace legality", cmd_validate, (_MODEL,)),
     Command("trace", "follow trace links from an element", cmd_trace,
-            (_opt("element"), _opt("--direction", choices=["up", "down"], default="down"), _MODEL,
-             _format("dot"))),
+            (_opt("element"), _opt("--direction", choices=["up", "down"], default="down"), _MODEL, _DOT)),
     Command("coverage", "capability coverage statuses", cmd_coverage, (_MODEL,)),
     Command("view", "extract a viewpoint-filtered view", cmd_view,
             (_opt("--subject", required=True, choices=_LAYERS),
-             _opt("--aspect", required=True, choices=[a.value for a in Aspect]), _MODEL, _format("dot"))),
+             _opt("--aspect", required=True, choices=[a.value for a in Aspect]), _MODEL, _DOT)),
     Command("alternatives", "plug-compatible slot alternatives", cmd_alternatives, (_SLOT, _REPO, _MODEL)),
     Command("simulate", "simulate one planner on a map", cmd_simulate,
             (_MAP, _opt("--planner", default="edge_follow",
                         help="planner name, or 'adaptive' to pick by terrain variance"),
-             *_SIM, _format("csv"), _OUT)),
+             *_SIM, _format("text", "csv"), _OUT)),
     Command("compare", "compare planners on one map", cmd_compare,
-            (_MAP, _PLANNERS, *_SIM, _format("csv", "svg"), _OUT)),
+            (_MAP, _PLANNERS, *_SIM, _format(*_COMPARE_FORMATS), _OUT)),
     Command("ensemble", "compare planners over generated maps", cmd_ensemble,
             (_opt("--n", type=int, default=10, help="number of generated maps"), _PLANNERS, _SEED, *_GEN,
-             *_SIM, _format("csv"), _OUT)),
+             *_SIM, _format(*_ENSEMBLE_FORMATS), _OUT)),
     Command("rank", "rank slot alternatives by simulated energy", cmd_rank,
             (_SLOT, _opt("--n", type=int, help="rank over N generated maps instead of --map"), _MAP, _SEED,
              *_GEN, _REPO, _MODEL, *_SIM, _OUT)),

@@ -70,15 +70,18 @@ class Pattern:
         object.__setattr__(self, "connections", frozenset(self.connections))
         object.__setattr__(self, "traces", frozenset(self.traces))
         object.__setattr__(self, "anchors", tuple(sorted(self.anchors, key=_by_id)))
-        known = set()
+        block_ids, anchor_ids = set(), set()
         for block in self.blocks:
-            if block.id in known:
+            if block.id in block_ids:
                 raise ValueError(f"pattern '{self.id}': duplicate block id '{block.id}'")
-            known.add(block.id)
+            block_ids.add(block.id)
         for anchor in self.anchors:
-            if anchor.id in known:
+            if anchor.id in anchor_ids:
+                raise ValueError(f"pattern '{self.id}': duplicate anchor id '{anchor.id}'")
+            if anchor.id in block_ids:
                 raise ValueError(f"pattern '{self.id}': anchor id '{anchor.id}' clashes with a block id")
-            known.add(anchor.id)
+            anchor_ids.add(anchor.id)
+        known = block_ids | anchor_ids
         connections = sorted(self.connections, key=connection_key)
         traces = sorted(self.traces, key=trace_key)
         endpoints = [("connection", ref.block) for conn in connections for ref in (conn.source, conn.target)]

@@ -11,7 +11,7 @@ over one core that runs every planner on every map of an arena.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .composition import enumerate_alternatives_with_slots
 from .core import BlockKind, Model
@@ -99,7 +99,7 @@ def _maps(arena: Arena) -> Iterator[tuple[int | None, TerrainMap]]:
 
 
 def _rows(
-    arena: Arena, planners: Sequence[PlannerRef], params: SimParams, start: Position | None
+    arena: Arena, planners: Sequence[PlannerRef], params: SimParams | None, start: Position | None
 ) -> Iterator[tuple[Position, Row]]:
     """Per map, one (name, result) run per planner, all from the same start and params.
 
@@ -163,7 +163,6 @@ def ensemble(
 ) -> EnsembleStats:
     """Compare planners on maps generated with seeds seed0 .. seed0+n_maps-1."""
     spec = EnsembleSpec(gen, n_maps, seed0)
-    params = params or SimParams()
     names = [resolve_planner(p)[0] for p in planners]
     totals: list[list[float]] = [[] for _ in names]
     wins = [0] * len(names)
@@ -204,7 +203,6 @@ def rank_configurations(
     slot_block = model.block(slot)
     if slot_block.kind is not BlockKind.ALGORITHM_BLOCK:
         raise NoAlternatives(f"slot '{slot}' is not an algorithm block")
-    params = params or SimParams()
     alternatives = enumerate_alternatives_with_slots(model, repo, slot)
     names = [resolve_planner(alternative.blocks[block_id])[0] for block_id, alternative in alternatives]
     totals: list[list[float]] = [[] for _ in alternatives]
@@ -232,65 +230,77 @@ def rank_configurations(
 # ---------------------------------------------------------------------------
 
 
-def comparison_to_csv(report: ComparisonReport) -> str:
-    lines = ["planner,steps_completed,total_consumed,terminated,winner"]
-    for name, result in report.runs:
-        lines.append(
-            f"{name},{result.steps_completed},{result.total_consumed:.6f},"
-            f"{result.terminated.value},{1 if name == report.winner else 0}"
-        )
+def _csv_field(value) -> str:
+    """One CSV field, quoted with inner quotes doubled (RFC 4180) if it holds a comma, a quote, CR or LF."""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv(header: str, rows: Iterable[tuple]) -> str:
+    """CSV text: the header, then one line per row, each line ending in a newline."""
+    lines = [header, *(",".join(map(_csv_field, row)) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def _table(title: str, header: str, rows: Iterable[str]) -> str:
+    """A text table: title, header, a rule as wide as the header, then one line per row."""
+    return "\n".join([title, header, "-" * len(header), *rows]) + "\n"
+
+
+def _marked(report: ComparisonReport) -> int:
+    """Index of the winning run: the first run carrying the winner's name, the one _winner picks."""
+    return [name for name, _ in report.runs].index(report.winner)
+
+
+def comparison_to_csv(report: ComparisonReport) -> str:
+    marked = _marked(report)
+    return _csv("planner,steps_completed,total_consumed,terminated,winner", (
+        (name, result.steps_completed, f"{result.total_consumed:.6f}", result.terminated.value,
+         int(i == marked))
+        for i, (name, result) in enumerate(report.runs)
+    ))
 
 
 def comparison_to_table(report: ComparisonReport) -> str:
-    lines = []
     label = f" on {report.map_label}" if report.map_label else ""
-    lines.append(f"comparison{label} (start {report.start.row},{report.start.col})")
-    header = f"{'planner':<16} {'steps':>6} {'total':>12} {'terminated':<18} winner"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, result in report.runs:
-        marker = "*" if name == report.winner else ""
-        lines.append(
-            f"{name:<16} {result.steps_completed:>6} {result.total_consumed:>12.6f} "
-            f"{result.terminated.value:<18} {marker}"
-        )
-    return "\n".join(lines) + "\n"
+    marked = _marked(report)
+    rows = (
+        f"{name:<16} {result.steps_completed:>6} {result.total_consumed:>12.6f} "
+        f"{result.terminated.value:<18} {'*' if i == marked else ''}"
+        for i, (name, result) in enumerate(report.runs)
+    )
+    title = f"comparison{label} (start {report.start.row},{report.start.col})"
+    return _table(title, f"{'planner':<16} {'steps':>6} {'total':>12} {'terminated':<18} winner", rows)
 
 
 def ensemble_to_csv(stats: EnsembleStats) -> str:
-    lines = ["planner,mean_total,min_total,max_total,wins,n_maps"]
-    for entry in stats.per_planner:
-        lines.append(
-            f"{entry.planner},{entry.mean_total:.6f},{entry.min_total:.6f},"
-            f"{entry.max_total:.6f},{entry.wins},{stats.n_maps}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("planner,mean_total,min_total,max_total,wins,n_maps", (
+        (e.planner, f"{e.mean_total:.6f}", f"{e.min_total:.6f}", f"{e.max_total:.6f}", e.wins, stats.n_maps)
+        for e in stats.per_planner
+    ))
 
 
 def ensemble_to_table(stats: EnsembleStats) -> str:
-    lines = [
-        f"ensemble over {stats.n_maps} maps (seeds {stats.seed_start}..{stats.seed_end})"
-    ]
-    header = f"{'planner':<16} {'mean':>12} {'min':>12} {'max':>12} {'wins':>6}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for entry in stats.per_planner:
-        lines.append(
-            f"{entry.planner:<16} {entry.mean_total:>12.6f} {entry.min_total:>12.6f} "
-            f"{entry.max_total:>12.6f} {entry.wins:>6}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        f"{e.planner:<16} {e.mean_total:>12.6f} {e.min_total:>12.6f} {e.max_total:>12.6f} {e.wins:>6}"
+        for e in stats.per_planner
+    )
+    title = f"ensemble over {stats.n_maps} maps (seeds {stats.seed_start}..{stats.seed_end})"
+    return _table(title, f"{'planner':<16} {'mean':>12} {'min':>12} {'max':>12} {'wins':>6}", rows)
 
 
 def ranking_to_csv(ranked: Sequence[RankedConfiguration]) -> str:
-    lines = ["rank,block_id,planner,score,completed"]
-    for position, entry in enumerate(ranked, start=1):
-        lines.append(
-            f"{position},{entry.block_id},{entry.planner},{entry.score:.6f},"
-            f"{1 if entry.completed else 0}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("rank,block_id,planner,score,completed", (
+        (position, entry.block_id, entry.planner, f"{entry.score:.6f}", int(entry.completed))
+        for position, entry in enumerate(ranked, start=1)
+    ))
+
+
+def _escape(text: str) -> str:
+    """Text for an SVG text node: &, < and > as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -333,7 +343,7 @@ def remaining_chart_svg(report: ComparisonReport, width: int = 480, height: int 
         )
         lines.append(
             f'<text x="{width - margin - 4}" y="{margin + 14 * index + 10}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{name}</text>'
+            f'font-size="11" fill="{color}">{_escape(name)}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -366,7 +376,7 @@ def paths_svg(tmap: TerrainMap, report: ComparisonReport, cell: int = 24) -> str
             points.append(f"{x:.2f},{y:.2f}")
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" opacity="0.8" '
-            f'points="{" ".join(points)}"><title>{name}</title></polyline>'
+            f'points="{" ".join(points)}"><title>{_escape(name)}</title></polyline>'
         )
     start = report.start
     lines.append(

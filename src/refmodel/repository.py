@@ -137,16 +137,18 @@ def list_assets(
     ]
 
 
-def _block_asset(repo: ReferenceRepository, asset_id: str) -> BuildingBlock:
+def asset_of_kind(repo: ReferenceRepository, asset_id: str, kind: type) -> Asset:
+    """The asset under asset_id, which must be of the asset class kind; else WrongAssetKind."""
     asset = repo.asset(asset_id)
-    if not isinstance(asset, BlockAsset):
-        raise WrongAssetKind(f"asset '{asset_id}' is not a block asset")
-    return asset.block
+    if not isinstance(asset, kind):
+        name = kind.__name__.removesuffix("Asset").lower()
+        raise WrongAssetKind(f"asset '{asset_id}' is not a {name} asset")
+    return asset
 
 
 def adopt(repo: ReferenceRepository, asset_id: str, model: Model) -> Model:
     """Copy a reference block verbatim into the model, marked as adopted."""
-    block = _block_asset(repo, asset_id)
+    block = asset_of_kind(repo, asset_id, BlockAsset).block
     return add_block(model, replace(block, origin=Origin.ADOPTED))
 
 
@@ -165,7 +167,7 @@ def adapt(
     attempting to override them raises IllegalOverride. Parameter overrides
     merge into the block's existing parameters.
     """
-    block = _block_asset(repo, asset_id)
+    block = asset_of_kind(repo, asset_id, BlockAsset).block
     illegal = set(overrides) - _ADAPTABLE_FIELDS
     if illegal:
         raise IllegalOverride(
@@ -196,7 +198,7 @@ def extend(
     Existing fields stay untouched: clashing port ids raise DuplicatePortId
     and clashing parameter names raise IllegalOverride.
     """
-    block = _block_asset(repo, asset_id)
+    block = asset_of_kind(repo, asset_id, BlockAsset).block
     existing_ports = {p.id for p in block.ports}
     for port in extra_ports:
         if port.id in existing_ports:

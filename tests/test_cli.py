@@ -725,3 +725,132 @@ class TestExitCodes:
         assert code == 2
         assert f"{command[-1]} expects" in err
         assert model_path.read_bytes() == before
+
+
+VIEW_TEXT = {
+    ("service", "structure"): [
+        "view (service, structure): 4 element(s)",
+        "  svc.green_area_mobility",
+        "  svc.mowing",
+        "  svc.object_recognition",
+        "  svc.smart_mowing",
+        "  svc.green_area_mobility:out -> svc.smart_mowing:in_mobility",
+        "  svc.mowing:out -> svc.smart_mowing:in_mowing",
+        "  svc.object_recognition:out -> svc.smart_mowing:in_recognition",
+    ],
+    ("operational", "behavior"): [
+        "view (operational, behavior): 4 element(s)",
+        "  op.act.move",
+        "  op.act.mow",
+        "  op.act.recognize",
+        "  op.mowing_node",
+        "  op.mowing_node -performs-> op.act.move",
+        "  op.mowing_node -performs-> op.act.mow",
+        "  op.mowing_node -performs-> op.act.recognize",
+    ],
+}
+
+
+@pytest.mark.parametrize("subject, aspect", sorted(VIEW_TEXT))
+def test_view_text_on_demo_model(demo_dir, capsys, subject, aspect):
+    """The text view lists elements, then connections, then trace links."""
+    code, out, err = run_cli(
+        capsys, "view", "--subject", subject, "--aspect", aspect,
+        "--model", str(demo_dir / "demo.refmodel.json"),
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == VIEW_TEXT[subject, aspect]
+
+
+class TestModelFlags:
+    """How the model commands read their NAME=VALUE, port and endpoint arguments."""
+
+    @staticmethod
+    def run_model(demo_dir, capsys, *argv, model="new.refmodel.json"):
+        model_path = demo_dir / model
+        before = model_path.read_bytes() if model_path.exists() else None
+        result = run_cli(
+            capsys, "model", *argv, "--repo", str(demo_dir / "demo.refrepo.json"), "--model", str(model_path)
+        )
+        return result, model_path, before
+
+    def test_param_values_are_coerced(self, demo_dir, capsys):
+        entries = {"a": "true", "b": "False", "c": "3", "d": "2.5", "e": "text", "f": ""}
+        params = [arg for key, value in entries.items() for arg in ("--param", f"{key}={value}")]
+        (code, out, _), model_path, _ = self.run_model(demo_dir, capsys, "adapt", "res.battery", *params)
+        assert (code, out) == (0, f"adapted 'res.battery' into {model_path}\n")
+        parameters = repository.load_model(model_path.read_text()).block("res.battery").parameters
+        got = {key: parameters[key] for key in entries}
+        assert got == {"a": True, "b": False, "c": 3, "d": 2.5, "e": "text", "f": ""}
+        assert [type(value) for value in got.values()] == [bool, bool, int, float, str, str]
+
+    @pytest.mark.parametrize("command", [("adapt", "res.battery"), ("extend", "res.battery")])
+    @pytest.mark.parametrize("entry", ["capacity", "=5"])
+    def test_param_needs_key_and_equals(self, demo_dir, capsys, command, entry):
+        (code, out, err), model_path, _ = self.run_model(demo_dir, capsys, *command, "--param", entry)
+        assert (code, out, err) == (2, "", f"usage error: --param expects KEY=VALUE, got '{entry}'\n")
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("extra:required", "--port expects ID:DIRECTION:TYPE, got 'extra:required'"),
+            ("extra:required:T:x", "--port expects ID:DIRECTION:TYPE, got 'extra:required:T:x'"),
+            ("extra::T", "--port expects ID:DIRECTION:TYPE, got 'extra::T'"),
+            ("extra:sideways:T", "--port direction must be provided or required, got 'sideways'"),
+        ],
+    )
+    def test_malformed_port(self, demo_dir, capsys, entry, message):
+        (code, out, err), model_path, _ = self.run_model(
+            demo_dir, capsys, "extend", "res.battery", "--port", entry
+        )
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "provided, required, side, bad",
+        [
+            ("res.camera", "res.fn.preprocess:in_images", "provided", "res.camera"),
+            ("res.camera:", "res.fn.preprocess:in_images", "provided", "res.camera:"),
+            ("res.camera:out", ":in_images", "required", ":in_images"),
+        ],
+    )
+    def test_malformed_endpoint(self, demo_dir, capsys, provided, required, side, bad):
+        model_path = demo_dir / "demo.refmodel.json"
+        before = model_path.read_bytes()
+        code, out, err = run_cli(capsys, "model", "connect", provided, required, "--model", str(model_path))
+        assert (code, out, err) == (2, "", f"usage error: {side} endpoint expects BLOCK:PORT, got '{bad}'\n")
+        assert model_path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("extend", demo.DEMO_PATTERN_ID), f"asset '{demo.DEMO_PATTERN_ID}' is not a block asset"),
+            (("extend", "vp.service_structure"), "asset 'vp.service_structure' is not a block asset"),
+            (("apply-pattern", "res.camera"), "asset 'res.camera' is not a pattern asset"),
+            (("adopt", demo.DEMO_PATTERN_ID), f"asset '{demo.DEMO_PATTERN_ID}' is not a block asset"),
+            (("adapt", demo.DEMO_PATTERN_ID), f"asset '{demo.DEMO_PATTERN_ID}' is not a block asset"),
+        ],
+    )
+    def test_asset_of_the_wrong_kind(self, demo_dir, capsys, argv, message):
+        (code, out, err), model_path, before = self.run_model(
+            demo_dir, capsys, *argv, model="demo.refmodel.json"
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert model_path.read_bytes() == before
+
+    def test_port_type_of_a_missing_port(self, demo_dir, capsys):
+        (code, out, err), model_path, _ = self.run_model(
+            demo_dir, capsys, "adapt", "res.battery", "--port-type", "nope=Power"
+        )
+        assert (code, out, err) == (1, "", "error: block 'res.battery' has no port 'nope' to retype\n")
+        assert not model_path.exists()
+
+
+def test_compare_marks_one_winner_among_repeated_planners(demo_dir, capsys):
+    map_path = str(demo_dir / "reference.terrain.txt")
+    argv = ("compare", "--map", map_path, "--planners", "terrain_aware,edge_follow,terrain_aware")
+    _, table, _ = run_cli(capsys, *argv)
+    _, csv_text, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert [line.endswith(" *") for line in table.splitlines()[3:]] == [True, False, False]
+    assert [line[-1] for line in csv_text.splitlines()[1:]] == ["1", "0", "0"]

@@ -181,6 +181,17 @@ class TestApplyPattern:
         with pytest.raises(MergeConflict, match="block 'svc.green_area_mobility'"):
             apply_pattern(demo_model, Pattern(id="p", blocks=divergent))
 
+    def test_repeated_anchor_is_named_as_such(self):
+        anchor = PatternAnchor("cap", ConcernLayer.STRATEGIC, BlockKind.CAPABILITY)
+        with pytest.raises(ValueError, match="^pattern 'p': duplicate anchor id 'cap'$"):
+            Pattern(id="p", anchors=[anchor, anchor])
+
+    def test_anchor_sharing_a_block_id_clashes(self, demo_model):
+        block = demo_model.block("cap.mowing")
+        anchor = PatternAnchor(block.id, ConcernLayer.STRATEGIC, BlockKind.CAPABILITY)
+        with pytest.raises(ValueError, match="anchor id 'cap.mowing' clashes with a block id"):
+            Pattern(id="p", blocks=[block], anchors=[anchor])
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
     def test_merge_monotone_and_idempotent(self, seed):

@@ -1,9 +1,12 @@
+import csv
+import io
 from dataclasses import replace
+from xml.dom import minidom
 
 import oracles
 import pytest
 
-from refmodel import evaluator
+from refmodel import evaluator, planners
 from refmodel.errors import NoAlternatives, StartBlocked
 from refmodel.evaluator import (
     EnsembleSpec,
@@ -193,6 +196,85 @@ class TestRendering:
             assert svg.rstrip().endswith("</svg>")
         assert chart.count("<polyline") == 2
         assert grid.count("<rect") == ridge_map.width * ridge_map.height
+
+
+# Planner names and block ids that need quoting in CSV or escaping in SVG.
+AWKWARD_NAMES = ("a,b", 'say "hi"', "two\nlines", "cr\rhere", "a<b&c>")
+
+
+@pytest.fixture()
+def awkward_planners(monkeypatch):
+    """AWKWARD_NAMES registered as planners, each running edge_follow."""
+    for name in AWKWARD_NAMES:
+        monkeypatch.setitem(planners._REGISTRY, name, planners.plan_edge_follow)
+    return AWKWARD_NAMES
+
+
+def _csv_rows(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+class TestOneWinnerMark:
+    REPEATED = ("terrain_aware", "edge_follow", "terrain_aware")
+
+    def test_repeated_planner_marked_once(self, ridge_map):
+        report = compare(ridge_map, self.REPEATED)
+        assert report.winner == "terrain_aware"
+        table_rows = comparison_to_table(report).splitlines()[3:]
+        assert [row.endswith(" *") for row in table_rows] == [True, False, False]
+        assert [row[-1] for row in _csv_rows(comparison_to_csv(report))[1:]] == ["1", "0", "0"]
+
+    def test_marks_agree_with_ensemble_wins(self):
+        gen = GenParams(width=7, height=6, obstacle_density=0.2)
+        planner_list = ("edge_follow", "terrain_aware", "edge_follow", "terrain_aware")
+        marks = [0] * len(planner_list)
+        for seed in range(8):
+            report = compare(_generate(gen, seed), planner_list)
+            for index, row in enumerate(_csv_rows(comparison_to_csv(report))[1:]):
+                marks[index] += int(row[-1])
+        stats = ensemble(gen, 8, planner_list)
+        assert marks == [entry.wins for entry in stats.per_planner]
+        assert sum(marks) == 8
+
+
+class TestAwkwardNames:
+    def test_comparison_csv_quotes_names(self, ridge_map, awkward_planners):
+        report = compare(ridge_map, awkward_planners)
+        rows = _csv_rows(comparison_to_csv(report))
+        assert [len(row) for row in rows] == [5] * (1 + len(awkward_planners))
+        assert [row[0] for row in rows[1:]] == list(awkward_planners)
+
+    def test_ensemble_csv_quotes_names(self, awkward_planners):
+        stats = ensemble(GenParams(width=6, height=5, obstacle_density=0.1), 2, awkward_planners)
+        rows = _csv_rows(ensemble_to_csv(stats))
+        assert [len(row) for row in rows] == [6] * (1 + len(awkward_planners))
+        assert [row[0] for row in rows[1:]] == list(awkward_planners)
+
+    def test_ranking_csv_quotes_names(self, demo_model, demo_repo, ridge_map, awkward_planners):
+        """Both the block id and the planner name are quoted where needed."""
+        base = demo_repo.asset("alg.edge_follow").block
+        repo = add_asset(demo_repo, BlockAsset(replace(base, id='alg.x,"y"')))
+        for index, name in enumerate(awkward_planners):
+            parameters = {**base.parameters, "algorithm": name}
+            block = replace(base, id=f"alg.x{index},{name}", parameters=parameters)
+            repo = add_asset(repo, BlockAsset(block))
+        ranked = rank_configurations(demo_model, repo, "alg.edge_follow", ridge_map)
+        rows = _csv_rows(ranking_to_csv(ranked))
+        assert [len(row) for row in rows] == [5] * (1 + len(ranked))
+        assert [(row[1], row[2]) for row in rows[1:]] == [(e.block_id, e.planner) for e in ranked]
+
+    def test_plain_names_stay_unquoted(self, ridge_map):
+        assert '"' not in comparison_to_csv(compare(ridge_map))
+
+    def test_svg_escapes_names(self, ridge_map, awkward_planners):
+        report = compare(ridge_map, awkward_planners)
+        # An XML parser reads a CR in text as LF.
+        names = [name.replace("\r", "\n") for name in awkward_planners]
+        for svg in (remaining_chart_svg(report), paths_svg(ridge_map, report)):
+            document = minidom.parseString(svg)
+            nodes = [node for tag in ("text", "title") for node in document.getElementsByTagName(tag)]
+            texts = [node.firstChild.data for node in nodes]
+            assert texts[-len(names):] == names
 
 
 SEEDS = range(30)

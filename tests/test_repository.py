@@ -213,6 +213,15 @@ class TestPersistence:
         (document,) = repository_to_document(repo)["assets"]
         assert load_asset(json.dumps(document)) == PatternAsset(reversed_pattern)
 
+    def test_repeated_anchor_in_a_pattern_document(self):
+        (document,) = repository_to_document(
+            add_asset(ReferenceRepository(), PatternAsset(demo.services_pattern()))
+        )["assets"]
+        anchors = document["pattern"]["anchors"]
+        anchors.insert(0, anchors[0])
+        with pytest.raises(ParseError, match=f"duplicate anchor id '{anchors[0]['id']}'$"):
+            load_asset(json.dumps(document))
+
     def test_version_survives_round_trip(self, demo_repo):
         assert load(save(demo_repo)).version == demo_repo.version
 
