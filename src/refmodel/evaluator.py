@@ -299,8 +299,9 @@ def ranking_to_csv(ranked: Sequence[RankedConfiguration]) -> str:
 
 
 def _escape(text: str) -> str:
-    """Text for an SVG text node: &, < and > as entities."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Text for an SVG text node: &, < and > as entities, and CR as a character reference,
+    which an XML parser keeps where it would read a raw CR as LF."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
+from typing import AbstractSet, Any, Callable, Mapping, NamedTuple, Sequence, Union
 
 from .composition import Pattern, PatternAnchor, Viewpoint
 from .core import (
@@ -230,7 +230,7 @@ def save(repo: ReferenceRepository) -> str:
 
 def load(text: str) -> ReferenceRepository:
     """Parse a repository document; raises ParseError / SchemaVersionMismatch."""
-    return _REPOSITORY.decode(_loads(text), "$")
+    return _decode(_REPOSITORY, text)
 
 
 def save_model(model: Model) -> str:
@@ -240,12 +240,12 @@ def save_model(model: Model) -> str:
 
 def load_model(text: str) -> Model:
     """Parse a model document; shares the repository schema conventions."""
-    return _MODEL.decode(_loads(text), "$")
+    return _decode(_MODEL, text)
 
 
 def load_asset(text: str) -> Asset:
     """Parse a single asset document (same shape as entries in a repository)."""
-    return _ASSET.decode(_loads(text), "$")
+    return _decode(_ASSET, text)
 
 
 def repository_to_document(repo: ReferenceRepository) -> dict:
@@ -257,7 +257,41 @@ def model_to_document(model: Model) -> dict:
 
 
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """`json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\\n"`, without the
+    pure-Python encoder that the standard library falls back to for an indent."""
+    chunks = []
+    _write(doc, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value, newline: str, emit):
+    """Emit `value` in chunks; `newline` is a line break plus the indent of the line `value` is on."""
+    if isinstance(value, dict) and value:
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            key = _quote(json.dumps(key) if isinstance(key, (int, float)) or key is None else key)
+            if type(item) is str:
+                emit(f"{separator}{key}: {_quote(item)}")
+            else:
+                emit(f"{separator}{key}: ")
+                _write(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        for i, item in enumerate(value):
+            emit(("," if i else "[") + inner)
+            _write(item, inner, emit)
+        emit(newline + "]")
+    else:  # a string, a number, a constant, or an empty object or array
+        emit(_TEXT.get(type(value), _scalar)(value))
+
+
+_quote = json.encoder.encode_basestring
+_scalar = json.JSONEncoder(ensure_ascii=False).encode
+_TEXT = {str: _quote, int: int.__repr__, dict: lambda _: "{}", list: lambda _: "[]"}
 
 
 def _reject_constant(name: str):
@@ -275,222 +309,187 @@ def _loads(text: str):
         raise ParseError("arrays and objects are nested too deeply") from None
 
 
+def _decode(codec: _Codec, text: str):
+    doc = _loads(text)
+    try:
+        return codec.decode(doc)
+    except ParseError as exc:
+        raise _located("$", exc)
+
+
+def _located(step: str, exc: ParseError) -> ParseError:
+    """`exc` with `step` put in front of the path that its message starts with."""
+    exc.args = (f"{step}{exc}",)
+    return exc
+
+
 class _Codec(NamedTuple):
-    """How one value is written to JSON and read back; `decode` names `path` in its errors."""
+    """How a value is written to JSON, read back, and read when missing. `decode` raises ParseErrors
+    whose message starts with the path below the value; each enclosing record or array prepends its step."""
 
     encode: Callable[[Any], Any]
-    decode: Callable[[Any, str], Any]
+    decode: Callable[[Any], Any]
+    default: Any = None
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+def _expect(kind: type, name: str) -> Callable[[Any], Any]:
+    """A decoder passing a JSON value of `kind` through (a bool is no integer)."""
+
+    def decode(value):
+        if type(value) is kind:
+            return value
+        raise ParseError(f": expected {name}, found {type(value).__name__}")
+
+    return decode
 
 
-def _expect(kind: type, value, path: str):
-    """The value itself if it is a JSON value of `kind` (a bool is no integer)."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ParseError(f"{path}: expected {_JSON_TYPES[kind]}, found {type(value).__name__}")
-    return value
+_object, _list, _string = _expect(dict, "an object"), _expect(list, "an array"), _expect(str, "a string")
+_STR = _Codec(lambda value: value, _string, "")
+_INT = _Codec(lambda value: value, _expect(int, "an integer"), 0)
 
 
-def _wrap(path: str, build, *args, **kwargs):
-    """`build(*args, **kwargs)`, with a ValueError it raises turned into a ParseError at `path`."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+def _tokens(members: Mapping[str, Any], what: str) -> Callable[[Any], Any]:
+    """A decoder reading a token as its entry in `members`."""
+
+    def decode(value):
+        if type(value) is str and value in members:
+            return members[value]
+        raise ParseError(f": unknown {what} token '{_string(value)}'")
+
+    return decode
 
 
-def _same(value):
-    return value
-
-
-_STR = _Codec(_same, lambda value, path: _expect(str, value, path))
-_INT = _Codec(_same, lambda value, path: _expect(int, value, path))
-
-
-def _enum(cls) -> _Codec:
+def _enum(cls, default=None) -> _Codec:
     """An enum member, written as its token."""
-    members = {member.value: member for member in cls}
-
-    def decode(value, path: str):
-        token = _expect(str, value, path)
-        if token not in members:
-            raise ParseError(f"{path}: unknown {cls.__name__.lower()} token '{token}'")
-        return members[token]
-
-    return _Codec(lambda member: member.value, decode)
+    decode = _tokens({member.value: member for member in cls}, cls.__name__.lower())
+    return _Codec(lambda member: member.value, decode, default)
 
 
-def _decode_scalars(value, path: str) -> dict[str, Scalar]:
-    scalars = {}
-    for key, scalar in _expect(dict, value, path).items():
-        key = _expect(str, key, path)
-        if not isinstance(scalar, (str, int, float, bool)):
-            raise ParseError(f"{path}.{key}: expected a scalar, found {type(scalar).__name__}")
-        scalars[key] = scalar
-    return scalars
+def _decode_scalars(value) -> dict[str, Scalar]:
+    for key, scalar in _object(value).items():
+        if type(scalar) not in (str, int, float, bool):
+            raise ParseError(f".{key}: expected a scalar, found {type(scalar).__name__}")
+    return value
 
 
-_SCALARS = _Codec(lambda scalars: dict(sorted(scalars.items())), _decode_scalars)
-
-
-def _check_schema_version(found, path: str):
+def _check_schema_version(found):
     if found != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(f"{path}: expected {SCHEMA_VERSION}, found {found!r}")
-    return found
+        raise SchemaVersionMismatch(f": expected {SCHEMA_VERSION}, found {found!r}")
 
 
+_SCALARS = _Codec(lambda scalars: dict(sorted(scalars.items())), _decode_scalars, {})
 _SCHEMA_VERSION = _Codec(lambda _: SCHEMA_VERSION, _check_schema_version)
 
 
 def _array(item: _Codec, key, unique: str = "") -> _Codec:
-    """A list written sorted by `key` and read, in document order, into a tuple.
-
-    A `unique` list stores a dict by id instead: it is written from the dict's
-    values, read into a dict, and an entry that repeats an id is rejected as a
-    duplicate `unique` id before the next entry is read.
-    """
+    """A list written sorted by `key` and read, in document order, into a tuple; a `unique`
+    list is a dict by id instead, and an entry that repeats an id is a duplicate `unique` id."""
 
     def encode(values) -> list:
         return [item.encode(v) for v in sorted(values.values() if unique else values, key=key)]
 
-    def decode(value, path: str):
-        records, ids = [], set()
-        for i, entry in enumerate(_expect(list, value, path)):
-            record = item.decode(entry, f"{path}[{i}]")
-            if unique:
-                if record.id in ids:
-                    raise ParseError(f"{path}[{i}]: duplicate {unique} id '{record.id}'")
-                ids.add(record.id)
-            records.append(record)
-        return {r.id: r for r in records} if unique else tuple(records)
+    def decode(value):
+        entries, records = _list(value), {} if unique else []
+        try:
+            for entry in entries:
+                record = item.decode(entry)
+                if not unique:
+                    records.append(record)
+                elif records.setdefault(record.id, record) is not record:
+                    raise ParseError(f": duplicate {unique} id '{record.id}'")
+        except ParseError as exc:
+            raise _located(f"[{len(records)}]", exc)
+        return records if unique else tuple(records)
 
-    return _Codec(encode, decode)
+    return _Codec(encode, decode, [])
 
 
-_Field = tuple[str, Union[str, None], _Codec, Any]
-
-
-def _record(cls, fields: Sequence[_Field]) -> _Codec:
-    """An object with one (json key, attribute, codec, default) row per field.
-
-    Fields are read in row order and a missing key reads as its default; any
-    other key is an error. A row without an attribute is written by its codec
-    alone and read only to be checked.
-    """
-    keys = {key for key, _, _, _ in fields}
+def _record(cls, codecs: Mapping[str, _Codec], attributes: Mapping[str, str | None] | None = None) -> _Codec:
+    """An object with one codec per key, read in key order into `cls`; any other key is an error. A key
+    is also its attribute, unless `attributes` maps it to another, or to None for a key only checked."""
+    rows = [(key, (attributes or {}).get(key, key), *codec) for key, codec in codecs.items()]
 
     def encode(obj) -> dict:
-        return {key: codec.encode(attr and getattr(obj, attr)) for key, attr, codec, _ in fields}
+        return {key: encode_field(attr and getattr(obj, attr)) for key, attr, encode_field, _, _ in rows}
 
-    def decode(value, path: str):
-        obj = _expect(dict, value, path)
-        _check_fields(obj, path, keys)
+    def decode(value):
+        obj = _object(value)
+        _check_fields(obj, codecs.keys())
         kwargs = {}
-        for key, attr, codec, default in fields:
-            field_value = codec.decode(obj.get(key, default), f"{path}.{key}")
-            if attr:
-                kwargs[attr] = field_value
-        return _wrap(path, cls, **kwargs)
+        try:
+            for key, attr, _, decode_field, default in rows:
+                kwargs[attr] = decode_field(obj.get(key, default))
+        except ParseError as exc:
+            raise _located(f".{key}", exc)
+        kwargs.pop(None, None)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:  # the record's own check, at the record's path
+            raise ParseError(f": {exc}") from None
 
     return _Codec(encode, decode)
 
 
-def _check_fields(obj: Mapping[str, Any], path: str, allowed: set[str]):
-    unknown = obj.keys() - allowed
-    if unknown:
-        raise ParseError(f"{path}: unexpected field '{sorted(unknown)[0]}'")
+def _check_fields(obj: dict, allowed: AbstractSet[str]):
+    if not obj.keys() <= allowed:
+        raise ParseError(f": unexpected field '{min(obj.keys() - allowed)}'")
 
 
-_LAYER = _enum(ConcernLayer)
-_BLOCK_KIND = _enum(BlockKind)
-
-_PORT = _record(Port, (
-    ("id", "id", _STR, ""),
-    ("direction", "direction", _enum(PortDirection), None),
-    ("interface_type", "interface_type", _STR, ""),
-    ("layer", "layer", _LAYER, None),
-))
-_BLOCK = _record(BuildingBlock, (
-    ("ports", "ports", _array(_PORT, _by_id), []),
-    ("parameters", "parameters", _SCALARS, {}),
-    ("id", "id", _STR, ""),
-    ("name", "name", _STR, ""),
-    ("layer", "layer", _LAYER, None),
-    ("kind", "kind", _BLOCK_KIND, None),
-    ("origin", "origin", _enum(Origin), Origin.REFERENCE_ASSET.value),
-))
-_PORT_REF = _record(PortRef, (("block", "block", _STR, ""), ("port", "port", _STR, "")))
-_CONNECTIONS = _array(
-    _record(Connection, (("from", "source", _PORT_REF, None), ("to", "target", _PORT_REF, None))),
-    connection_key,
+_LAYER, _BLOCK_KIND = _enum(ConcernLayer), _enum(BlockKind)
+_PORT = _record(
+    Port, {"id": _STR, "direction": _enum(PortDirection), "interface_type": _STR, "layer": _LAYER}
 )
-_TRACES = _array(
-    _record(TraceLink, (
-        ("kind", "kind", _enum(TraceKind), None),
-        ("source", "source", _STR, ""),
-        ("target", "target", _STR, ""),
-    )),
-    trace_key,
-)
-_ANCHOR = _record(PatternAnchor, (
-    ("id", "id", _STR, ""), ("layer", "layer", _LAYER, None), ("kind", "kind", _BLOCK_KIND, None)
-))
-_PATTERN = _record(Pattern, (
-    ("blocks", "blocks", _array(_BLOCK, _by_id), []),
-    ("connections", "connections", _CONNECTIONS, []),
-    ("traces", "traces", _TRACES, []),
-    ("anchors", "anchors", _array(_ANCHOR, _by_id), []),
-    ("id", "id", _STR, ""),
-))
-_VIEWPOINT = _record(Viewpoint, (
-    ("subject", "subject", _LAYER, None),
-    ("aspect", "aspect", _enum(Aspect), None),
-    ("name", "name", _STR, ""),
-))
+_BLOCK = _record(BuildingBlock, {
+    "ports": _array(_PORT, _by_id), "parameters": _SCALARS, "id": _STR, "name": _STR, "layer": _LAYER,
+    "kind": _BLOCK_KIND, "origin": _enum(Origin, Origin.REFERENCE_ASSET.value),
+})
+_PORT_REF = _record(PortRef, {"block": _STR, "port": _STR})
+_CONNECTION = _record(Connection, {"from": _PORT_REF, "to": _PORT_REF}, {"from": "source", "to": "target"})
+_CONNECTIONS = _array(_CONNECTION, connection_key)
+_TRACES = _array(_record(TraceLink, {"kind": _enum(TraceKind), "source": _STR, "target": _STR}), trace_key)
+_ANCHOR = _record(PatternAnchor, {"id": _STR, "layer": _LAYER, "kind": _BLOCK_KIND})
+_PATTERN = _record(Pattern, {
+    "blocks": _array(_BLOCK, _by_id), "connections": _CONNECTIONS, "traces": _TRACES,
+    "anchors": _array(_ANCHOR, _by_id), "id": _STR,
+})
+_VIEWPOINT = _record(Viewpoint, {"subject": _LAYER, "aspect": _enum(Aspect), "name": _STR})
 
-# asset_kind token -> (asset class, key of its payload, payload codec)
+# asset_kind token -> the asset class read from the payload under the same key
 _ASSET_KINDS = {
-    "block": (BlockAsset, "block", _BLOCK),
-    "pattern": (PatternAsset, "pattern", _PATTERN),
-    "viewpoint": (ViewpointAsset, "viewpoint", _VIEWPOINT),
+    "block": _record(BlockAsset, {"block": _BLOCK}),
+    "pattern": _record(PatternAsset, {"pattern": _PATTERN}),
+    "viewpoint": _record(ViewpointAsset, {"viewpoint": _VIEWPOINT}),
 }
-_ASSET_TOKENS = {cls: token for token, (cls, _, _) in _ASSET_KINDS.items()}
-_ID, _ASSET_KIND = "id", "asset_kind"
-_ASSET_KEYS = {_ID, _ASSET_KIND, *(key for _, key, _ in _ASSET_KINDS.values())}
+_ASSET_TOKENS = {BlockAsset: "block", PatternAsset: "pattern", ViewpointAsset: "viewpoint"}
+_ASSET_KEYS = {"id", "asset_kind", *_ASSET_KINDS}
+_ASSET_KIND = _tokens({token: token for token in _ASSET_KINDS}, "asset kind")
 
 
 def _encode_asset(asset: Asset) -> dict:
     token = _ASSET_TOKENS[type(asset)]
-    _, key, codec = _ASSET_KINDS[token]
-    return {_ID: asset.id, _ASSET_KIND: token, key: codec.encode(getattr(asset, key))}
+    return {"id": asset.id, "asset_kind": token, **_ASSET_KINDS[token].encode(asset)}
 
 
-def _decode_asset(value, path: str) -> Asset:
+def _decode_asset(value) -> Asset:
     """An asset: its kind token picks the payload, and a given id must match the payload's."""
-    obj = _expect(dict, value, path)
-    _check_fields(obj, path, _ASSET_KEYS)
-    token = _expect(str, obj.get(_ASSET_KIND, ""), f"{path}.{_ASSET_KIND}")
-    if token not in _ASSET_KINDS:
-        raise ParseError(f"{path}.{_ASSET_KIND}: unknown asset kind token '{token}'")
-    cls, key, codec = _ASSET_KINDS[token]
-    asset = _wrap(path, cls, codec.decode(obj.get(key), f"{path}.{key}"))
-    declared = obj.get(_ID)
+    obj = _object(value)
+    _check_fields(obj, _ASSET_KEYS)
+    try:
+        token = _ASSET_KIND(obj.get("asset_kind", ""))
+    except ParseError as exc:
+        raise _located(".asset_kind", exc)
+    asset = _ASSET_KINDS[token].decode({token: obj.get(token)})
+    declared = obj.get("id")
     if declared is not None and declared != asset.id:
-        raise ParseError(f"{path}.{_ID}: '{declared}' does not match payload id '{asset.id}'")
+        raise ParseError(f".id: '{declared}' does not match payload id '{asset.id}'")
     return asset
 
 
 _ASSET = _Codec(_encode_asset, _decode_asset)
-_MODEL = _record(Model, (
-    ("schema_version", None, _SCHEMA_VERSION, None),
-    ("id", "id", _STR, ""),
-    ("blocks", "blocks", _array(_BLOCK, _by_id, unique="block"), []),
-    ("connections", "connections", _CONNECTIONS, []),
-    ("traces", "traces", _TRACES, []),
-))
-_REPOSITORY = _record(ReferenceRepository, (
-    ("schema_version", None, _SCHEMA_VERSION, None),
-    ("version", "version", _INT, 0),
-    ("assets", "assets", _array(_ASSET, _by_id, unique="asset"), []),
-))
+_MODEL = _record(Model, {
+    "schema_version": _SCHEMA_VERSION, "id": _STR, "blocks": _array(_BLOCK, _by_id, unique="block"),
+    "connections": _CONNECTIONS, "traces": _TRACES,
+}, {"schema_version": None})
+_REPOSITORY = _record(ReferenceRepository, {
+    "schema_version": _SCHEMA_VERSION, "version": _INT, "assets": _array(_ASSET, _by_id, unique="asset"),
+}, {"schema_version": None})

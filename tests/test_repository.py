@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 
 import oracles
@@ -7,15 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from genmodels import dense_trace_model, random_model, random_repository
 from refmodel import demo
-from refmodel.composition import Pattern
+from refmodel.composition import Pattern, Viewpoint
 from refmodel.core import (
+    Aspect,
     BlockKind,
     BuildingBlock,
     ConcernLayer,
+    Connection,
     Model,
     Origin,
     Port,
     PortDirection,
+    PortRef,
+    TraceKind,
+    TraceLink,
+    layer_for_kind,
 )
 from refmodel.errors import (
     DuplicateId,
@@ -30,6 +37,8 @@ from refmodel.repository import (
     BlockAsset,
     PatternAsset,
     ReferenceRepository,
+    ViewpointAsset,
+    _dumps,
     adapt,
     add_asset,
     adopt,
@@ -410,3 +419,199 @@ class TestParseFuzz:
         for load_fn in (load, load_model, load_asset):
             with pytest.raises(ParseError):
                 load_fn(text)
+
+
+# Text the writer must escape (controls, quote, backslash) or must pass through as it is
+# (DEL, U+2028, an astral character, lone surrogates, a non-ASCII letter).
+AWKWARD_CHARACTERS = ["a", "\x00", "\x1f", "\n", "\t", "\r", '"', "\\", "/", "\x7f", "\u2028", "\U0001f600"]
+AWKWARD_TEXT = st.text(st.sampled_from([*AWKWARD_CHARACTERS, "\ud800", "\udfff", "é"]), max_size=5)
+AWKWARD_ID = AWKWARD_TEXT.filter(bool)
+AWKWARD_SCALAR = (
+    st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308, 10**30, -(2**63), True, False, 0, 1])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers()
+    | AWKWARD_TEXT
+)
+
+
+@st.composite
+def awkward_blocks(draw, origin=None):
+    kind = draw(st.sampled_from(list(BlockKind)))
+    layer = layer_for_kind(kind)
+    port_ids = draw(st.lists(AWKWARD_ID, max_size=3, unique=True))
+    directions = st.sampled_from(list(PortDirection))
+    return BuildingBlock(
+        id=draw(AWKWARD_ID),
+        name=draw(AWKWARD_TEXT),
+        layer=layer,
+        kind=kind,
+        ports=[Port(port_id, draw(directions), draw(AWKWARD_ID), layer) for port_id in port_ids],
+        parameters=draw(st.dictionaries(AWKWARD_TEXT, AWKWARD_SCALAR, max_size=4)),
+        origin=origin or draw(st.sampled_from(list(Origin))),
+    )
+
+
+@st.composite
+def awkward_models(draw):
+    blocks = draw(st.lists(awkward_blocks(), max_size=4, unique_by=lambda block: block.id))
+    refs = st.builds(PortRef, AWKWARD_TEXT, AWKWARD_TEXT)
+    links = st.builds(TraceLink, st.sampled_from(list(TraceKind)), AWKWARD_TEXT, AWKWARD_TEXT)
+    return Model(
+        id=draw(AWKWARD_TEXT),
+        blocks={block.id: block for block in blocks},
+        connections=draw(st.frozensets(st.builds(Connection, refs, refs), max_size=3)),
+        traces=draw(st.frozensets(links, max_size=3)),
+    )
+
+
+@st.composite
+def awkward_repositories(draw):
+    blocks = st.builds(BlockAsset, awkward_blocks(origin=Origin.REFERENCE_ASSET))
+    layers, aspects = st.sampled_from(list(ConcernLayer)), st.sampled_from(list(Aspect))
+    viewpoints = st.builds(ViewpointAsset, st.builds(Viewpoint, layers, aspects, AWKWARD_ID))
+    pattern_blocks = st.lists(awkward_blocks(), max_size=2, unique_by=lambda block: block.id)
+    patterns = st.builds(PatternAsset, st.builds(Pattern, AWKWARD_TEXT, pattern_blocks))
+    assets = draw(st.lists(blocks | viewpoints | patterns, max_size=4, unique_by=lambda asset: asset.id))
+    version = draw(st.sampled_from([0, 7, 10**30]) | st.integers(min_value=0))
+    return ReferenceRepository(assets={asset.id: asset for asset in assets}, version=version)
+
+
+class TestWriterMatchesJsonDumps:
+    """The writer gives the bytes of json.dumps(indent=2, sort_keys=True, ensure_ascii=False)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(awkward_models())
+    def test_models(self, model):
+        text = save_model(model)
+        assert text == oracles.save_model(model)
+        assert load_model(text) == model
+
+    @settings(max_examples=150, deadline=None)
+    @given(awkward_repositories())
+    def test_repositories(self, repo):
+        text = save(repo)
+        assert text == oracles.save(repo)
+        assert load(text) == repo
+
+    @pytest.mark.parametrize(
+        "value",
+        [[], {}, (), [[]], [{}], {"a": []}, None, True, [1, "x", None], [-0.0, 5e-324, 1e16, float("nan")],
+         {"é\u2028": "\ud800\U0001f600"}, {2: "b", 1: []}, {None: (1,)}],
+    )
+    def test_any_json_value(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize("value", [{"a": object()}, {(1, 2): 3}], ids=["value", "key"])
+    def test_what_json_cannot_write_is_refused(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+def _assert_first_error_like_reference(load_fn, reference, text) -> str:
+    """The reader raises a ParseError of the reference reader's type and message; returns the message."""
+    error = _outcome(load_fn, text)
+    assert isinstance(error, tuple) and issubclass(error[0], ParseError), error
+    assert error == _outcome(reference, text)
+    return error[1]
+
+
+def _changed(document, path, changes):
+    """A copy of the document with `changes` made to the object at `path` (a list of keys and indexes)."""
+    document = json.loads(json.dumps(document))
+    target = document
+    for step in path:
+        target = target[step]
+    target.update(changes)
+    return json.dumps(document)
+
+
+class TestFirstError:
+    """A record with several faults reports the one the reference reader reports first."""
+
+    @pytest.mark.parametrize(
+        "path, changes",
+        [
+            (["blocks", 0], {"zz": 1, "name": 5}),  # an unknown key and a wrongly typed field
+            (["blocks", 0], {"origin": 3, "ports": {}}),  # two typed fields, read in table order
+            (["blocks", 0], {"kind": "nope", "id": 4}),
+            (["blocks", 0], {"parameters": {"a": [1]}, "layer": 2}),
+            (["blocks", 0, "ports", 0], {"layer": None, "direction": "sideways"}),
+            (["connections", 0], {"to": {"block": 1}, "from": {"port": []}}),
+            (["traces", 0], {"target": 1, "kind": "none"}),
+            ([], {"schema_version": True, "id": 3}),  # `true` equals 1, so the id is the first fault
+            ([], {"schema_version": 2, "id": 3}),
+            ([], {"schema_version": "1", "blocks": {}}),
+        ],
+    )
+    def test_model_faults(self, demo_model, path, changes):
+        text = _changed(model_to_document(demo_model), path, changes)
+        _assert_first_error_like_reference(load_model, oracles.load_model, text)
+
+    @pytest.mark.parametrize(
+        "path, changes",
+        [
+            ([], {"version": True}),
+            ([], {"version": True, "schema_version": True}),
+            ([], {"version": "1", "schema_version": 0}),
+            (["assets", 0], {"zz": 1, "asset_kind": 5}),
+            (["assets", 0], {"asset_kind": "block", "id": 5, "block": 5}),
+            (["assets", 0], {"asset_kind": "widget", "block": None}),
+        ],
+    )
+    def test_repository_faults(self, demo_repo, path, changes):
+        text = _changed(repository_to_document(demo_repo), path, changes)
+        _assert_first_error_like_reference(load, oracles.load, text)
+
+    def test_duplicate_block_before_a_bad_entry(self, demo_model):
+        document = model_to_document(demo_model)
+        document["blocks"][1:1] = [document["blocks"][0], {"id": 1}]
+        message = _assert_first_error_like_reference(load_model, oracles.load_model, json.dumps(document))
+        assert message.startswith("$.blocks[1]: duplicate block id")
+
+    def test_duplicate_asset_before_a_bad_entry(self, demo_repo):
+        document = repository_to_document(demo_repo)
+        document["assets"][1:1] = [document["assets"][0], {"asset_kind": 1}]
+        message = _assert_first_error_like_reference(load, oracles.load, json.dumps(document))
+        assert message.startswith("$.assets[1]: duplicate asset id")
+
+
+def _fleet(copies):
+    """A repository and a model of `copies` renamed copies of the demo's blocks, wires and traces."""
+    template_repo = demo.build_demo_repository()
+    template = demo.build_demo_model(template_repo)
+    assets, blocks, connections, traces = {}, {}, set(), set()
+    for n in range(copies):
+        def rename(block_id):
+            return f"c{n}.{block_id}"
+
+        for asset in template_repo.block_assets():
+            assets[rename(asset.id)] = BlockAsset(replace(asset.block, id=rename(asset.id)))
+        for block in template.blocks.values():
+            blocks[rename(block.id)] = replace(block, id=rename(block.id))
+        for c in template.connections:
+            connections.add(Connection(PortRef(rename(c.source.block), c.source.port),
+                                       PortRef(rename(c.target.block), c.target.port)))
+        traces.update(TraceLink(t.kind, rename(t.source), rename(t.target)) for t in template.traces)
+    model = Model(id="fleet", blocks=blocks, connections=frozenset(connections), traces=frozenset(traces))
+    return ReferenceRepository(assets=assets), model
+
+
+def persistence_seconds(copies):
+    """Best of 3: save and load the repository and the model of a fleet of `copies` demo copies."""
+    repo, model = _fleet(copies)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        loaded_repo, loaded_model = load(save(repo)), load_model(save_model(model))
+        times.append(time.perf_counter() - start)
+    assert loaded_repo == repo and loaded_model == model
+    return min(times)
+
+
+def test_persistence_scales_linearly():
+    """8x the blocks take well under the 64x of a quadratic writer or reader."""
+    short = persistence_seconds(10)
+    long = persistence_seconds(80)
+    assert long <= 16 * short, (long, short)
