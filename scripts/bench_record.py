@@ -8,7 +8,9 @@ earlier record compare the same workloads.
 Refuses to write, and exits 1, unless the run reports `correct: true`. When
 an earlier BENCH_*.json exists, prints each metric's ratio to the latest one
 (new / old; below 1 is better for every metric whose unit is a time, a size
-or a count).
+or a count), after a line naming both records' commit, Python and CPU count.
+Each side is one run, taken at its own time, so the ratios include any drift
+of the host's speed between the two runs.
 
 Usage: python scripts/bench_record.py PR
 """
@@ -44,6 +46,12 @@ def git(*args: str) -> str:
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return proc.stdout.strip()
+
+
+def provenance(name: str, meta: dict) -> str:
+    """A record's file name with the commit, Python and CPU count it was measured with."""
+    facts = ", ".join(f"{key} {meta.get(key, 'unknown')}" for key in ("git_sha", "python", "nproc"))
+    return f"{name} ({facts})"
 
 
 def main(argv=None) -> int:
@@ -85,7 +93,12 @@ def main(argv=None) -> int:
     if before is None:
         print("no earlier BENCH_*.json to compare with")
         return 0
-    old = json.loads(before.read_text())["metrics"]
+    old_record = json.loads(before.read_text())
+    old = old_record["metrics"]
+    print(
+        f"{provenance(target.name, meta)} vs {provenance(before.name, old_record.get('meta', {}))}: "
+        "two single runs, so host drift is not controlled"
+    )
     print(f"ratio {target.name} / {before.name}:")
     for name, entry in result["metrics"].items():
         base = old.get(name, {}).get("value")

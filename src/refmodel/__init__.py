@@ -73,7 +73,6 @@ from .terrain import (
 from .planners import (
     Path,
     PlannerId,
-    map_statistics,
     plan_edge_follow,
     plan_terrain_aware,
     register_planner,

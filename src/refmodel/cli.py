@@ -208,8 +208,7 @@ class _UsageError(Exception):
 def cmd_repo_init(args) -> int:
     path = _repo_path(args)
     if path.exists():
-        print(f"error: {path} already exists", file=sys.stderr)
-        return 1
+        raise FileExistsError(f"{path} already exists")
     _write(path, repository.save(repository.ReferenceRepository()))
     print(f"initialized empty repository at {path}")
     return 0
@@ -313,16 +312,23 @@ def cmd_validate(args) -> int:
     return 1
 
 
+def _trace_text(tree: composition.TraceNode) -> str:
+    """One line per node, indented by its depth, with the kind of the link that reached it."""
+    return "".join(
+        "  " * depth + node.block_id + (f" ({node.link.value})" if node.link else "") + "\n"
+        for depth, node in tree.walk()
+    )
+
+
+# What trace prints for each --format; the keys are the flag's choices.
+_TRACE_FORMATS = {"text": _trace_text, "dot": composition.export_dot}
+
+
 def cmd_trace(args) -> int:
     model = _load_model(args)
     direction = composition.TraceDirection(args.direction)
     tree = composition.trace(model, args.element, direction)
-    if args.format == "dot":
-        print(composition.export_dot(tree), end="")
-        return 0
-    for depth, node in tree.walk():
-        label = f" ({node.link.value})" if node.link else ""
-        print("  " * depth + node.block_id + label)
+    print(_TRACE_FORMATS[args.format](tree), end="")
     return 0
 
 
@@ -335,20 +341,26 @@ def cmd_coverage(args) -> int:
     return 0
 
 
+def _view_text(view: composition.View) -> str:
+    """A header naming the viewpoint, then one indented line per element, connection and trace."""
+    subject, aspect = view.viewpoint.subject.value, view.viewpoint.aspect.value
+    lines = [
+        f"view ({subject}, {aspect}): {len(view.elements)} element(s)",
+        *(f"  {element}" for element in view.elements),
+        *(f"  {c.source.block}:{c.source.port} -> {c.target.block}:{c.target.port}" for c in view.connections),
+        *(f"  {link.source} -{link.kind.value}-> {link.target}" for link in view.traces),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# What view prints for each --format; the keys are the flag's choices.
+_VIEW_FORMATS = {"text": _view_text, "dot": composition.export_dot}
+
+
 def cmd_view(args) -> int:
     model = _load_model(args)
     viewpoint = composition.Viewpoint(ConcernLayer(args.subject), Aspect(args.aspect))
-    view = composition.extract_view(model, viewpoint)
-    if args.format == "dot":
-        print(composition.export_dot(view), end="")
-        return 0
-    print(f"view ({args.subject}, {args.aspect}): {len(view.elements)} element(s)")
-    for element in view.elements:
-        print(f"  {element}")
-    for conn in view.connections:
-        print(f"  {conn.source.block}:{conn.source.port} -> {conn.target.block}:{conn.target.port}")
-    for link in view.traces:
-        print(f"  {link.source} -{link.kind.value}-> {link.target}")
+    print(_VIEW_FORMATS[args.format](composition.extract_view(model, viewpoint)), end="")
     return 0
 
 
@@ -402,11 +414,15 @@ def cmd_compare(args) -> int:
     print(_COMPARE_FORMATS[args.format](report), end="")
     if args.out:
         out = FilePath(args.out)
-        _write(out / "compare.csv", evaluator.comparison_to_csv(report))
-        _write(out / "compare.txt", evaluator.comparison_to_table(report))
-        _write(out / "remaining.svg", evaluator.remaining_chart_svg(report))
-        _write(out / "paths.svg", evaluator.paths_svg(tmap, report))
-        print(f"wrote compare.csv, compare.txt, remaining.svg, paths.svg to {out}")
+        artifacts = {
+            "compare.csv": evaluator.comparison_to_csv(report),
+            "compare.txt": evaluator.comparison_to_table(report),
+            "remaining.svg": evaluator.remaining_chart_svg(report),
+            "paths.svg": evaluator.paths_svg(tmap, report),
+        }
+        for name, text in artifacts.items():
+            _write(out / name, text)
+        print(f"wrote {', '.join(artifacts)} to {out}")
     return 0
 
 
@@ -503,7 +519,6 @@ _SIM = (
     _opt("--consumption-factor", type=float, help="per-step consumption scale"),
     _opt("--start", type=_position, help="start cell as row,col (default: first free cell)"),
 )
-_DOT = _format("text", "dot")
 _LAYERS = [layer.value for layer in ConcernLayer]
 
 _GROUP_HELP = {"repo": "manage a reference repository", "model": "compose an application model"}
@@ -528,11 +543,13 @@ COMMANDS = (
              _opt("--force-theirs", action="store_true", help="replace conflicting blocks"), _REPO, _MODEL)),
     Command("validate", "check wiring and trace legality", cmd_validate, (_MODEL,)),
     Command("trace", "follow trace links from an element", cmd_trace,
-            (_opt("element"), _opt("--direction", choices=["up", "down"], default="down"), _MODEL, _DOT)),
+            (_opt("element"), _opt("--direction", choices=["up", "down"], default="down"), _MODEL,
+             _format(*_TRACE_FORMATS))),
     Command("coverage", "capability coverage statuses", cmd_coverage, (_MODEL,)),
     Command("view", "extract a viewpoint-filtered view", cmd_view,
             (_opt("--subject", required=True, choices=_LAYERS),
-             _opt("--aspect", required=True, choices=[a.value for a in Aspect]), _MODEL, _DOT)),
+             _opt("--aspect", required=True, choices=[a.value for a in Aspect]), _MODEL,
+             _format(*_VIEW_FORMATS))),
     Command("alternatives", "plug-compatible slot alternatives", cmd_alternatives, (_SLOT, _REPO, _MODEL)),
     Command("simulate", "simulate one planner on a map", cmd_simulate,
             (_MAP, _opt("--planner", default="edge_follow",

@@ -135,12 +135,6 @@ class CoverageReport:
 
     entries: tuple[CapabilityCoverage, ...]
 
-    def status_of(self, capability_id: str) -> CoverageStatus:
-        for entry in self.entries:
-            if entry.capability_id == capability_id:
-                return entry.status
-        raise UnknownElement(f"no capability '{capability_id}' in coverage report")
-
 
 @dataclass(frozen=True)
 class ValidationReport:

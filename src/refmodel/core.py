@@ -119,6 +119,11 @@ class BuildingBlock:
         if not self.id:
             raise ValueError("block id must be non-empty")
         for key, value in self.parameters.items():
+            # The parameters are written as a JSON object of scalars, and must read back equal.
+            if type(key) is not str:
+                raise ValueError(f"block '{self.id}': parameter key {key!r} is not a string")
+            if type(value) not in (str, int, float, bool):
+                raise ValueError(f"block '{self.id}': parameter '{key}' is a {type(value).__name__}, not a scalar")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"block '{self.id}': parameter '{key}' must be finite, got {value}")
         if layer_for_kind(self.kind) is not self.layer:

@@ -53,12 +53,6 @@ class EnsembleStats:
     seed_end: int
     per_planner: tuple[PlannerStats, ...]
 
-    def stats_for(self, planner: str) -> PlannerStats:
-        for stats in self.per_planner:
-            if stats.planner == planner:
-                return stats
-        raise KeyError(planner)
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -138,6 +132,21 @@ def _winner(row: Row) -> int:
     )
 
 
+def _tally(
+    arena: Arena, planners: Sequence[PlannerRef], params: SimParams | None, start: Position | None
+) -> tuple[list[list[float]], list[int], list[bool]]:
+    """Per planner, by index: its energy on each map in seed order, its wins, and whether it completed every map."""
+    totals: list[list[float]] = [[] for _ in planners]
+    wins = [0] * len(planners)
+    completed = [True] * len(planners)
+    for _, row in _rows(arena, planners, params, start):
+        wins[_winner(row)] += 1
+        for index, (_, result) in enumerate(row):
+            totals[index].append(result.total_consumed)
+            completed[index] &= result.terminated is Termination.PATH_COMPLETE
+    return totals, wins, completed
+
+
 def compare(
     tmap: TerrainMap,
     planners: Sequence[PlannerRef] = DEFAULT_PLANNERS,
@@ -164,12 +173,7 @@ def ensemble(
     """Compare planners on maps generated with seeds seed0 .. seed0+n_maps-1."""
     spec = EnsembleSpec(gen, n_maps, seed0)
     names = [resolve_planner(p)[0] for p in planners]
-    totals: list[list[float]] = [[] for _ in names]
-    wins = [0] * len(names)
-    for _, row in _rows(spec, planners, params, start):
-        wins[_winner(row)] += 1
-        for index, (_, result) in enumerate(row):
-            totals[index].append(result.total_consumed)
+    totals, wins, _ = _tally(spec, planners, params, start)
     per_planner = tuple(
         PlannerStats(
             planner=name,
@@ -205,12 +209,7 @@ def rank_configurations(
         raise NoAlternatives(f"slot '{slot}' is not an algorithm block")
     alternatives = enumerate_alternatives_with_slots(model, repo, slot)
     names = [resolve_planner(alternative.blocks[block_id])[0] for block_id, alternative in alternatives]
-    totals: list[list[float]] = [[] for _ in alternatives]
-    completed = [True] * len(alternatives)
-    for _, row in _rows(arena, names, params, start):
-        for index, (_, result) in enumerate(row):
-            totals[index].append(result.total_consumed)
-            completed[index] &= result.terminated is Termination.PATH_COMPLETE
+    totals, _, completed = _tally(arena, names, params, start)
     ranked = [
         RankedConfiguration(
             block_id=block_id,
@@ -309,8 +308,9 @@ _LEVEL_FILLS = ("#edf3e6", "#cfe0b8", "#a7c286", "#7c9e58")
 _OBSTACLE_FILL = "#2b2b2b"
 
 
-def remaining_chart_svg(report: ComparisonReport, width: int = 480, height: int = 280) -> str:
+def remaining_chart_svg(report: ComparisonReport) -> str:
     """Line chart of remaining charge against the step counter, one line per planner."""
+    width, height = 480, 280
     margin = 40.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
@@ -350,8 +350,9 @@ def remaining_chart_svg(report: ComparisonReport, width: int = 480, height: int 
     return "\n".join(lines) + "\n"
 
 
-def paths_svg(tmap: TerrainMap, report: ComparisonReport, cell: int = 24) -> str:
+def paths_svg(tmap: TerrainMap, report: ComparisonReport) -> str:
     """Grid rendering of the map with each planner's executed path overlaid."""
+    cell = 24
     width = tmap.width * cell
     height = tmap.height * cell
     lines = [

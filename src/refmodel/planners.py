@@ -171,40 +171,19 @@ def _relocate(moves: tuple, source: int, visited: bytearray, by_energy: bool, di
     return found[::-1]
 
 
-@dataclass(frozen=True)
-class MapStatistics:
-    """Summary numbers adaptive selection decides on."""
-
-    free_cells: int
-    mean_level: float
-    level_variance: float
-    obstacle_fraction: float
-
-
-def map_statistics(tmap: TerrainMap) -> MapStatistics:
-    levels = [tmap.level(pos) for pos in tmap.free_positions()]
-    mean = sum(levels) / len(levels)
-    variance = sum((lv - mean) ** 2 for lv in levels) / len(levels)
-    total = tmap.width * tmap.height
-    return MapStatistics(
-        free_cells=len(levels),
-        mean_level=mean,
-        level_variance=variance,
-        obstacle_fraction=(total - len(levels)) / total,
-    )
-
-
 DEFAULT_VARIANCE_THRESHOLD = 0.25
 
 
-def select_adaptive(tmap: TerrainMap, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> PlannerId:
+def select_adaptive(tmap: TerrainMap) -> PlannerId:
     """Pick the terrain-aware planner on hilly maps, the sweep on flat ones.
 
-    Hilly means the elevation variance of the free cells exceeds the
-    threshold.
+    Hilly means the elevation variance of the free cells exceeds
+    DEFAULT_VARIANCE_THRESHOLD.
     """
-    stats = map_statistics(tmap)
-    if stats.level_variance > threshold:
+    levels = [tmap.level(pos) for pos in tmap.free_positions()]
+    mean = sum(levels) / len(levels)
+    variance = sum((lv - mean) ** 2 for lv in levels) / len(levels)
+    if variance > DEFAULT_VARIANCE_THRESHOLD:
         return PlannerId.TERRAIN_AWARE
     return PlannerId.EDGE_FOLLOW
 
@@ -241,11 +220,3 @@ def resolve_planner(ref: PlannerRef) -> tuple[str, PlannerFn]:
     if name not in _REGISTRY:
         raise UnknownElement(f"no planner registered under '{name}'")
     return name, _REGISTRY[name]
-
-
-def path_to_csv(path: Path) -> str:
-    """CSV rows `t,row,col`, starting at t=0 with the start cell."""
-    lines = ["t,row,col"]
-    for t, pos in enumerate(path.positions):
-        lines.append(f"{t},{pos.row},{pos.col}")
-    return "\n".join(lines) + "\n"

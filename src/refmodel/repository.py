@@ -373,7 +373,8 @@ def _decode_scalars(value) -> dict[str, Scalar]:
 
 
 def _check_schema_version(found):
-    if found != SCHEMA_VERSION:
+    # A bool or a float may equal 1 (True == 1.0 == 1), but the version is the integer 1.
+    if type(found) is not int or found != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f": expected {SCHEMA_VERSION}, found {found!r}")
 
 

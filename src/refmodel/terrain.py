@@ -107,9 +107,6 @@ class TerrainMap:
     def is_free(self, pos: Position) -> bool:
         return self.in_bounds(pos) and self.cells[pos.row][pos.col] != OBSTACLE
 
-    def is_obstacle(self, pos: Position) -> bool:
-        return self.in_bounds(pos) and self.cells[pos.row][pos.col] == OBSTACLE
-
     def level(self, pos: Position) -> int:
         value = self.cells[pos.row][pos.col]
         if value == OBSTACLE:

@@ -516,7 +516,7 @@ def _loads(text: str):
 
 def _check_schema_version(top: Mapping[str, Any]):
     found = top.get("schema_version")
-    if found != SCHEMA_VERSION:
+    if type(found) is not int or found != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"$.schema_version: expected {SCHEMA_VERSION}, found {found!r}"
         )

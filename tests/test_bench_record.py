@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import platform
 import subprocess
 from pathlib import Path
 
@@ -35,8 +37,21 @@ def test_writes_record_and_ratio_to_previous(bench_record, tmp_path, capsys):
     record = json.loads((tmp_path / "BENCH_6.json").read_text())
     assert record["metrics"] == result["metrics"] and record["correct"] is True
     assert record["meta"]["seed"] == 11 and record["meta"]["workloads"] == ["w: correct=True"]
-    ratios = capsys.readouterr().out.split("ratio BENCH_6.json / BENCH_4.json:")[1].split()
-    assert ratios == ["w.round_s", "0.500"]
+    head, ratios = capsys.readouterr().out.split("ratio BENCH_6.json / BENCH_4.json:")
+    assert ratios.split() == ["w.round_s", "0.500"]
+    assert head.splitlines()[-1] == (
+        f"BENCH_6.json (git_sha unknown, python {platform.python_version()}, nproc {os.cpu_count()}) vs "
+        "BENCH_4.json (git_sha unknown, python unknown, nproc unknown): "
+        "two single runs, so host drift is not controlled"
+    )
+
+
+def test_provenance_names_the_earlier_records_host(bench_record, tmp_path, capsys):
+    module, _ = bench_record
+    meta = {"git_sha": "abc123", "python": "3.11.7", "nproc": 2}
+    (tmp_path / "BENCH_4.json").write_text(json.dumps({"meta": meta, "metrics": {}}))
+    assert module.main(["6"]) == 0
+    assert "vs BENCH_4.json (git_sha abc123, python 3.11.7, nproc 2): " in capsys.readouterr().out
 
 
 def test_refuses_to_write_an_incorrect_run(bench_record, tmp_path):

@@ -135,9 +135,8 @@ class TestRepoCommands:
     def test_init_refuses_overwrite(self, tmp_path, capsys):
         repo_path = tmp_path / "r.refrepo.json"
         run_cli(capsys, "repo", "init", "--repo", str(repo_path))
-        code, _, err = run_cli(capsys, "repo", "init", "--repo", str(repo_path))
-        assert code == 1
-        assert "exists" in err
+        code, out, err = run_cli(capsys, "repo", "init", "--repo", str(repo_path))
+        assert (code, out, err) == (1, "", f"error: {repo_path} already exists\n")
 
     def test_env_home_supplies_default_repo(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REFMODEL_HOME", str(tmp_path))

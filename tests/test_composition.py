@@ -365,7 +365,7 @@ class TestCoverage:
             BuildingBlock("cap.alone", "Alone", ConcernLayer.STRATEGIC, BlockKind.CAPABILITY),
         )
         report = capability_coverage(model)
-        assert report.status_of("cap.alone") is CoverageStatus.UNCOVERED
+        assert [(e.capability_id, e.status) for e in report.entries] == [("cap.alone", CoverageStatus.UNCOVERED)]
 
     def test_adding_links_never_demotes(self, demo_model):
         ranking = {
@@ -381,8 +381,9 @@ class TestCoverage:
         for link in sorted(demo_model.traces - stripped.traces, key=str):
             grown = add_trace(grown, link)
             after = capability_coverage(grown)
+            statuses = {entry.capability_id: entry.status for entry in before.entries}
             for entry in after.entries:
-                assert ranking[entry.status] >= ranking[before.status_of(entry.capability_id)]
+                assert ranking[entry.status] >= ranking[statuses[entry.capability_id]]
             before = after
 
 
@@ -525,7 +526,7 @@ class TestDeepChain:
         model = performs_chain_model(self.LENGTH)
         chain = ("cap", *(f"a{i:04d}" for i in range(self.LENGTH)), "svc", "res")
         report = capability_coverage(model)
-        assert report.status_of("cap") is CoverageStatus.COVERED
+        assert report.entries[0].status is CoverageStatus.COVERED
         assert report.entries[0].witnesses == (chain,)
         down = trace(model, "cap", TraceDirection.DOWN)
         assert down.node_ids() == list(chain)

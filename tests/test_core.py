@@ -56,6 +56,14 @@ class TestBuildingBlock:
         with pytest.raises(ValueError, match="parameter 'capacity' must be finite"):
             block("svc", BlockKind.SERVICE, parameters={"capacity": value})
 
+    @pytest.mark.parametrize(
+        "parameters, named",
+        [({"a": [1]}, "parameter 'a'"), ({2: "x"}, "parameter key 2"), ({2: "x", "a": 1}, "parameter key 2")],
+    )
+    def test_non_scalar_parameter_rejected(self, parameters, named):
+        with pytest.raises(ValueError, match=f"block 'svc': {named}"):
+            block("svc", BlockKind.SERVICE, parameters=parameters)
+
     def test_empty_interface_type_rejected(self):
         with pytest.raises(ValueError):
             port("p", PortDirection.PROVIDED, "")

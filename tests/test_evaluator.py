@@ -96,8 +96,8 @@ class TestEnsemble:
     def test_flat_generator_ties_go_to_edge_follow(self):
         gen = GenParams(width=7, height=5, obstacle_density=0.0, max_level=0)
         stats = ensemble(gen, 4, seed0=0)
-        edge = stats.stats_for("edge_follow")
-        aware = stats.stats_for("terrain_aware")
+        edge, aware = stats.per_planner
+        assert (edge.planner, aware.planner) == ("edge_follow", "terrain_aware")
         assert edge.mean_total == aware.mean_total
         assert edge.wins == 4
         assert aware.wins == 0

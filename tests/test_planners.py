@@ -1,3 +1,5 @@
+import statistics
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +11,6 @@ from refmodel.errors import StartBlocked, UnknownElement
 from refmodel.planners import (
     Path,
     PlannerId,
-    map_statistics,
-    path_to_csv,
     plan_edge_follow,
     plan_terrain_aware,
     register_planner,
@@ -186,16 +186,16 @@ class TestAdaptiveSelection:
 
     def test_checkerboard_picks_terrain_aware(self):
         tmap = load_map("0303\n3030\n0303")
-        stats = map_statistics(tmap)
-        assert stats.level_variance == pytest.approx(2.25)
+        assert statistics.pvariance(tmap.level(pos) for pos in tmap.free_positions()) == pytest.approx(2.25)
         assert select_adaptive(tmap) is PlannerId.TERRAIN_AWARE
 
     def test_single_cell_picks_edge_follow(self):
         assert select_adaptive(load_map("2")) is PlannerId.EDGE_FOLLOW
 
-    def test_threshold_configurable(self):
-        tmap = load_map("0303\n3030\n0303")
-        assert select_adaptive(tmap, threshold=3.0) is PlannerId.EDGE_FOLLOW
+    def test_variance_must_exceed_threshold(self):
+        # Free-cell variances 0.25 (equal to DEFAULT_VARIANCE_THRESHOLD) and 1.0.
+        assert select_adaptive(load_map("01")) is PlannerId.EDGE_FOLLOW
+        assert select_adaptive(load_map("02")) is PlannerId.TERRAIN_AWARE
 
 
 class TestRegistry:
@@ -232,6 +232,6 @@ class TestRegistry:
             register_planner("edge_follow", plan_edge_follow)
 
 
-def test_path_csv_export():
+def test_path_positions_start_with_the_start():
     path = Path(start=Position(0, 0), steps=(Position(0, 1), Position(1, 1)))
-    assert path_to_csv(path) == "t,row,col\n0,0,0\n1,0,1\n2,1,1\n"
+    assert path.positions == (Position(0, 0), Position(0, 1), Position(1, 1))

@@ -129,6 +129,14 @@ class TestAdopt:
         assert before.origin is Origin.REFERENCE_ASSET
 
 
+# Block parameters a JSON object of scalars cannot hold, with how the error names the key.
+NON_SCALAR_PARAMETERS = [
+    ({"a": [1]}, "parameter 'a'"),
+    ({2: "x"}, "parameter key 2"),
+    ({2: "x", "a": 1}, "parameter key 2"),
+]
+
+
 class TestAdapt:
     def test_rename(self, demo_repo):
         model = adapt(demo_repo, "svc.mowing", {"name": "smart mowing service"}, Model(id="m"))
@@ -164,6 +172,11 @@ class TestAdapt:
         )
         assert model.block("svc.mowing").find_port("out").interface_type == "PremiumMowing"
 
+    @pytest.mark.parametrize("parameters, named", NON_SCALAR_PARAMETERS)
+    def test_non_scalar_parameter_rejected(self, demo_repo, parameters, named):
+        with pytest.raises(ValueError, match=f"block 'res.battery': {named}"):
+            adapt(demo_repo, "res.battery", {"parameters": parameters}, Model(id="m"))
+
 
 class TestExtend:
     def test_extend_adds_port(self, demo_repo):
@@ -198,6 +211,11 @@ class TestExtend:
     def test_clashing_parameter_rejected(self, demo_repo):
         with pytest.raises(IllegalOverride):
             extend(demo_repo, "res.battery", [], {"capacity": 1.0}, Model(id="m"))
+
+    @pytest.mark.parametrize("parameters, named", NON_SCALAR_PARAMETERS)
+    def test_non_scalar_parameter_rejected(self, demo_repo, parameters, named):
+        with pytest.raises(ValueError, match=f"block 'res.battery': {named}"):
+            extend(demo_repo, "res.battery", [], parameters, Model(id="m"))
 
 
 class TestPersistence:
@@ -259,6 +277,13 @@ class TestPersistence:
         text = save(demo_repo).replace('"schema_version": 1', '"schema_version": 99')
         with pytest.raises(SchemaVersionMismatch):
             load(text)
+
+    @pytest.mark.parametrize("found, shown", [("true", "True"), ("1.0", "1.0")])
+    def test_schema_version_equal_to_one_is_not_one(self, found, shown):
+        with pytest.raises(SchemaVersionMismatch, match=f"expected 1, found {shown}$"):
+            load(f'{{"schema_version": {found}, "version": 0, "assets": []}}')
+        with pytest.raises(SchemaVersionMismatch, match=f"expected 1, found {shown}$"):
+            load_model(f'{{"schema_version": {found}, "id": "m"}}')
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_constants_rejected(self, demo_model, constant):
@@ -540,7 +565,7 @@ class TestFirstError:
             (["blocks", 0, "ports", 0], {"layer": None, "direction": "sideways"}),
             (["connections", 0], {"to": {"block": 1}, "from": {"port": []}}),
             (["traces", 0], {"target": 1, "kind": "none"}),
-            ([], {"schema_version": True, "id": 3}),  # `true` equals 1, so the id is the first fault
+            ([], {"schema_version": True, "id": 3}),  # `true` equals 1 but is no version, so it is the first fault
             ([], {"schema_version": 2, "id": 3}),
             ([], {"schema_version": "1", "blocks": {}}),
         ],
@@ -553,7 +578,7 @@ class TestFirstError:
         "path, changes",
         [
             ([], {"version": True}),
-            ([], {"version": True, "schema_version": True}),
+            ([], {"version": True, "schema_version": 1.0}),
             ([], {"version": "1", "schema_version": 0}),
             (["assets", 0], {"zz": 1, "asset_kind": 5}),
             (["assets", 0], {"asset_kind": "block", "id": 5, "block": 5}),

@@ -63,7 +63,7 @@ class TestMapText:
         tmap = load_map("01\n2X")
         assert (tmap.width, tmap.height) == (2, 2)
         assert tmap.level(Position(0, 1)) == 1
-        assert tmap.is_obstacle(Position(1, 1))
+        assert tmap.cells[1][1] == terrain.OBSTACLE
 
     def test_ragged_rows(self):
         with pytest.raises(RaggedRows):
