@@ -8,11 +8,11 @@ Two built-in planners cover every reachable free cell:
   step factor and relocates along the minimum-energy path when stuck.
 
 Both run one coverage loop over the map's move table, which is indexed by cell
-index ``row * width + col``, and differ only in the next-cell rule they pass
-it and in the metric, hops or energy, of the one relocation search. The loop
-and the search work on cell indices; cells become positions only in the
-returned path. Each concretizes the strategy it is named after in one
-specific way; other readings are possible. Revisited cells cost travel energy
+index ``row * width + col``, and differ only in the next-cell rule and the
+relocation search they pass it: breadth-first by hops or uniform-cost by
+energy. The loop and the searches work on cell indices; cells become
+positions only in the returned path. Each concretizes the strategy it is
+named after in one specific way; other readings are possible. Revisited cells cost travel energy
 but are only counted as covered on first visit. A registry maps algorithm
 names to planner functions so models can swap planners as algorithm blocks.
 """
@@ -20,11 +20,9 @@ names to planner functions so models can swap planners as algorithm blocks.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import Callable, Union
 
 from .core import BlockKind, BuildingBlock
@@ -82,7 +80,7 @@ def plan_edge_follow(tmap: TerrainMap, start: Position) -> Path:
             return below
         return None
 
-    return _cover(tmap, start, sweep, by_energy=False)
+    return _cover(tmap, start, sweep, _hop_search)
 
 
 def plan_terrain_aware(tmap: TerrainMap, start: Position) -> Path:
@@ -93,17 +91,26 @@ def plan_terrain_aware(tmap: TerrainMap, start: Position) -> Path:
     relocates along the minimum-energy path (uniform-cost search with step
     factors as edge weights) to the nearest unvisited cell.
     """
+    moves = tmap.moves
 
     def greedy(i: int, visited: bytearray) -> int | None:
-        # min keeps the first of equal factors, which is the N, E, S, W order
-        best = min((move for move in tmap.moves[i] if not visited[move[0]]), key=itemgetter(1), default=None)
-        return None if best is None else best[0]
+        # the strict < keeps the first of equal factors, which is the N, E, S, W order
+        best, least = None, math.inf
+        for j, factor in moves[i]:
+            if factor < least and not visited[j]:
+                best, least = j, factor
+        return best
 
-    return _cover(tmap, start, greedy, by_energy=True)
+    return _cover(tmap, start, greedy, _energy_search)
 
 
-def _cover(tmap: TerrainMap, start: Position, next_cell: Callable, *, by_energy: bool) -> Path:
-    """Step to next_cell(i, visited), or relocate when it is None, until no unvisited cell is reachable."""
+def _cover(tmap: TerrainMap, start: Position, next_cell: Callable, search: Callable) -> Path:
+    """Step to next_cell(i, visited), or relocate when it is None, until no unvisited cell is reachable.
+
+    A relocation follows parents back from the unvisited cell that search
+    returns, None once every reachable cell is visited. The search sets dist
+    and parents of each cell it reaches and lists the cell in touched.
+    """
     if not tmap.is_free(start):
         raise StartBlocked(f"start {tuple(start)} is not a free cell")
     moves, width = tmap.moves, tmap.width
@@ -120,55 +127,70 @@ def _cover(tmap: TerrainMap, start: Position, next_cell: Callable, *, by_energy:
     parents = [0] * len(moves)
     while unvisited:
         nxt = next_cell(here, visited)
-        hop = [nxt] if nxt is not None else _relocate(moves, here, visited, by_energy, dist, parents)
-        if not hop:
-            break
-        out.extend(hop)
-        here = hop[-1]
+        if nxt is None:
+            dist[here] = 0.0
+            touched = [here]
+            nxt = search(moves, here, visited, dist, parents, touched)
+            for i in touched:
+                dist[i] = math.inf
+            if nxt is None:
+                break
+            hop = [nxt]
+            while parents[hop[-1]] != here:
+                hop.append(parents[hop[-1]])
+            out.extend(reversed(hop))
+        else:
+            out.append(nxt)
+        here = nxt
         visited[here] = 1
         unvisited -= 1
     return Path(start=start, steps=tuple(Position(*divmod(i, width)) for i in out[1:]))
 
 
-def _relocate(moves: tuple, source: int, visited: bytearray, by_energy: bool, dist: list, parents: list) -> list:
-    """The cheapest path from source to an unvisited cell, or [] when every reachable cell is visited.
+def _hop_search(moves: tuple, source: int, visited: bytearray, dist: list, parents: list, touched: list) -> int | None:
+    """Breadth-first by hops: the first unvisited cell reached, which is the nearest.
 
-    By hops each move weighs 1 and equal costs pop in push order, which is
-    breadth-first order; by energy each move weighs its step factor and equal
-    costs pop by (cost, index), which is (cost, row, col) order. dist is all
-    infinite on entry and on return; parents is read only where this search wrote it.
+    touched is the queue, walked while it grows. Cells expand in the order
+    they are reached, the order a (hops, push order) heap would pop them in,
+    so the first unvisited cell reached is the one that heap pops first.
     """
-    pushes = itertools.count()
-    dist[source] = 0.0
-    touched = [source]
-    heap = [(0.0, source if by_energy else next(pushes), source)]
+    for current in touched:
+        hops = dist[current] + 1.0
+        for nxt, _ in moves[current]:
+            if dist[nxt] == math.inf:
+                dist[nxt] = hops
+                parents[nxt] = current
+                touched.append(nxt)
+                if not visited[nxt]:
+                    return nxt
+    return None
+
+
+def _energy_search(
+    moves: tuple, source: int, visited: bytearray, dist: list, parents: list, touched: list
+) -> int | None:
+    """Uniform-cost by step factor: the cheapest unvisited cell, equal costs popped in (cost, index) order."""
+    heap = [(0.0, source)]
     # The cheapest unvisited cell pushed so far bounds the answer's cost. Since
     # every move costs more than 0, a costlier cell can be neither the answer nor
     # on its path and is not pushed; an equal one may still win the tie.
     bound = math.inf
-    found = []
     while heap:
-        cost, _, current = heapq.heappop(heap)
+        cost, current = heapq.heappop(heap)
         if cost > dist[current]:
             continue  # a stale entry, superseded by a cheaper push
         if not visited[current]:
-            found.append(current)
-            while parents[found[-1]] != source:
-                found.append(parents[found[-1]])
-            break
+            return current
         for nxt, factor in moves[current]:
-            candidate = cost + factor if by_energy else cost + 1.0
-            known = dist[nxt]
-            if candidate < known and candidate <= bound:
+            candidate = cost + factor
+            if candidate < dist[nxt] and candidate <= bound:
                 touched.append(nxt)
                 dist[nxt] = candidate
                 parents[nxt] = current
                 if not visited[nxt]:
                     bound = candidate
-                heapq.heappush(heap, (candidate, nxt if by_energy else next(pushes), nxt))
-    for i in touched:
-        dist[i] = math.inf
-    return found[::-1]
+                heapq.heappush(heap, (candidate, nxt))
+    return None
 
 
 DEFAULT_VARIANCE_THRESHOLD = 0.25

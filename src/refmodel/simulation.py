@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from typing import Sequence
 
 from .errors import InvalidPath
@@ -35,9 +36,6 @@ class SimParams:
         if not all(math.isfinite(c) and c >= 0 for c in self.charging):
             raise ValueError("charging entries must be non-negative and finite")
 
-    def charge_at(self, t: int) -> float:
-        return self.charging[t] if t < len(self.charging) else 0.0
-
 
 class Termination(Enum):
     PATH_COMPLETE = "path_complete"
@@ -61,20 +59,24 @@ def power_consumption(
     path: Path, tmap: TerrainMap, consumption_factor: float = 1.0
 ) -> list[float]:
     """Per-step energy: the step factor of each move scaled by the consumption factor."""
-    # Every position is checked to be a free cell before any move is checked to be 4-adjacent.
+    # Every position is checked to be a free cell before any move is checked to
+    # be 4-adjacent. The check stays for the built-in planners too: it is one
+    # pass, and a registered planner's path is outside input.
     moves, width, height = tmap.moves, tmap.width, tmap.height
-    cells = [row * width + col for row, col in path.positions]
-    for (row, col), i in zip(path.positions, cells):
-        if not (0 <= row < height and 0 <= col < width) or moves[i] is None:
+    cells = []
+    for row, col in path.positions:
+        if not (0 <= row < height and 0 <= col < width) or moves[i := row * width + col] is None:
             raise InvalidPath(f"position {(row, col)} is not a free cell")
+        cells.append(i)
     out = []
-    for t, (here, there) in enumerate(zip(cells, cells[1:])):
+    for here, there in zip(cells, cells[1:]):
         for neighbor, factor in moves[here]:
             if neighbor == there:
                 out.append(factor * consumption_factor)
                 break
         else:
-            here, there = path.positions[t : t + 2]
+            # out holds one factor per earlier step, so len(out) is this step's index
+            here, there = path.positions[len(out) : len(out) + 2]
             raise InvalidPath(f"{tuple(here)} -> {tuple(there)} is not a 4-adjacent move")
     return out
 
@@ -89,8 +91,9 @@ def power_state(
     """
     remaining: list[float] = []
     charge = params.capacity
-    for t, consumed in enumerate(consumption):
-        candidate = charge - consumed + params.charge_at(t)
+    # past its end the charging series adds 0.0
+    for consumed, charged in zip(consumption, chain(params.charging, repeat(0.0))):
+        candidate = charge - consumed + charged
         if candidate < 0:
             return remaining, Termination.BATTERY_DEPLETED
         remaining.append(candidate)

@@ -134,16 +134,29 @@ class TerrainMap:
         Built on first use in one pass over the flat grid and kept with the
         map, so planners and the simulation share one table per map.
         """
-        width, height = self.width, self.height
+        width = self.width
         flat = [value for row in self.cells for value in row]
-
-        def entry(i: int, level: int) -> tuple[tuple[int, float], ...]:
+        size = len(flat)
+        table = []
+        # The bounds below are those of _around, inlined: row > 0, col + 1 < width,
+        # row + 1 < height, col > 0.
+        for i, level in enumerate(flat):
+            if level == OBSTACLE:
+                table.append(None)
+                continue
             factors = _LEVEL_FACTORS[level]
-            return tuple(
-                (j, factors[to]) for j, inside in _around(i, width, height) if inside and (to := flat[j]) != OBSTACLE
-            )
-
-        return tuple(None if level == OBSTACLE else entry(i, level) for i, level in enumerate(flat))
+            col = i % width
+            entry = []
+            if i >= width and (to := flat[i - width]) != OBSTACLE:
+                entry.append((i - width, factors[to]))
+            if col + 1 < width and (to := flat[i + 1]) != OBSTACLE:
+                entry.append((i + 1, factors[to]))
+            if i + width < size and (to := flat[i + width]) != OBSTACLE:
+                entry.append((i + width, factors[to]))
+            if col and (to := flat[i - 1]) != OBSTACLE:
+                entry.append((i - 1, factors[to]))
+            table.append(tuple(entry))
+        return tuple(table)
 
 
 def _around(i: int, width: int, height: int) -> tuple[tuple[int, bool], ...]:

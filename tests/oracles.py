@@ -11,10 +11,12 @@ traversal replaced; they hold for trees shallower than the recursion limit.
 The persistence references are the per-record JSON writers and readers that
 the field tables replaced, so saved bytes and parse errors are checked
 against them. The planner references are the two coverage loops with their
-breadth-first and uniform-cost relocation searches, and the consumption
-check, that the one coverage loop over the map's move table replaced; paths
-and consumption series are checked against them for equality, and the move
-table against one rebuilt from neighbors and step_factor. The terrain
+breadth-first and uniform-cost relocation searches, the consumption check
+and the battery recurrence with a per-step charge lookup, that the one
+coverage loop over the map's move table and the single-pass simulation
+replaced; paths, consumption and remaining-charge series are checked against
+them for equality, and the move table against one rebuilt from neighbors and
+step_factor. The terrain
 references are the per-point value noise and the flood fill over position
 sets that the lattice-cached noise field and the flat-index components
 replaced; generated cells and the noise field are checked against them for
@@ -712,10 +714,11 @@ def _parse_viewpoint(entry, path: str) -> Viewpoint:
 
 
 # ---------------------------------------------------------------------------
-# Planners and consumption: the two coverage loops, the breadth-first and the
-# uniform-cost relocation searches and the position-by-position consumption
-# check that the one coverage loop, the one relocation search and the move
-# table in refmodel replaced, kept unchanged as the reference.
+# Planners and simulation: the two coverage loops, the breadth-first and the
+# uniform-cost relocation searches, the position-by-position consumption
+# check and the battery recurrence with its per-step charge lookup that the
+# one coverage loop, the move table and the single-pass simulation in
+# refmodel replaced, kept unchanged as the reference.
 # ---------------------------------------------------------------------------
 
 
@@ -835,6 +838,19 @@ def power_consumption(path: Path, tmap: TerrainMap, consumption_factor: float = 
             raise InvalidPath(f"{tuple(here)} -> {tuple(there)} is not a 4-adjacent move")
         out.append(step_factor(tmap.level(here), tmap.level(there)) * consumption_factor)
     return out
+
+
+def power_state(params: SimParams, consumption) -> tuple[list[float], Termination]:
+    """The battery recurrence with a per-step charge lookup that adds 0.0 past the charging series."""
+    remaining = []
+    charge = params.capacity
+    for t, consumed in enumerate(consumption):
+        candidate = charge - consumed + (params.charging[t] if t < len(params.charging) else 0.0)
+        if candidate < 0:
+            return remaining, Termination.BATTERY_DEPLETED
+        remaining.append(candidate)
+        charge = candidate
+    return remaining, Termination.PATH_COMPLETE
 
 
 def move_table(tmap: TerrainMap) -> tuple:

@@ -129,7 +129,7 @@ def test_c4_conservation_linearity_scaling():
         charging = tuple(rng.uniform(0, 0.4) for _ in range(rng.randint(0, 4)))
         params = SimParams(capacity=capacity, consumption_factor=factor, charging=charging)
         result = run(tmap, "terrain_aware", params=params)
-        charged = sum(params.charge_at(t) for t in range(result.steps_completed))
+        charged = sum(params.charging[:result.steps_completed])
         final = result.remaining[-1] if result.remaining else capacity
         assert abs(capacity - final + charged - result.total_consumed) < 1e-9
 

@@ -1,3 +1,4 @@
+import random
 import statistics
 
 import pytest
@@ -29,6 +30,18 @@ def outcome(planner, tmap, start):
         return planner(tmap, start)
     except StartBlocked as exc:
         return f"StartBlocked: {exc}"
+
+
+def relocation_lengths(path):
+    """The step count of every move or hop that ends on a newly visited cell."""
+    seen = {path.start}
+    since = 0
+    for pos in path.steps:
+        since += 1
+        if pos not in seen:
+            seen.add(pos)
+            yield since
+            since = 0
 
 
 def path_is_valid(tmap, path):
@@ -156,6 +169,27 @@ class TestMatchesReference:
                 partial += len(expected.visited()) < tmap.free_count()
         # the cases reach blocked starts, relocations and unreachable free cells
         assert min(blocked, relocated, partial) > 20
+
+    @pytest.mark.parametrize(
+        "planner, reference",
+        [
+            (plan_edge_follow, oracles.plan_edge_follow),
+            (plan_terrain_aware, oracles.plan_terrain_aware),
+        ],
+        ids=["edge_follow", "terrain_aware"],
+    )
+    def test_paths_equal_at_benchmark_scale(self, planner, reference):
+        """On 32x32 maps at density 0.2, as the benchmark plans, and one 64x64 map, where relocations are long."""
+        maps = [(seed, generate_map(32, 32, 0.2, seed)) for seed in range(5)] + [(7, generate_map(64, 64, 0.3, 7))]
+        long_relocations = 0
+        for seed, tmap in maps:
+            free = list(tmap.free_positions())
+            for start in (free[0], random.Random(seed).choice(free)):
+                expected = reference(tmap, start)
+                assert planner(tmap, start) == expected, (seed, start)
+                long_relocations += sum(hops >= 10 for hops in relocation_lengths(expected))
+        # the cases reach relocations of 10 hops and more
+        assert long_relocations > 100
 
     def test_ridge_paths_equal(self, ridge_map):
         start = ridge_map.first_free()

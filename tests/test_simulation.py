@@ -86,6 +86,38 @@ class TestConsumptionMatchesReference:
         assert rejected > 200
 
 
+class TestPowerStateMatchesReference:
+    @staticmethod
+    def assert_equal(params, consumption):
+        remaining, termination = power_state(params, consumption)
+        expected, expected_termination = oracles.power_state(params, consumption)
+        assert remaining == expected and list(map(repr, remaining)) == list(map(repr, expected))
+        assert termination is expected_termination
+        return termination
+
+    def test_seeded_series_equal(self):
+        """power_state returns the remaining series and termination of the per-step charge lookup
+        it replaced, with charging shorter than, as long as, or longer than the series, or empty."""
+        terminations = {kind: 0 for kind in Termination}
+        for seed in range(400):
+            rng = random.Random(seed)
+            factor = rng.choice((1.0, 0.3, 1.7))
+            consumption = [rng.choice((0.6, 1.0, 1.9)) * factor for _ in range(rng.randint(0, 30))]
+            length = rng.choice((0, len(consumption) // 2, len(consumption), len(consumption) + 5))
+            charging = tuple(rng.choice((-0.0, 0.0, rng.uniform(0.0, 1.5))) for _ in range(length))
+            params = SimParams(capacity=rng.uniform(0.5, 40.0), charging=charging)
+            terminations[self.assert_equal(params, consumption)] += 1
+        assert min(terminations.values()) > 100
+
+    def test_edge_cases_equal(self):
+        consumption = [1.0, 1.0, 0.5]
+        # depletion that lands exactly on 0.0 keeps the 0.0 step, then stops
+        assert self.assert_equal(SimParams(capacity=2.0), consumption) is Termination.BATTERY_DEPLETED
+        for charging in ((), (-0.0,), (-0.0, 0.5), (0.5, -0.0, 0.0), (0.25,) * 5):
+            self.assert_equal(SimParams(capacity=2.0, charging=charging), consumption)
+        self.assert_equal(SimParams(capacity=2.0, charging=(1.0,)), [])
+
+
 class TestPowerState:
     def test_simple_drain(self):
         params = SimParams(capacity=10.0)
@@ -177,7 +209,7 @@ class TestInvariants:
         tmap = generate_map(8, 6, 0.2, seed)
         params = SimParams(capacity=capacity, consumption_factor=factor, charging=(0.3, 0.1))
         result = run(tmap, PlannerId.TERRAIN_AWARE, params=params)
-        charged = sum(params.charge_at(t) for t in range(result.steps_completed))
+        charged = sum(params.charging[:result.steps_completed])
         assert capacity - (result.remaining[-1] if result.remaining else capacity) + charged == (
             pytest.approx(result.total_consumed, abs=1e-9)
         )
