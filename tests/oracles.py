@@ -16,19 +16,18 @@ and the battery recurrence with a per-step charge lookup, that the one
 coverage loop over the map's move table and the single-pass simulation
 replaced; paths, consumption and remaining-charge series are checked against
 them for equality, and the move table against one rebuilt from neighbors and
-step_factor. The terrain
-references are the per-point value noise and the flood fill over position
-sets that the lattice-cached noise field and the flat-index components
-replaced; generated cells and the noise field are checked against them for
-equality. The model-write references are the copy-on-write add_block,
-add_trace, connect and add_asset that copied the whole model or repository on
-every write, before versions shared one append-only store; random write
-sequences against any version are checked against them. The composition-rule
-references are validate_configuration, extract_view, apply_pattern and the
-block swap behind enumerate_alternatives_with_slots as they stood before each
-of their rules (findings, aspect kinds, link rewrite) was stated once; seeded
-models, patterns and swaps are checked against them for equal results or
-equal errors.
+step_factor. The terrain references are the per-point value noise and the
+flood fill over position sets that the lattice-cached noise field and the
+flat-index components replaced; generated cells and the noise field are
+checked against them for equality. The model-write references are the
+copy-on-write add_block, add_trace, connect and add_asset that copied the
+whole model or repository on every write, before versions shared one
+append-only store; random write sequences against any version are checked
+against them. The composition-rule references are validate_configuration,
+extract_view, apply_pattern and the block swap behind
+enumerate_alternatives_with_slots as they stood before each of their rules
+(findings, aspect kinds, link rewrite) was stated once; seeded models,
+patterns and swaps are checked against them for equal results or equal errors.
 """
 
 from __future__ import annotations

@@ -113,6 +113,7 @@ class TestPowerStateMatchesReference:
         consumption = [1.0, 1.0, 0.5]
         # depletion that lands exactly on 0.0 keeps the 0.0 step, then stops
         assert self.assert_equal(SimParams(capacity=2.0), consumption) is Termination.BATTERY_DEPLETED
+        assert power_state(SimParams(capacity=2.0), consumption)[0] == [1.0, 0.0]
         for charging in ((), (-0.0,), (-0.0, 0.5), (0.5, -0.0, 0.0), (0.25,) * 5):
             self.assert_equal(SimParams(capacity=2.0, charging=charging), consumption)
         self.assert_equal(SimParams(capacity=2.0, charging=(1.0,)), [])
