@@ -12,9 +12,10 @@ index ``row * width + col``, and differ only in the next-cell rule and the
 relocation search they pass it: breadth-first by hops or uniform-cost by
 energy. The loop and the searches work on cell indices; cells become
 positions only in the returned path. Each concretizes the strategy it is
-named after in one specific way; other readings are possible. Revisited cells cost travel energy
-but are only counted as covered on first visit. A registry maps algorithm
-names to planner functions so models can swap planners as algorithm blocks.
+named after in one specific way; other readings are possible. Revisited
+cells cost travel energy but are only counted as covered on first visit. A
+registry maps algorithm names to planner functions so models can swap
+planners as algorithm blocks.
 """
 
 from __future__ import annotations
