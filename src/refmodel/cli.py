@@ -3,6 +3,10 @@
 Every subcommand is a thin adapter over the library: it loads files, calls
 one library function, and prints or writes the result. COMMANDS, at the end
 of the module, declares each subcommand with the options its handler reads.
+The module imports only what building the parser needs (core and errors);
+each handler imports the library modules it calls when it runs, so a command
+loads only the layers it uses. Handlers look library functions up through
+their module at call time and never bind one when the module is imported.
 Exit codes: 0 on success, 1 on validation findings or domain errors, 2 on
 usage errors, including a flag the subcommand does not take.
 """
@@ -12,18 +16,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path as FilePath
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import composition, demo, evaluator, planners, repository, simulation, terrain
 from .core import Aspect, BlockKind, ConcernLayer, Model, Port, PortDirection, PortRef
 from .errors import ParseError, RefModelError
-from .terrain import GenParams, Position
+
+if TYPE_CHECKING:
+    from . import composition, repository, simulation, terrain
 
 _ENV_HOME = "REFMODEL_HOME"
-# The generation flags' dests, one per GenParams field.
-_GEN_FIELDS = tuple(field.name for field in fields(GenParams))
 
 
 def main(argv=None) -> int:
@@ -79,6 +81,8 @@ class _Subparser(argparse.ArgumentParser):
 
 def _repo_path(args) -> FilePath:
     """The --repo file, else the default repository under $REFMODEL_HOME."""
+    from . import repository
+
     if args.repo:
         return FilePath(args.repo)
     home = os.environ.get(_ENV_HOME)
@@ -88,15 +92,21 @@ def _repo_path(args) -> FilePath:
 
 
 def _load_repo(args) -> repository.ReferenceRepository:
+    from . import repository
+
     return repository.load(_read(_repo_path(args), "repository"))
 
 
 def _load_model(args) -> Model:
+    from . import repository
+
     return repository.load_model(_read(FilePath(args.model), "model"))
 
 
 def _load_or_new_model(args) -> tuple[Model, FilePath]:
     """The model a ``model ...`` command edits; a missing file starts an empty model."""
+    from . import repository
+
     path = FilePath(args.model)
     if path.exists():
         return _load_model(args), path
@@ -120,6 +130,8 @@ def _write(path: FilePath, text: str):
 
 
 def _load_map(args) -> terrain.TerrainMap:
+    from . import terrain
+
     if not args.map_file:
         raise _UsageError("--map is required")
     return terrain.load_map(_read(FilePath(args.map_file), "map"))
@@ -149,14 +161,18 @@ def _given(args, *dests: str) -> dict:
 
 
 def _sim_params(args) -> simulation.SimParams:
+    from . import simulation
+
     return simulation.SimParams(**_given(args, "capacity", "consumption_factor"))
 
 
-def _position(text: str) -> Position:
+def _position(text: str) -> terrain.Position:
     """The --start cell, given as row,col."""
+    from . import terrain
+
     try:
         row_text, col_text = text.split(",")
-        return Position(int(row_text), int(col_text))
+        return terrain.Position(int(row_text), int(col_text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects row,col, got '{text}'") from None
 
@@ -206,6 +222,8 @@ class _UsageError(Exception):
 
 
 def cmd_repo_init(args) -> int:
+    from . import repository
+
     path = _repo_path(args)
     if path.exists():
         raise FileExistsError(f"{path} already exists")
@@ -215,6 +233,8 @@ def cmd_repo_init(args) -> int:
 
 
 def cmd_repo_add(args) -> int:
+    from . import repository
+
     repo = _load_repo(args)
     asset = repository.load_asset(_read(FilePath(args.asset_file), "asset"))
     repo = repository.add_asset(repo, asset)
@@ -224,6 +244,8 @@ def cmd_repo_add(args) -> int:
 
 
 def cmd_repo_list(args) -> int:
+    from . import repository
+
     repo = _load_repo(args)
     layer = ConcernLayer(args.layer) if args.layer else None
     kind = BlockKind(args.kind) if args.kind else None
@@ -237,12 +259,16 @@ def cmd_repo_list(args) -> int:
 
 def _save_model(path: FilePath, model: Model, message: str) -> int:
     """The last step of every model command: write the edited model, then say what was done."""
+    from . import repository
+
     _write(path, repository.save_model(model))
     print(message)
     return 0
 
 
 def cmd_model_adopt(args) -> int:
+    from . import repository
+
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
     model = repository.adopt(repo, args.asset_id, model)
@@ -250,6 +276,8 @@ def cmd_model_adopt(args) -> int:
 
 
 def cmd_model_adapt(args) -> int:
+    from . import repository
+
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
     overrides = {
@@ -263,6 +291,8 @@ def cmd_model_adapt(args) -> int:
 
 
 def cmd_model_extend(args) -> int:
+    from . import repository
+
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
     layer = repository.asset_of_kind(repo, args.asset_id, repository.BlockAsset).block.layer
@@ -281,6 +311,8 @@ def cmd_model_extend(args) -> int:
 
 
 def cmd_model_connect(args) -> int:
+    from . import composition
+
     model, path = _load_or_new_model(args)
     provided = _parse_port_ref(args.provided, "provided endpoint")
     required = _parse_port_ref(args.required, "required endpoint")
@@ -289,6 +321,8 @@ def cmd_model_connect(args) -> int:
 
 
 def cmd_model_apply_pattern(args) -> int:
+    from . import composition, repository
+
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
     pattern = repository.asset_of_kind(repo, args.pattern_id, repository.PatternAsset).pattern
@@ -301,6 +335,8 @@ def cmd_model_apply_pattern(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import composition
+
     model = _load_model(args)
     report = composition.validate_configuration(model)
     if report.is_valid:
@@ -320,11 +356,20 @@ def _trace_text(tree: composition.TraceNode) -> str:
     )
 
 
+def _dot(graph) -> str:
+    """The DOT text of a trace tree or a view."""
+    from . import composition
+
+    return composition.export_dot(graph)
+
+
 # What trace prints for each --format; the keys are the flag's choices.
-_TRACE_FORMATS = {"text": _trace_text, "dot": composition.export_dot}
+_TRACE_FORMATS = {"text": _trace_text, "dot": _dot}
 
 
 def cmd_trace(args) -> int:
+    from . import composition
+
     model = _load_model(args)
     direction = composition.TraceDirection(args.direction)
     tree = composition.trace(model, args.element, direction)
@@ -333,6 +378,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    from . import composition
+
     model = _load_model(args)
     report = composition.capability_coverage(model)
     for entry in report.entries:
@@ -354,10 +401,12 @@ def _view_text(view: composition.View) -> str:
 
 
 # What view prints for each --format; the keys are the flag's choices.
-_VIEW_FORMATS = {"text": _view_text, "dot": composition.export_dot}
+_VIEW_FORMATS = {"text": _view_text, "dot": _dot}
 
 
 def cmd_view(args) -> int:
+    from . import composition
+
     model = _load_model(args)
     viewpoint = composition.Viewpoint(ConcernLayer(args.subject), Aspect(args.aspect))
     print(_VIEW_FORMATS[args.format](composition.extract_view(model, viewpoint)), end="")
@@ -365,6 +414,8 @@ def cmd_view(args) -> int:
 
 
 def cmd_alternatives(args) -> int:
+    from . import composition
+
     repo = _load_repo(args)
     model = _load_model(args)
     pairs = composition.enumerate_alternatives_with_slots(model, repo, args.slot)
@@ -378,6 +429,8 @@ def cmd_alternatives(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import planners, simulation
+
     tmap = _load_map(args)
     planner = args.planner
     if planner == "adaptive":
@@ -395,14 +448,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_COMPARE_FORMATS = {
-    "text": evaluator.comparison_to_table,
-    "csv": evaluator.comparison_to_csv,
-    "svg": evaluator.remaining_chart_svg,
-}
+# The evaluator writer compare and ensemble print for each --format; the keys are the flag's choices.
+_COMPARE_FORMATS = {"text": "comparison_to_table", "csv": "comparison_to_csv", "svg": "remaining_chart_svg"}
+_ENSEMBLE_FORMATS = {"text": "ensemble_to_table", "csv": "ensemble_to_csv"}
 
 
 def cmd_compare(args) -> int:
+    from . import evaluator
+
     tmap = _load_map(args)
     report = evaluator.compare(
         tmap,
@@ -411,7 +464,7 @@ def cmd_compare(args) -> int:
         map_label=FilePath(args.map_file).name,
         **_given(args, "planners"),
     )
-    print(_COMPARE_FORMATS[args.format](report), end="")
+    print(getattr(evaluator, _COMPARE_FORMATS[args.format])(report), end="")
     if args.out:
         out = FilePath(args.out)
         artifacts = {
@@ -426,23 +479,24 @@ def cmd_compare(args) -> int:
     return 0
 
 
-_ENSEMBLE_FORMATS = {"text": evaluator.ensemble_to_table, "csv": evaluator.ensemble_to_csv}
-
-
 def cmd_ensemble(args) -> int:
+    from . import evaluator, terrain
+
     stats = evaluator.ensemble(
-        GenParams(**_given(args, *_GEN_FIELDS)),
+        terrain.GenParams(**_given(args, *_GEN_FIELDS)),
         args.n,
         params=_sim_params(args),
         start=args.start,
         **_given(args, "planners", "seed0"),
     )
-    print(_ENSEMBLE_FORMATS[args.format](stats), end="")
+    print(getattr(evaluator, _ENSEMBLE_FORMATS[args.format])(stats), end="")
     _write_out(args.out, "ensemble.csv", evaluator.ensemble_to_csv(stats))
     return 0
 
 
 def cmd_rank(args) -> int:
+    from . import evaluator, terrain
+
     # --n N (N >= 1) ranks over generated maps, and only then do the generation flags apply.
     generated = args.n is not None and args.n > 0
     gen = _given(args, *_GEN_FIELDS)
@@ -453,7 +507,7 @@ def cmd_rank(args) -> int:
         raise _UsageError("--seed, --width, --height, --density and --max-level need --n N with N >= 1")
     repo = _load_repo(args)
     model = _load_model(args)
-    arena = evaluator.EnsembleSpec(GenParams(**gen), args.n, **seed) if generated else _load_map(args)
+    arena = evaluator.EnsembleSpec(terrain.GenParams(**gen), args.n, **seed) if generated else _load_map(args)
     ranked = evaluator.rank_configurations(
         model, repo, args.slot, arena, params=_sim_params(args), start=args.start
     )
@@ -465,6 +519,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from . import demo, repository
+
     repo = demo.build_demo_repository()
     for name, text in (
         (f"demo{repository.REPOSITORY_SUFFIX}", repository.save(repo)),
@@ -514,6 +570,8 @@ _GEN = (
     _opt("--density", dest="obstacle_density", type=float, metavar="DENSITY"),
     _opt("--max-level", type=int),
 )
+# The generation flags' dests, one per GenParams field.
+_GEN_FIELDS = tuple(settings.get("dest", flags[0].lstrip("-").replace("-", "_")) for flags, settings in _GEN)
 _SIM = (
     _opt("--capacity", type=float, help="battery capacity"),
     _opt("--consumption-factor", type=float, help="per-step consumption scale"),

@@ -11,15 +11,16 @@ over one core that runs every planner on every map of an arena.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
-from .composition import enumerate_alternatives_with_slots
 from .core import BlockKind, Model
 from .errors import NoAlternatives, StartBlocked
 from .planners import PlannerId, PlannerRef, resolve_planner
-from .repository import ReferenceRepository
 from .simulation import SimParams, SimResult, Termination, run
 from .terrain import GenParams, Position, TerrainMap, generate_map
+
+if TYPE_CHECKING:
+    from .repository import ReferenceRepository
 
 DEFAULT_PLANNERS: tuple[PlannerId, ...] = (PlannerId.EDGE_FOLLOW, PlannerId.TERRAIN_AWARE)
 
@@ -207,6 +208,9 @@ def rank_configurations(
     slot_block = model.block(slot)
     if slot_block.kind is not BlockKind.ALGORITHM_BLOCK:
         raise NoAlternatives(f"slot '{slot}' is not an algorithm block")
+    # Imported here, so that compare and ensemble do not load the model layer.
+    from .composition import enumerate_alternatives_with_slots
+
     alternatives = enumerate_alternatives_with_slots(model, repo, slot)
     names = [resolve_planner(alternative.blocks[block_id])[0] for block_id, alternative in alternatives]
     totals, _, completed = _tally(arena, names, params, start)

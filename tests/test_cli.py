@@ -1,5 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import oracles
 import pytest
@@ -569,6 +574,67 @@ class TestCommandTable:
         assert err.startswith(f"usage: refmodel {words} ")
         unread = " ".join(argv[-2:])
         assert err.splitlines()[-1] == f"refmodel {words}: error: unrecognized arguments: {unread}"
+
+    def test_generation_flags_are_the_gen_params_fields(self):
+        """One --width/--height/--density/--max-level flag per GenParams field, with the field's name as dest."""
+        assert list(cli._GEN_FIELDS) == [field.name for field in fields(terrain.GenParams)]
+
+
+# Runs one command in a fresh interpreter, then prints the refmodel modules it loaded.
+FOOTPRINT = """
+import sys
+from refmodel import cli
+cli.main(sys.argv[1:])
+print(*sorted(name for name in sys.modules if name.partition(".")[0] == "refmodel"))
+"""
+PARSER = {"refmodel", "refmodel.cli", "refmodel.core", "refmodel.errors"}
+MODEL_LAYER = PARSER | {"refmodel.composition", "refmodel.repository"}
+SIMULATION_LAYERS = PARSER | {"refmodel.terrain", "refmodel.planners", "refmodel.simulation"}
+EVALUATION_LAYERS = SIMULATION_LAYERS | {"refmodel.evaluator"}
+# The refmodel modules each command loads, by its first word.
+FOOTPRINTS = {
+    "--help": PARSER,
+    "validate": MODEL_LAYER,
+    "coverage": MODEL_LAYER,
+    "trace": MODEL_LAYER,
+    "view": MODEL_LAYER,
+    "alternatives": MODEL_LAYER,
+    "simulate": SIMULATION_LAYERS,
+    "compare": EVALUATION_LAYERS,
+    "ensemble": EVALUATION_LAYERS,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("validate", "--model", "{model}"),
+        ("coverage", "--model", "{model}"),
+        ("trace", "cap.mowing", "--format", "dot", "--model", "{model}"),
+        ("view", "--subject", "service", "--aspect", "structure", "--format", "dot", "--model", "{model}"),
+        ("alternatives", "--slot", "alg.edge_follow", "--repo", "{repo}", "--model", "{model}"),
+        ("simulate", "--map", "{map}", "--planner", "adaptive", "--start", "0,0"),
+        ("compare", "--map", "{map}", "--format", "svg"),
+        ("ensemble", "--n", "2", "--format", "csv"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_imports_only_the_layers_it_runs(demo_dir, argv):
+    places = {
+        "model": demo_dir / "demo.refmodel.json",
+        "repo": demo_dir / "demo.refrepo.json",
+        "map": demo_dir / "reference.terrain.txt",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *(arg.format(**places) for arg in argv)],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == sorted(FOOTPRINTS[argv[0]])
 
 
 class TestTraceCommands:
