@@ -37,6 +37,7 @@ _EXPORTS = {
     "simulation": ("SimParams", "SimResult", "Termination", "power_consumption", "power_state", "run"),
     "evaluator": ("ComparisonReport", "EnsembleSpec", "EnsembleStats", "compare", "ensemble", "rank_configurations"),
     "errors": (),
+    "demo": (),
 }
 # Each name, and each submodule's own name, mapped to the submodule that holds it.
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}

@@ -3,10 +3,8 @@
 Every subcommand is a thin adapter over the library: it loads files, calls
 one library function, and prints or writes the result. COMMANDS, at the end
 of the module, declares each subcommand with the options its handler reads.
-The module imports only what building the parser needs (core and errors);
-each handler imports the library modules it calls when it runs, so a command
-loads only the layers it uses. Handlers look library functions up through
-their module at call time and never bind one when the module is imported.
+Handlers reach the library through the ``refmodel`` namespace, which loads a
+module on first use, so a command loads only the layers it runs.
 Exit codes: 0 on success, 1 on validation findings or domain errors, 2 on
 usage errors, including a flag the subcommand does not take.
 """
@@ -17,13 +15,12 @@ import argparse
 import os
 import sys
 from pathlib import Path as FilePath
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
+
+import refmodel
 
 from .core import Aspect, BlockKind, ConcernLayer, Model, Port, PortDirection, PortRef
 from .errors import ParseError, RefModelError
-
-if TYPE_CHECKING:
-    from . import composition, repository, simulation, terrain
 
 _ENV_HOME = "REFMODEL_HOME"
 
@@ -81,37 +78,29 @@ class _Subparser(argparse.ArgumentParser):
 
 def _repo_path(args) -> FilePath:
     """The --repo file, else the default repository under $REFMODEL_HOME."""
-    from . import repository
-
     if args.repo:
         return FilePath(args.repo)
     home = os.environ.get(_ENV_HOME)
     if not home:
         raise _UsageError(f"--repo is required (or set {_ENV_HOME})")
-    return FilePath(home) / f"default{repository.REPOSITORY_SUFFIX}"
+    return FilePath(home) / f"default{refmodel.repository.REPOSITORY_SUFFIX}"
 
 
-def _load_repo(args) -> repository.ReferenceRepository:
-    from . import repository
-
-    return repository.load(_read(_repo_path(args), "repository"))
+def _load_repo(args) -> refmodel.repository.ReferenceRepository:
+    return refmodel.repository.load(_read(_repo_path(args), "repository"))
 
 
 def _load_model(args) -> Model:
-    from . import repository
-
-    return repository.load_model(_read(FilePath(args.model), "model"))
+    return refmodel.repository.load_model(_read(FilePath(args.model), "model"))
 
 
 def _load_or_new_model(args) -> tuple[Model, FilePath]:
     """The model a ``model ...`` command edits; a missing file starts an empty model."""
-    from . import repository
-
     path = FilePath(args.model)
     if path.exists():
         return _load_model(args), path
     stem = path.name
-    for suffix in (repository.MODEL_SUFFIX, ".json"):
+    for suffix in (refmodel.repository.MODEL_SUFFIX, ".json"):
         if stem.endswith(suffix):
             stem = stem[: -len(suffix)]
             break
@@ -129,12 +118,10 @@ def _write(path: FilePath, text: str):
         temp.unlink(missing_ok=True)
 
 
-def _load_map(args) -> terrain.TerrainMap:
-    from . import terrain
-
+def _load_map(args) -> refmodel.terrain.TerrainMap:
     if not args.map_file:
         raise _UsageError("--map is required")
-    return terrain.load_map(_read(FilePath(args.map_file), "map"))
+    return refmodel.terrain.load_map(_read(FilePath(args.map_file), "map"))
 
 
 def _read(path: FilePath, what: str) -> str:
@@ -160,19 +147,15 @@ def _given(args, *dests: str) -> dict:
     return {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
 
 
-def _sim_params(args) -> simulation.SimParams:
-    from . import simulation
-
-    return simulation.SimParams(**_given(args, "capacity", "consumption_factor"))
+def _sim_params(args) -> refmodel.simulation.SimParams:
+    return refmodel.simulation.SimParams(**_given(args, "capacity", "consumption_factor"))
 
 
-def _position(text: str) -> terrain.Position:
+def _position(text: str) -> refmodel.terrain.Position:
     """The --start cell, given as row,col."""
-    from . import terrain
-
     try:
         row_text, col_text = text.split(",")
-        return terrain.Position(int(row_text), int(col_text))
+        return refmodel.terrain.Position(int(row_text), int(col_text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects row,col, got '{text}'") from None
 
@@ -222,34 +205,28 @@ class _UsageError(Exception):
 
 
 def cmd_repo_init(args) -> int:
-    from . import repository
-
     path = _repo_path(args)
     if path.exists():
         raise FileExistsError(f"{path} already exists")
-    _write(path, repository.save(repository.ReferenceRepository()))
+    _write(path, refmodel.repository.save(refmodel.repository.ReferenceRepository()))
     print(f"initialized empty repository at {path}")
     return 0
 
 
 def cmd_repo_add(args) -> int:
-    from . import repository
-
     repo = _load_repo(args)
-    asset = repository.load_asset(_read(FilePath(args.asset_file), "asset"))
-    repo = repository.add_asset(repo, asset)
-    _write(_repo_path(args), repository.save(repo))
+    asset = refmodel.repository.load_asset(_read(FilePath(args.asset_file), "asset"))
+    repo = refmodel.repository.add_asset(repo, asset)
+    _write(_repo_path(args), refmodel.repository.save(repo))
     print(f"added asset '{asset.id}' (repository version {repo.version})")
     return 0
 
 
 def cmd_repo_list(args) -> int:
-    from . import repository
-
     repo = _load_repo(args)
     layer = ConcernLayer(args.layer) if args.layer else None
     kind = BlockKind(args.kind) if args.kind else None
-    for asset_id in repository.list_assets(repo, layer=layer, kind=kind):
+    for asset_id in refmodel.repository.list_assets(repo, layer=layer, kind=kind):
         print(asset_id)
     return 0
 
@@ -259,25 +236,19 @@ def cmd_repo_list(args) -> int:
 
 def _save_model(path: FilePath, model: Model, message: str) -> int:
     """The last step of every model command: write the edited model, then say what was done."""
-    from . import repository
-
-    _write(path, repository.save_model(model))
+    _write(path, refmodel.repository.save_model(model))
     print(message)
     return 0
 
 
 def cmd_model_adopt(args) -> int:
-    from . import repository
-
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
-    model = repository.adopt(repo, args.asset_id, model)
+    model = refmodel.repository.adopt(repo, args.asset_id, model)
     return _save_model(path, model, f"adopted '{args.asset_id}' into {path}")
 
 
 def cmd_model_adapt(args) -> int:
-    from . import repository
-
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
     overrides = {
@@ -286,16 +257,14 @@ def cmd_model_adapt(args) -> int:
         "port_types": _name_values(args.port_type, "--port-type", "PORT=TYPE"),
     }
     overrides = {field: value for field, value in overrides.items() if value}
-    model = repository.adapt(repo, args.asset_id, overrides, model)
+    model = refmodel.repository.adapt(repo, args.asset_id, overrides, model)
     return _save_model(path, model, f"adapted '{args.asset_id}' into {path}")
 
 
 def cmd_model_extend(args) -> int:
-    from . import repository
-
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
-    layer = repository.asset_of_kind(repo, args.asset_id, repository.BlockAsset).block.layer
+    layer = refmodel.repository.asset_of_kind(repo, args.asset_id, refmodel.repository.BlockAsset).block.layer
     ports = []
     for entry in args.port:
         pieces = entry.split(":")
@@ -306,28 +275,24 @@ def cmd_model_extend(args) -> int:
             raise _UsageError(f"--port direction must be provided or required, got '{direction}'")
         ports.append(Port(port_id, PortDirection(direction), interface, layer))
     params = _name_values(args.param, "--param", "KEY=VALUE", scalars=True)
-    model = repository.extend(repo, args.asset_id, ports, params, model)
+    model = refmodel.repository.extend(repo, args.asset_id, ports, params, model)
     return _save_model(path, model, f"extended '{args.asset_id}' into {path}")
 
 
 def cmd_model_connect(args) -> int:
-    from . import composition
-
     model, path = _load_or_new_model(args)
     provided = _parse_port_ref(args.provided, "provided endpoint")
     required = _parse_port_ref(args.required, "required endpoint")
-    model = composition.connect(model, provided, required)
+    model = refmodel.composition.connect(model, provided, required)
     return _save_model(path, model, f"connected {args.provided} -> {args.required}")
 
 
 def cmd_model_apply_pattern(args) -> int:
-    from . import composition, repository
-
     repo = _load_repo(args)
     model, path = _load_or_new_model(args)
-    pattern = repository.asset_of_kind(repo, args.pattern_id, repository.PatternAsset).pattern
+    pattern = refmodel.repository.asset_of_kind(repo, args.pattern_id, refmodel.repository.PatternAsset).pattern
     bindings = _name_values(args.bind, "--bind", "ANCHOR=BLOCK")
-    model = composition.apply_pattern(model, pattern, bindings, force_theirs=args.force_theirs)
+    model = refmodel.composition.apply_pattern(model, pattern, bindings, force_theirs=args.force_theirs)
     return _save_model(path, model, f"applied pattern '{args.pattern_id}' into {path}")
 
 
@@ -335,10 +300,8 @@ def cmd_model_apply_pattern(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from . import composition
-
     model = _load_model(args)
-    report = composition.validate_configuration(model)
+    report = refmodel.composition.validate_configuration(model)
     if report.is_valid:
         print(f"model '{model.id}' is valid")
         return 0
@@ -348,7 +311,7 @@ def cmd_validate(args) -> int:
     return 1
 
 
-def _trace_text(tree: composition.TraceNode) -> str:
+def _trace_text(tree: refmodel.composition.TraceNode) -> str:
     """One line per node, indented by its depth, with the kind of the link that reached it."""
     return "".join(
         "  " * depth + node.block_id + (f" ({node.link.value})" if node.link else "") + "\n"
@@ -356,39 +319,28 @@ def _trace_text(tree: composition.TraceNode) -> str:
     )
 
 
-def _dot(graph) -> str:
-    """The DOT text of a trace tree or a view."""
-    from . import composition
-
-    return composition.export_dot(graph)
-
-
 # What trace prints for each --format; the keys are the flag's choices.
-_TRACE_FORMATS = {"text": _trace_text, "dot": _dot}
+_TRACE_FORMATS = {"text": _trace_text, "dot": lambda graph: refmodel.composition.export_dot(graph)}
 
 
 def cmd_trace(args) -> int:
-    from . import composition
-
     model = _load_model(args)
-    direction = composition.TraceDirection(args.direction)
-    tree = composition.trace(model, args.element, direction)
+    direction = refmodel.composition.TraceDirection(args.direction)
+    tree = refmodel.composition.trace(model, args.element, direction)
     print(_TRACE_FORMATS[args.format](tree), end="")
     return 0
 
 
 def cmd_coverage(args) -> int:
-    from . import composition
-
     model = _load_model(args)
-    report = composition.capability_coverage(model)
+    report = refmodel.composition.capability_coverage(model)
     for entry in report.entries:
         chain = f" via {' <- '.join(entry.witnesses[0])}" if entry.witnesses else ""
         print(f"{entry.capability_id}: {entry.status.value}{chain}")
     return 0
 
 
-def _view_text(view: composition.View) -> str:
+def _view_text(view: refmodel.composition.View) -> str:
     """A header naming the viewpoint, then one indented line per element, connection and trace."""
     subject, aspect = view.viewpoint.subject.value, view.viewpoint.aspect.value
     lines = [
@@ -401,24 +353,20 @@ def _view_text(view: composition.View) -> str:
 
 
 # What view prints for each --format; the keys are the flag's choices.
-_VIEW_FORMATS = {"text": _view_text, "dot": _dot}
+_VIEW_FORMATS = {"text": _view_text, "dot": lambda graph: refmodel.composition.export_dot(graph)}
 
 
 def cmd_view(args) -> int:
-    from . import composition
-
     model = _load_model(args)
-    viewpoint = composition.Viewpoint(ConcernLayer(args.subject), Aspect(args.aspect))
-    print(_VIEW_FORMATS[args.format](composition.extract_view(model, viewpoint)), end="")
+    viewpoint = refmodel.composition.Viewpoint(ConcernLayer(args.subject), Aspect(args.aspect))
+    print(_VIEW_FORMATS[args.format](refmodel.composition.extract_view(model, viewpoint)), end="")
     return 0
 
 
 def cmd_alternatives(args) -> int:
-    from . import composition
-
     repo = _load_repo(args)
     model = _load_model(args)
-    pairs = composition.enumerate_alternatives_with_slots(model, repo, args.slot)
+    pairs = refmodel.composition.enumerate_alternatives_with_slots(model, repo, args.slot)
     for index, (block_id, alternative) in enumerate(pairs):
         block = alternative.blocks[block_id]
         print(f"{index}: {block_id} ({block.name})")
@@ -429,14 +377,12 @@ def cmd_alternatives(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import planners, simulation
-
     tmap = _load_map(args)
     planner = args.planner
     if planner == "adaptive":
-        planner = planners.select_adaptive(tmap).value
-    result = simulation.run(tmap, planner, start=args.start, params=_sim_params(args))
-    csv_text = simulation.sim_result_to_csv(result)
+        planner = refmodel.planners.select_adaptive(tmap).value
+    result = refmodel.simulation.run(tmap, planner, start=args.start, params=_sim_params(args))
+    csv_text = refmodel.simulation.sim_result_to_csv(result)
     if args.format == "csv":
         print(csv_text, end="")
     else:
@@ -454,24 +400,22 @@ _ENSEMBLE_FORMATS = {"text": "ensemble_to_table", "csv": "ensemble_to_csv"}
 
 
 def cmd_compare(args) -> int:
-    from . import evaluator
-
     tmap = _load_map(args)
-    report = evaluator.compare(
+    report = refmodel.evaluator.compare(
         tmap,
         start=args.start,
         params=_sim_params(args),
         map_label=FilePath(args.map_file).name,
         **_given(args, "planners"),
     )
-    print(getattr(evaluator, _COMPARE_FORMATS[args.format])(report), end="")
+    print(getattr(refmodel.evaluator, _COMPARE_FORMATS[args.format])(report), end="")
     if args.out:
         out = FilePath(args.out)
         artifacts = {
-            "compare.csv": evaluator.comparison_to_csv(report),
-            "compare.txt": evaluator.comparison_to_table(report),
-            "remaining.svg": evaluator.remaining_chart_svg(report),
-            "paths.svg": evaluator.paths_svg(tmap, report),
+            "compare.csv": refmodel.evaluator.comparison_to_csv(report),
+            "compare.txt": refmodel.evaluator.comparison_to_table(report),
+            "remaining.svg": refmodel.evaluator.remaining_chart_svg(report),
+            "paths.svg": refmodel.evaluator.paths_svg(tmap, report),
         }
         for name, text in artifacts.items():
             _write(out / name, text)
@@ -480,23 +424,19 @@ def cmd_compare(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    from . import evaluator, terrain
-
-    stats = evaluator.ensemble(
-        terrain.GenParams(**_given(args, *_GEN_FIELDS)),
+    stats = refmodel.evaluator.ensemble(
+        refmodel.terrain.GenParams(**_given(args, *_GEN_FIELDS)),
         args.n,
         params=_sim_params(args),
         start=args.start,
         **_given(args, "planners", "seed0"),
     )
-    print(getattr(evaluator, _ENSEMBLE_FORMATS[args.format])(stats), end="")
-    _write_out(args.out, "ensemble.csv", evaluator.ensemble_to_csv(stats))
+    print(getattr(refmodel.evaluator, _ENSEMBLE_FORMATS[args.format])(stats), end="")
+    _write_out(args.out, "ensemble.csv", refmodel.evaluator.ensemble_to_csv(stats))
     return 0
 
 
 def cmd_rank(args) -> int:
-    from . import evaluator, terrain
-
     # --n N (N >= 1) ranks over generated maps, and only then do the generation flags apply.
     generated = args.n is not None and args.n > 0
     gen = _given(args, *_GEN_FIELDS)
@@ -507,25 +447,27 @@ def cmd_rank(args) -> int:
         raise _UsageError("--seed, --width, --height, --density and --max-level need --n N with N >= 1")
     repo = _load_repo(args)
     model = _load_model(args)
-    arena = evaluator.EnsembleSpec(terrain.GenParams(**gen), args.n, **seed) if generated else _load_map(args)
-    ranked = evaluator.rank_configurations(
+    if generated:
+        arena = refmodel.evaluator.EnsembleSpec(refmodel.terrain.GenParams(**gen), args.n, **seed)
+    else:
+        arena = _load_map(args)
+    ranked = refmodel.evaluator.rank_configurations(
         model, repo, args.slot, arena, params=_sim_params(args), start=args.start
     )
     for position, entry in enumerate(ranked, start=1):
         flag = "" if entry.completed else " [incomplete coverage]"
         print(f"{position}. {entry.block_id} ({entry.planner}) score {entry.score:.6f}{flag}")
-    _write_out(args.out, "rank.csv", evaluator.ranking_to_csv(ranked))
+    _write_out(args.out, "rank.csv", refmodel.evaluator.ranking_to_csv(ranked))
     return 0
 
 
 def cmd_demo(args) -> int:
-    from . import demo, repository
-
-    repo = demo.build_demo_repository()
+    repo = refmodel.demo.build_demo_repository()
+    model = refmodel.demo.build_demo_model(repo)
     for name, text in (
-        (f"demo{repository.REPOSITORY_SUFFIX}", repository.save(repo)),
-        (f"demo{repository.MODEL_SUFFIX}", repository.save_model(demo.build_demo_model(repo))),
-        ("reference.terrain.txt", demo.REFERENCE_MAP_TEXT),
+        (f"demo{refmodel.repository.REPOSITORY_SUFFIX}", refmodel.repository.save(repo)),
+        (f"demo{refmodel.repository.MODEL_SUFFIX}", refmodel.repository.save_model(model)),
+        ("reference.terrain.txt", refmodel.demo.REFERENCE_MAP_TEXT),
     ):
         _write_out(args.out or ".", name, text)
     return 0

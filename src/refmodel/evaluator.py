@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
+import refmodel
+
 from .core import BlockKind, Model
 from .errors import NoAlternatives, StartBlocked
 from .planners import PlannerId, PlannerRef, resolve_planner
@@ -208,10 +210,7 @@ def rank_configurations(
     slot_block = model.block(slot)
     if slot_block.kind is not BlockKind.ALGORITHM_BLOCK:
         raise NoAlternatives(f"slot '{slot}' is not an algorithm block")
-    # Imported here, so that compare and ensemble do not load the model layer.
-    from .composition import enumerate_alternatives_with_slots
-
-    alternatives = enumerate_alternatives_with_slots(model, repo, slot)
+    alternatives = refmodel.composition.enumerate_alternatives_with_slots(model, repo, slot)
     names = [resolve_planner(alternative.blocks[block_id])[0] for block_id, alternative in alternatives]
     totals, _, completed = _tally(arena, names, params, start)
     ranked = [

@@ -602,7 +602,13 @@ FOOTPRINTS = {
     "simulate": SIMULATION_LAYERS,
     "compare": EVALUATION_LAYERS,
     "ensemble": EVALUATION_LAYERS,
+    "repo": MODEL_LAYER,
+    "model": MODEL_LAYER,
+    "rank": EVALUATION_LAYERS | MODEL_LAYER,
+    "demo": MODEL_LAYER | {"refmodel.demo", "refmodel.terrain"},
 }
+# The repo and model commands, each run with its line from FULL_LINES.
+EDITING_COMMANDS = [command.words for command in cli.COMMANDS if command.words.split()[0] in ("repo", "model")]
 
 
 @pytest.mark.parametrize(
@@ -617,15 +623,24 @@ FOOTPRINTS = {
         ("simulate", "--map", "{map}", "--planner", "adaptive", "--start", "0,0"),
         ("compare", "--map", "{map}", "--format", "svg"),
         ("ensemble", "--n", "2", "--format", "csv"),
+        *((*words.split(), *FULL_LINES[words][0]) for words in EDITING_COMMANDS),
+        ("rank", "--map", "{map}", "--slot", "alg.edge_follow", "--repo", "{repo}", "--model", "{model}"),
+        ("rank", "--n", "2", "--slot", "alg.edge_follow", "--repo", "{repo}", "--model", "{model}"),
+        ("demo", "--out", "{dir}/out"),
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: " ".join(argv[:2]) if argv[0] in ("repo", "model", "rank") else argv[0],
 )
 def test_command_imports_only_the_layers_it_runs(demo_dir, argv):
+    (demo_dir / "asset.json").write_text(json.dumps(WATERING_ASSET))
     places = {
+        "dir": demo_dir,
         "model": demo_dir / "demo.refmodel.json",
         "repo": demo_dir / "demo.refrepo.json",
         "map": demo_dir / "reference.terrain.txt",
+        "new": demo_dir / "new.refmodel.json",
     }
+    for line in SETUP_LINES.get(" ".join(argv[:2]), []):
+        assert cli.main([arg.format(**places) for arg in line]) == 0
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT, *(arg.format(**places) for arg in argv)],
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},

@@ -40,6 +40,7 @@ NAMES = {
     "simulation": ["SimParams", "SimResult", "Termination", "power_consumption", "power_state", "run"],
     "evaluator": ["ComparisonReport", "EnsembleSpec", "EnsembleStats", "compare", "ensemble", "rank_configurations"],
     "errors": [],
+    "demo": [],
 }
 
 
@@ -55,7 +56,7 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_all_lists_the_public_names():
-    assert len(refmodel.__all__) == 83
+    assert len(refmodel.__all__) == 84
     assert sorted(refmodel.__all__) == sorted([*NAMES, *(name for names in NAMES.values() for name in names)])
 
 
@@ -77,6 +78,12 @@ def test_import_loads_no_submodule_until_a_name_is_used():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["refmodel", "refmodel.terrain", "refmodel refmodel.errors refmodel.terrain"]
+
+
+def test_demo_loads_on_first_use_in_a_fresh_interpreter():
+    proc = run_python("import refmodel\nprint(refmodel.demo.build_demo_model().id)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{refmodel.demo.build_demo_model().id}\n"
 
 
 def test_star_import_binds_every_public_name():
