@@ -10,44 +10,65 @@ Two built-in planners cover every reachable free cell:
 Both run one coverage loop over the map's move table, which is indexed by cell
 index ``row * width + col``, and differ only in the next-cell rule and the
 relocation search they pass it: breadth-first by hops or uniform-cost by
-energy. The loop and the searches work on cell indices; cells become
-positions only in the returned path. Each concretizes the strategy it is
-named after in one specific way; other readings are possible. Revisited
-cells cost travel energy but are only counted as covered on first visit. A
-registry maps algorithm names to planner functions so models can swap
-planners as algorithm blocks.
+energy. The loop, the searches and the returned path work on cell indices;
+a path builds positions only when they are read. Each concretizes the
+strategy it is named after in one specific way; other readings are possible.
+Revisited cells cost travel energy but are only counted as covered on first
+visit. A registry maps algorithm names to planner functions so models can
+swap planners as algorithm blocks.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
 
 from .core import BlockKind, BuildingBlock
 from .errors import StartBlocked, UnknownElement
-from .terrain import Position, TerrainMap
+from .terrain import OBSTACLE, Position, TerrainMap
 
 
-@dataclass(frozen=True)
 class Path:
-    """A walk over free cells: a start plus the positions after each step."""
+    """A walk over free cells: a start plus the cell after each step.
 
-    start: Position
-    steps: tuple[Position, ...] = ()
+    A built-in planner hands back the cell indices ``row * width + col`` of its
+    map, ``Path(cells=..., width=...)``. ``Path(start, steps)`` is a walk of
+    positions, as a registered planner may build one: its width is 0 and its
+    cells are the positions. Positions are derived when read, and paths with
+    equal positions are equal.
+    """
+
+    __slots__ = ("cells", "width")
+
+    def __init__(self, start: Position | None = None, steps: tuple[Position, ...] = (), *, cells=None, width: int = 0):
+        self.cells, self.width = ((start, *steps), 0) if cells is None else (cells, width)
 
     @property
     def positions(self) -> tuple[Position, ...]:
-        return (self.start,) + self.steps
+        return tuple(Position(*divmod(i, self.width)) for i in self.cells) if self.width else self.cells
+
+    @property
+    def start(self) -> Position:
+        return self.positions[0]
+
+    @property
+    def steps(self) -> tuple[Position, ...]:
+        return self.positions[1:]
 
     @property
     def num_steps(self) -> int:
-        return len(self.steps)
+        return len(self.cells) - 1
 
-    def visited(self) -> set[Position]:
-        return set(self.positions)
+    def __eq__(self, other):
+        return self.positions == other.positions if isinstance(other, Path) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.positions)
+
+    def __repr__(self):
+        return f"Path(start={self.start!r}, steps={self.steps!r})"
 
 
 class PlannerId(Enum):
@@ -145,7 +166,7 @@ def _cover(tmap: TerrainMap, start: Position, next_cell: Callable, search: Calla
         here = nxt
         visited[here] = 1
         unvisited -= 1
-    return Path(start=start, steps=tuple(Position(*divmod(i, width)) for i in out[1:]))
+    return Path(cells=tuple(out), width=width)
 
 
 def _hop_search(moves: tuple, source: int, visited: bytearray, dist: list, parents: list, touched: list) -> int | None:
@@ -203,7 +224,7 @@ def select_adaptive(tmap: TerrainMap) -> PlannerId:
     Hilly means the elevation variance of the free cells exceeds
     DEFAULT_VARIANCE_THRESHOLD.
     """
-    levels = [tmap.level(pos) for pos in tmap.free_positions()]
+    levels = [value for row in tmap.cells for value in row if value != OBSTACLE]
     mean = sum(levels) / len(levels)
     variance = sum((lv - mean) ** 2 for lv in levels) / len(levels)
     if variance > DEFAULT_VARIANCE_THRESHOLD:

@@ -55,30 +55,35 @@ class SimResult:
     terminated: Termination
 
 
-def power_consumption(
-    path: Path, tmap: TerrainMap, consumption_factor: float = 1.0
-) -> list[float]:
+def power_consumption(path: Path, tmap: TerrainMap, consumption_factor: float = 1.0) -> list[float]:
     """Per-step energy: the step factor of each move scaled by the consumption factor."""
-    # Every position is checked to be a free cell before any move is checked to
-    # be 4-adjacent. The check stays for the built-in planners too: it is one
-    # pass, and a registered planner's path is outside input.
+    # A path of positions, or of another width's indices, is mapped to this
+    # map's indices once; a position off the map maps to -1. The checks stay
+    # for the built-in planners too: a registered planner's path is outside
+    # input. A move found in the table ends on a free cell, so one loop checks
+    # a free start and then each move; if one fails, the first cell that is not
+    # free is reported before the first move that is not 4-adjacent.
     moves, width, height = tmap.moves, tmap.width, tmap.height
-    cells = []
-    for row, col in path.positions:
-        if not (0 <= row < height and 0 <= col < width) or moves[i := row * width + col] is None:
-            raise InvalidPath(f"position {(row, col)} is not a free cell")
-        cells.append(i)
+    cells = path.cells
+    if path.width != width:
+        cells = [row * width + col if 0 <= row < height and 0 <= col < width else -1 for row, col in path.positions]
     out = []
-    for here, there in zip(cells, cells[1:]):
-        for neighbor, factor in moves[here]:
-            if neighbor == there:
-                out.append(factor * consumption_factor)
-                break
+    if 0 <= cells[0] < len(moves) and moves[cells[0]] is not None:
+        for here, there in zip(cells, cells[1:]):
+            for neighbor, factor in moves[here]:
+                if neighbor == there:
+                    out.append(factor * consumption_factor)
+                    break
+            else:
+                break  # not a 4-adjacent move; reported below, after any cell that is not free
         else:
-            # out holds one factor per earlier step, so len(out) is this step's index
-            here, there = path.positions[len(out) : len(out) + 2]
-            raise InvalidPath(f"{tuple(here)} -> {tuple(there)} is not a 4-adjacent move")
-    return out
+            return out
+    for pos, i in zip(path.positions, cells):
+        if not 0 <= i < len(moves) or moves[i] is None:
+            raise InvalidPath(f"position {tuple(pos)} is not a free cell")
+    # out holds one factor per step before the failing one, so len(out) is its index
+    here, there = path.positions[len(out) : len(out) + 2]
+    raise InvalidPath(f"{tuple(here)} -> {tuple(there)} is not a 4-adjacent move")
 
 
 def power_state(
@@ -121,7 +126,7 @@ def run(
     consumption = power_consumption(path, tmap, params.consumption_factor)
     remaining, terminated = power_state(params, consumption)
     completed = len(remaining)
-    executed = Path(start=path.start, steps=path.steps[:completed])
+    executed = Path(cells=path.cells[: completed + 1], width=path.width)
     return SimResult(
         path=executed,
         params=params,
@@ -138,10 +143,7 @@ def run(
 def sim_result_to_csv(result: SimResult) -> str:
     """CSV rows `t,row,col,consumption,remaining`; t=0 is the start cell."""
     lines = ["t,row,col,consumption,remaining"]
-    start = result.path.start
-    lines.append(f"0,{start.row},{start.col},{0.0:.6f},{result.params.capacity:.6f}")
-    for t, pos in enumerate(result.path.steps, start=1):
-        lines.append(
-            f"{t},{pos.row},{pos.col},{result.consumption[t - 1]:.6f},{result.remaining[t - 1]:.6f}"
-        )
+    series = zip(result.path.positions, (0.0, *result.consumption), (result.params.capacity, *result.remaining))
+    for t, (pos, consumed, left) in enumerate(series):
+        lines.append(f"{t},{pos.row},{pos.col},{consumed:.6f},{left:.6f}")
     return "\n".join(lines) + "\n"

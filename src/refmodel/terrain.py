@@ -81,16 +81,13 @@ class TerrainMap:
         if not rows or not rows[0]:
             raise ValueError("terrain map needs at least one row and one column")
         width = len(rows[0])
-        free = 0
         for r, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(f"row {r} has length {len(row)}, expected {width}")
             for value in row:
                 if value != OBSTACLE and not MIN_LEVEL <= value <= MAX_LEVEL:
                     raise ValueError(f"cell value {value} outside {MIN_LEVEL}..{MAX_LEVEL} and not obstacle")
-                if value != OBSTACLE:
-                    free += 1
-        if free == 0:
+        if all(value == OBSTACLE for row in rows for value in row):
             raise ValueError("terrain map needs at least one free cell")
 
     @property
@@ -107,12 +104,6 @@ class TerrainMap:
     def is_free(self, pos: Position) -> bool:
         return self.in_bounds(pos) and self.cells[pos.row][pos.col] != OBSTACLE
 
-    def level(self, pos: Position) -> int:
-        value = self.cells[pos.row][pos.col]
-        if value == OBSTACLE:
-            raise ValueError(f"cell {tuple(pos)} is an obstacle")
-        return value
-
     def free_positions(self) -> Iterator[Position]:
         for r, row in enumerate(self.cells):
             for c, value in enumerate(row):
@@ -121,9 +112,6 @@ class TerrainMap:
 
     def first_free(self) -> Position:
         return next(self.free_positions())
-
-    def free_count(self) -> int:
-        return sum(1 for _ in self.free_positions())
 
     @cached_property
     def moves(self) -> tuple[tuple[tuple[int, float], ...] | None, ...]:
@@ -138,8 +126,8 @@ class TerrainMap:
         flat = [value for row in self.cells for value in row]
         size = len(flat)
         table = []
-        # The bounds below are those of _around, inlined: row > 0, col + 1 < width,
-        # row + 1 < height, col > 0.
+        # Bounds go by row and column: row > 0, col + 1 < width, row + 1 < height,
+        # col > 0. On a one-column grid i + 1 is the cell below, not a neighbor.
         for i, level in enumerate(flat):
             if level == OBSTACLE:
                 table.append(None)
@@ -159,21 +147,14 @@ class TerrainMap:
         return tuple(table)
 
 
-def _around(i: int, width: int, height: int) -> tuple[tuple[int, bool], ...]:
-    """The N, E, S, W neighbor indices of cell index i, each with whether it lies on the grid."""
-    # Neighbor order is fixed N, E, S, W so planners stay deterministic.
-    # Bounds go by row and column: on a one-column grid i + 1 is the cell below.
-    row, col = divmod(i, width)
-    return ((i - width, row > 0), (i + 1, col + 1 < width), (i + width, row + 1 < height), (i - 1, col > 0))
-
-
 def neighbors(tmap: TerrainMap, pos: Position) -> list[Position]:
     """Free 4-connected neighbors of a cell on the map, in N, E, S, W order."""
     if not tmap.in_bounds(pos):
         raise ValueError(f"cell {tuple(pos)} is off the map")
-    width = tmap.width
-    around = _around(pos.row * width + pos.col, width, tmap.height)
-    return [nxt for j, inside in around if inside and tmap.is_free(nxt := Position(*divmod(j, width)))]
+    # Neighbor order is fixed N, E, S, W so planners stay deterministic.
+    row, col = pos
+    around = (Position(row - 1, col), Position(row, col + 1), Position(row + 1, col), Position(row, col - 1))
+    return [nxt for nxt in around if tmap.is_free(nxt)]
 
 
 _SYMBOLS = {str(level): level for level in range(MIN_LEVEL, MAX_LEVEL + 1)}
@@ -200,11 +181,6 @@ def load_map(text: str) -> TerrainMap:
         return TerrainMap(cells=tuple(rows))
     except ValueError as exc:  # every cell is an obstacle
         raise ParseError(str(exc)) from None
-
-
-def save_map(tmap: TerrainMap) -> str:
-    symbols = {v: k for k, v in _SYMBOLS.items()}
-    return "\n".join("".join(symbols[v] for v in row) for row in tmap.cells) + "\n"
 
 
 @dataclass(frozen=True)
@@ -281,8 +257,8 @@ def _carve_connected(cells: list[int], levels: list[int], width: int):
 
 def _free_components(cells: list[int], width: int) -> list[tuple[int, int]]:
     """(size, first index) of each 4-connected free component; its first index is its smallest."""
-    height = len(cells) // width
-    seen = bytearray(len(cells))
+    total = len(cells)
+    seen = bytearray(total)
     components = []
     for first, value in enumerate(cells):
         if value == OBSTACLE or seen[first]:
@@ -290,8 +266,11 @@ def _free_components(cells: list[int], width: int) -> list[tuple[int, int]]:
         seen[first] = 1
         stack, size = [first], 1
         while stack:
-            for j, inside in _around(stack.pop(), width, height):
-                if inside and not seen[j] and cells[j] != OBSTACLE:
+            i = stack.pop()
+            col = i % width
+            # N, E, S, W, bounded by row and column as in TerrainMap.moves; off the grid is outside 0..total
+            for j in (i - width, i + 1 if col + 1 < width else -1, i + width, i - 1 if col else -1):
+                if 0 <= j < total and not seen[j] and cells[j] != OBSTACLE:
                     seen[j] = 1
                     stack.append(j)
                     size += 1
@@ -300,16 +279,6 @@ def _free_components(cells: list[int], width: int) -> list[tuple[int, int]]:
 
 
 # --- deterministic value noise ---------------------------------------------
-
-
-def _value_at(ix: int, iy: int, seed: int) -> float:
-    """The noise value of lattice point (ix, iy): a 32-bit hash mapped into [0, 1)."""
-    n = (ix * 0x1F1F1F1F) ^ (iy * 0x5F356495) ^ (seed & 0xFFFFFFFF)
-    n &= 0xFFFFFFFF
-    n ^= n >> 13
-    n = (n * 0x85EBCA6B) & 0xFFFFFFFF
-    n ^= n >> 16
-    return (n % 1000003) / 1000003.0
 
 
 def _lattice(x: float) -> tuple[int, float]:
@@ -325,15 +294,24 @@ def _fbm_grid(width: int, height: int, seed: int, scale: float, octaves: int) ->
     Each octave hashes each lattice point once, blends lattice rows along x
     once, then blends those along y per cell: the float operations and their
     order per cell are those of a per-point evaluation, so the bits are too.
+    The value of lattice point (ix, iy) is a 32-bit hash of ix, iy and the
+    octave's seed mapped into [0, 1); its x-term is computed once per octave.
     """
     total = [[0.0] * width for _ in range(height)]
     amp, freq, norm = 1.0, 1.0, 0.0
     for octave in range(octaves):
         cols = [_lattice(c * scale * freq) for c in range(width)]
         rows = [_lattice(r * scale * freq) for r in range(height)]
+        xterms = [ix * 0x1F1F1F1F & 0xFFFFFFFF for ix in range(cols[-1][0] + 2)]
+        salt = (seed + octave) & 0xFFFFFFFF
         blended = []  # per lattice row, the lattice values blended along x at each column
         for iy in range(rows[-1][0] + 2):
-            values = [_value_at(ix, iy, seed + octave) for ix in range(cols[-1][0] + 2)]
+            yterm = (iy * 0x5F356495 ^ salt) & 0xFFFFFFFF
+            values = []
+            for n in xterms:
+                n ^= yterm
+                n = (n ^ n >> 13) * 0x85EBCA6B & 0xFFFFFFFF
+                values.append((n ^ n >> 16) % 1000003 / 1000003.0)
             blended.append([values[ix] + (values[ix + 1] - values[ix]) * sx for ix, sx in cols])
         for acc, (iy, sy) in zip(total, rows):
             acc[:] = [t + (a + (b - a) * sy) * amp for t, a, b in zip(acc, blended[iy], blended[iy + 1])]

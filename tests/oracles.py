@@ -102,6 +102,11 @@ from refmodel.simulation import SimParams, Termination, run
 from refmodel.terrain import OBSTACLE, Position, TerrainMap, neighbors, step_factor
 
 
+def level(tmap: TerrainMap, pos: Position) -> int:
+    """The elevation level of a free cell."""
+    return tmap.cells[pos.row][pos.col]
+
+
 def flood_fill(tmap: TerrainMap, start: Position) -> set[Position]:
     seen = {start}
     queue = deque([start])
@@ -145,7 +150,7 @@ def min_coverage_energy(tmap: TerrainMap, start: Position, factor: float = 1.0) 
             if not tmap.is_free(nxt):
                 continue
             ni = index[nxt]
-            ncost = cost + step_factor(tmap.level(pos), tmap.level(nxt)) * factor
+            ncost = cost + step_factor(level(tmap, pos), level(tmap, nxt)) * factor
             state = (ni, mask | (1 << ni))
             if ncost < dist.get(state, float("inf")):
                 dist[state] = ncost
@@ -777,7 +782,7 @@ def plan_terrain_aware(tmap: TerrainMap, start: Position) -> Path:
         for index, nxt in enumerate(neighbors(tmap, pos)):
             if nxt in visited:
                 continue
-            factor = step_factor(tmap.level(pos), tmap.level(nxt))
+            factor = step_factor(level(tmap, pos), level(tmap, nxt))
             if best is None or (factor, index) < best[:2]:
                 best = (factor, index, nxt)
         if best is not None:
@@ -807,7 +812,7 @@ def _ucs_relocation(tmap: TerrainMap, pos: Position, visited: set[Position]) -> 
         if current != pos and current not in visited:
             return _walk_back(parents, pos, current)
         for nxt in neighbors(tmap, current):
-            step = step_factor(tmap.level(current), tmap.level(nxt))
+            step = step_factor(level(tmap, current), level(tmap, nxt))
             candidate = cost + step
             if nxt not in dist or candidate < dist[nxt]:
                 dist[nxt] = candidate
@@ -835,7 +840,7 @@ def power_consumption(path: Path, tmap: TerrainMap, consumption_factor: float = 
     for here, there in zip(positions, positions[1:]):
         if abs(here.row - there.row) + abs(here.col - there.col) != 1:
             raise InvalidPath(f"{tuple(here)} -> {tuple(there)} is not a 4-adjacent move")
-        out.append(step_factor(tmap.level(here), tmap.level(there)) * consumption_factor)
+        out.append(step_factor(level(tmap, here), level(tmap, there)) * consumption_factor)
     return out
 
 
@@ -856,7 +861,7 @@ def move_table(tmap: TerrainMap) -> tuple:
     """TerrainMap.moves rebuilt cell by cell from neighbors and step_factor."""
     return tuple(
         tuple(
-            (nxt.row * tmap.width + nxt.col, step_factor(tmap.level(pos), tmap.level(nxt)))
+            (nxt.row * tmap.width + nxt.col, step_factor(level(tmap, pos), level(tmap, nxt)))
             for nxt in neighbors(tmap, pos)
         )
         if tmap.is_free(pos)

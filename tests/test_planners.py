@@ -79,7 +79,7 @@ class TestEdgeFollow:
     def test_relocation_around_obstacle(self):
         tmap = load_map("000\n0X0\n000")
         path = plan_edge_follow(tmap, Position(0, 0))
-        assert path.visited() == flood_fill(tmap, Position(0, 0))
+        assert set(path.positions) == flood_fill(tmap, Position(0, 0))
 
 
 class TestTerrainAware:
@@ -122,7 +122,7 @@ class TestCoverageProperties:
         oracle = flood_fill(tmap, start)
         for planner in PLANNERS:
             path = planner(tmap, start)
-            assert path.visited() == oracle
+            assert set(path.positions) == oracle
             assert path_is_valid(tmap, path)
 
     @settings(max_examples=30, deadline=None)
@@ -165,8 +165,9 @@ class TestMatchesReference:
                 if isinstance(expected, str):
                     blocked += 1
                     continue
-                relocated += len(expected.visited()) <= expected.num_steps
-                partial += len(expected.visited()) < tmap.free_count()
+                visited = len(set(expected.positions))
+                relocated += visited <= expected.num_steps
+                partial += visited < len(list(tmap.free_positions()))
         # the cases reach blocked starts, relocations and unreachable free cells
         assert min(blocked, relocated, partial) > 20
 
@@ -220,7 +221,8 @@ class TestAdaptiveSelection:
 
     def test_checkerboard_picks_terrain_aware(self):
         tmap = load_map("0303\n3030\n0303")
-        assert statistics.pvariance(tmap.level(pos) for pos in tmap.free_positions()) == pytest.approx(2.25)
+        levels = [tmap.cells[pos.row][pos.col] for pos in tmap.free_positions()]
+        assert statistics.pvariance(levels) == pytest.approx(2.25)
         assert select_adaptive(tmap) is PlannerId.TERRAIN_AWARE
 
     def test_single_cell_picks_edge_follow(self):
@@ -230,6 +232,16 @@ class TestAdaptiveSelection:
         # Free-cell variances 0.25 (equal to DEFAULT_VARIANCE_THRESHOLD) and 1.0.
         assert select_adaptive(load_map("01")) is PlannerId.EDGE_FOLLOW
         assert select_adaptive(load_map("02")) is PlannerId.TERRAIN_AWARE
+
+
+    def test_variance_of_the_free_cells_in_row_major_order(self):
+        """Obstacles are skipped, and the free cells' levels are summed in row-major order."""
+        # variance 0.2562, just above the threshold
+        hilly = load_map("0X010X1\n1111011\nX011X10\n1110111\n0X11210\n1X10101")
+        assert select_adaptive(hilly) is PlannerId.TERRAIN_AWARE
+        # Variance exactly 1/4: summed in row-major order it rounds to 0.24999999999999994, and in
+        # column-major order to 0.25000000000000006, which would pick terrain_aware.
+        assert select_adaptive(load_map("11210\nX1111\n11111\n12X22")) is PlannerId.EDGE_FOLLOW
 
 
 class TestRegistry:

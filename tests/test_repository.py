@@ -1,5 +1,5 @@
 import json
-import time
+import sys
 from dataclasses import replace
 
 import oracles
@@ -623,20 +623,29 @@ def _fleet(copies):
     return ReferenceRepository(assets=assets), model
 
 
-def persistence_seconds(copies):
-    """Best of 3: save and load the repository and the model of a fleet of `copies` demo copies."""
+def persistence_steps(copies):
+    """The Python interpreter events (calls, lines, returns) traced while saving and loading the
+    repository and the model of a fleet of `copies` demo copies: counted work, the same on every host."""
     repo, model = _fleet(copies)
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        steps += 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(count)
+    try:
         loaded_repo, loaded_model = load(save(repo)), load_model(save_model(model))
-        times.append(time.perf_counter() - start)
+    finally:
+        sys.settrace(previous)
     assert loaded_repo == repo and loaded_model == model
-    return min(times)
+    return steps
 
 
 def test_persistence_scales_linearly():
     """8x the blocks take well under the 64x of a quadratic writer or reader."""
-    short = persistence_seconds(10)
-    long = persistence_seconds(80)
+    short = persistence_steps(10)
+    long = persistence_steps(80)
     assert long <= 16 * short, (long, short)

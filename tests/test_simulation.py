@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from genmodels import terrain_case
 from refmodel.errors import InvalidPath, StartBlocked
-from refmodel.planners import Path, PlannerId
+from refmodel.planners import Path, PlannerId, register_planner, resolve_planner
 from refmodel.simulation import (
     SimParams,
     Termination,
@@ -16,7 +16,7 @@ from refmodel.simulation import (
     run,
     sim_result_to_csv,
 )
-from refmodel.terrain import Position, generate_map, load_map
+from refmodel.terrain import Position, TerrainMap, generate_map, load_map
 
 
 def straight_path(length, row=0):
@@ -84,6 +84,52 @@ class TestConsumptionMatchesReference:
                 assert consumption_outcome(power_consumption, candidate, tmap, factor) == expected
                 rejected += isinstance(expected, str)
         assert rejected > 200
+
+
+def bits(outcome):
+    """A consumption series as the exact bits of its floats; an InvalidPath message as it is."""
+    return outcome if isinstance(outcome, str) else [value.hex() for value in outcome]
+
+
+def positions_of(planner):
+    """A planner handing back the built-in planner's walk built from positions, as a registered planner may."""
+
+    def plan(tmap, start):
+        path = planner(tmap, start)
+        return Path(start=path.start, steps=path.steps)
+
+    return plan
+
+
+class TestIndexAndPositionPaths:
+    """A built-in planner's path of cell indices and the same walk built from positions are one path
+    to equality, hashing, power_consumption and run, also when checked against a map of another width."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10**4),
+        st.sampled_from((1.0, 0.3, 1.7)),
+        st.floats(min_value=0.5, max_value=60.0, allow_nan=False),
+    )
+    def test_forms_agree(self, seed, factor, capacity):
+        tmap, starts = terrain_case(seed)
+        # one more column keeps every position free; one column less or another map usually does not
+        others = [TerrainMap(cells=tuple(row + (1,) for row in tmap.cells)), terrain_case(seed + 1)[0]]
+        if tmap.width > 1:
+            others.append(TerrainMap(cells=tuple(row[:-1] for row in tmap.cells)))
+        params = SimParams(capacity=capacity, consumption_factor=factor)
+        for planner in PlannerId:
+            name, plan = resolve_planner(planner)
+            path = plan(tmap, starts[2])
+            positional = Path(start=path.start, steps=path.steps)
+            assert path.width == tmap.width and positional.width == 0
+            assert positional == path and hash(positional) == hash(path)
+            assert bits(power_consumption(positional, tmap, factor)) == bits(power_consumption(path, tmap, factor))
+            register_planner(f"positions_of_{name}", positions_of(plan), overwrite=True)
+            assert run(tmap, f"positions_of_{name}", starts[2], params) == run(tmap, planner, starts[2], params)
+            for other in others:
+                expected = consumption_outcome(power_consumption, positional, other, factor)
+                assert bits(consumption_outcome(power_consumption, path, other, factor)) == bits(expected)
 
 
 class TestPowerStateMatchesReference:

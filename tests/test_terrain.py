@@ -10,6 +10,7 @@ from oracles import flood_fill
 from refmodel import terrain
 from refmodel.errors import BadSymbol, ParseError, RaggedRows, Unsatisfiable
 from refmodel.terrain import (
+    OBSTACLE,
     Position,
     StepClass,
     TerrainMap,
@@ -17,9 +18,13 @@ from refmodel.terrain import (
     generate_map,
     load_map,
     neighbors,
-    save_map,
     step_factor,
 )
+
+
+def map_text(tmap):
+    """The map in load_map's text form: one symbol per cell, X for an obstacle, each row ending in a newline."""
+    return "".join("".join("X" if value == OBSTACLE else str(value) for value in row) + "\n" for row in tmap.cells)
 
 
 class TestClassifyStep:
@@ -62,7 +67,7 @@ class TestMapText:
     def test_load_small_map(self):
         tmap = load_map("01\n2X")
         assert (tmap.width, tmap.height) == (2, 2)
-        assert tmap.level(Position(0, 1)) == 1
+        assert tmap.cells[0][1] == 1
         assert tmap.cells[1][1] == terrain.OBSTACLE
 
     def test_ragged_rows(self):
@@ -77,10 +82,10 @@ class TestMapText:
 
     def test_round_trip(self):
         text = "0123\nX30X\n1111\n"
-        assert save_map(load_map(text)) == text
+        assert map_text(load_map(text)) == text
 
     def test_round_trip_without_trailing_newline(self):
-        assert save_map(load_map("03\n30")) == "03\n30\n"
+        assert map_text(load_map("03\n30")) == "03\n30\n"
 
     def test_all_obstacles_rejected(self):
         with pytest.raises(ParseError, match="at least one free cell"):
@@ -123,7 +128,7 @@ class TestGeneration:
         assert generate_map(5, 5, 0.0, seed=42) == generate_map(5, 5, 0.0, seed=42)
 
     def test_different_seeds_differ(self):
-        maps = {save_map(generate_map(9, 9, 0.2, seed=s)) for s in range(8)}
+        maps = {map_text(generate_map(9, 9, 0.2, seed=s)) for s in range(8)}
         assert len(maps) > 1
 
     def test_zero_density_has_no_obstacles(self):
@@ -139,11 +144,11 @@ class TestGeneration:
 
     def test_flat_generation_collapses_levels(self):
         tmap = generate_map(8, 6, 0.1, seed=3, max_level=0)
-        assert {tmap.level(p) for p in tmap.free_positions()} == {0}
+        assert {tmap.cells[p.row][p.col] for p in tmap.free_positions()} == {0}
 
     def test_levels_stay_in_range(self):
         tmap = generate_map(15, 15, 0.2, seed=11)
-        assert {tmap.level(p) for p in tmap.free_positions()} <= {0, 1, 2, 3}
+        assert {tmap.cells[p.row][p.col] for p in tmap.free_positions()} <= {0, 1, 2, 3}
 
     def test_density_one_unsatisfiable(self):
         with pytest.raises(Unsatisfiable):
