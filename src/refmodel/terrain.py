@@ -151,7 +151,6 @@ def neighbors(tmap: TerrainMap, pos: Position) -> list[Position]:
     """Free 4-connected neighbors of a cell on the map, in N, E, S, W order."""
     if not tmap.in_bounds(pos):
         raise ValueError(f"cell {tuple(pos)} is off the map")
-    # Neighbor order is fixed N, E, S, W so planners stay deterministic.
     row, col = pos
     around = (Position(row - 1, col), Position(row, col + 1), Position(row + 1, col), Position(row, col - 1))
     return [nxt for nxt in around if tmap.is_free(nxt)]
