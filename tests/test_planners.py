@@ -233,7 +233,6 @@ class TestAdaptiveSelection:
         assert select_adaptive(load_map("01")) is PlannerId.EDGE_FOLLOW
         assert select_adaptive(load_map("02")) is PlannerId.TERRAIN_AWARE
 
-
     def test_variance_of_the_free_cells_in_row_major_order(self):
         """Obstacles are skipped, and the free cells' levels are summed in row-major order."""
         # variance 0.2562, just above the threshold

@@ -128,7 +128,7 @@ class TestGeneration:
         assert generate_map(5, 5, 0.0, seed=42) == generate_map(5, 5, 0.0, seed=42)
 
     def test_different_seeds_differ(self):
-        maps = {map_text(generate_map(9, 9, 0.2, seed=s)) for s in range(8)}
+        maps = {generate_map(9, 9, 0.2, seed=s).cells for s in range(8)}
         assert len(maps) > 1
 
     def test_zero_density_has_no_obstacles(self):
