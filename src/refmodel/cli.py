@@ -366,10 +366,8 @@ def cmd_view(args) -> int:
 def cmd_alternatives(args) -> int:
     repo = _load_repo(args)
     model = _load_model(args)
-    pairs = refmodel.composition.enumerate_alternatives_with_slots(model, repo, args.slot)
-    for index, (block_id, alternative) in enumerate(pairs):
-        block = alternative.blocks[block_id]
-        print(f"{index}: {block_id} ({block.name})")
+    for index, block in enumerate(refmodel.composition.replacement_blocks(model, repo, args.slot)):
+        print(f"{index}: {block.id} ({block.name})")
     return 0
 
 

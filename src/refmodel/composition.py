@@ -347,13 +347,34 @@ def validate_configuration(model: Model) -> ValidationReport:
     return ValidationReport(**{name: tuple(items) for name, items in found.items()})
 
 
-def enumerate_alternatives(model: Model, repo: "ReferenceRepository", slot: str) -> list[Model]:
-    """One model per repository block asset plug-compatible with the slot block.
+def replacement_blocks(model: Model, repo: "ReferenceRepository", slot: str) -> list[BuildingBlock]:
+    """The repository's block assets that can fill the slot, each as its adopted block.
 
-    Plug-compatibility means equal layer, kind, and port signature. The
-    current model is element 0 when the slot block itself matches one of the
-    assets; with no matching assets the list holds only the current model.
+    Plug-compatibility means equal layer, kind, and port signature. The slot
+    block itself is element 0 when it equals one of the assets, the rest follow
+    in id order, and with no matching assets the list holds only the slot block.
     """
+    slot_block = model.block(slot)
+    signature = (slot_block.layer, slot_block.kind, slot_block.port_signature())
+    blocks: list[BuildingBlock] = []
+    for asset in repo.block_assets():
+        candidate = asset.block
+        if (candidate.layer, candidate.kind, candidate.port_signature()) != signature:
+            continue
+        replacement = replace(candidate, origin=Origin.ADOPTED)
+        # An equal block maps each port to itself, so swapping it in would change nothing.
+        if replacement.id == slot and replacement == slot_block:
+            blocks.insert(0, slot_block)
+        elif replacement.id != slot and replacement.id in model.blocks:
+            raise DuplicateId(f"cannot swap '{slot}' for '{replacement.id}': id already present in model")
+        else:
+            blocks.append(replacement)
+    # block_assets() is in id order, so the alternatives are too.
+    return blocks or [slot_block]
+
+
+def enumerate_alternatives(model: Model, repo: "ReferenceRepository", slot: str) -> list[Model]:
+    """One model per block of replacement_blocks: that block swapped into the slot, or the model itself."""
     return [m for _, m in enumerate_alternatives_with_slots(model, repo, slot)]
 
 
@@ -361,29 +382,13 @@ def enumerate_alternatives_with_slots(
     model: Model, repo: "ReferenceRepository", slot: str
 ) -> list[tuple[str, Model]]:
     """Like enumerate_alternatives, but pairs each model with its slot block id."""
-    slot_block = model.block(slot)
-    signature = (slot_block.layer, slot_block.kind, slot_block.port_signature())
-    original: list[tuple[str, Model]] = []
-    results: list[tuple[str, Model]] = []
-    for asset in repo.block_assets():
-        candidate = asset.block
-        if (candidate.layer, candidate.kind, candidate.port_signature()) != signature:
-            continue
-        replacement = replace(candidate, origin=Origin.ADOPTED)
-        # An equal block maps each port to itself, so swapping it in changes
-        # nothing, and any other candidate changes the block set or the slot block.
-        if replacement.id == slot and replacement == slot_block:
-            original.append((slot, model))
-        else:
-            results.append((candidate.id, _swap_block(model, slot, replacement)))
-    # block_assets() is in id order, so the alternatives are too.
-    return original + results or [(slot, model)]
+    blocks = replacement_blocks(model, repo, slot)
+    slot_block = model.blocks[slot]
+    return [(block.id, model if block is slot_block else _swap_block(model, slot, block)) for block in blocks]
 
 
 def _swap_block(model: Model, slot: str, replacement: BuildingBlock) -> Model:
     """Replace the slot block with the replacement, rewiring incident references."""
-    if replacement.id != slot and replacement.id in model.blocks:
-        raise DuplicateId(f"cannot swap '{slot}' for '{replacement.id}': id already present in model")
     blocks = dict(model.blocks.items())
     del blocks[slot]
     blocks[replacement.id] = replacement

@@ -33,7 +33,6 @@ from .repository import (
     add_asset,
     adopt,
 )
-from .terrain import TerrainMap, load_map
 
 DEMO_MODEL_ID = "demo.mowing_robot"
 DEMO_PATTERN_ID = "pat.smart_mowing_services"
@@ -111,10 +110,6 @@ _SERVICE_ROWS = (
         {"in_cutting": "Cutting"}, {"out": "MowingService"}, {},
     ),
 )
-
-
-def reference_map() -> TerrainMap:
-    return load_map(REFERENCE_MAP_TEXT)
 
 
 def _blocks(rows, origin: Origin = Origin.REFERENCE_ASSET) -> list[BuildingBlock]:

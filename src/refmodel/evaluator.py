@@ -82,7 +82,6 @@ class RankedConfiguration:
     planner: str
     score: float
     completed: bool
-    model: Model
 
 
 def _maps(arena: Arena) -> Iterator[tuple[int | None, TerrainMap]]:
@@ -207,21 +206,19 @@ def rank_configurations(
     depletion are flagged and ranked after all complete ones; ties break by
     block id.
     """
-    slot_block = model.block(slot)
-    if slot_block.kind is not BlockKind.ALGORITHM_BLOCK:
+    if model.block(slot).kind is not BlockKind.ALGORITHM_BLOCK:
         raise NoAlternatives(f"slot '{slot}' is not an algorithm block")
-    alternatives = refmodel.composition.enumerate_alternatives_with_slots(model, repo, slot)
-    names = [resolve_planner(alternative.blocks[block_id])[0] for block_id, alternative in alternatives]
+    blocks = refmodel.composition.replacement_blocks(model, repo, slot)
+    names = [resolve_planner(block)[0] for block in blocks]
     totals, _, completed = _tally(arena, names, params, start)
     ranked = [
         RankedConfiguration(
-            block_id=block_id,
+            block_id=block.id,
             planner=name,
             score=sum(totals[index]) / len(totals[index]),
             completed=completed[index],
-            model=alternative,
         )
-        for index, ((block_id, alternative), name) in enumerate(zip(alternatives, names))
+        for index, (block, name) in enumerate(zip(blocks, names))
     ]
     ranked.sort(key=lambda r: _standing(r.completed, r.score, r.block_id))
     return ranked

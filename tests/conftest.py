@@ -1,6 +1,7 @@
 import pytest
 
 from refmodel import demo
+from refmodel.terrain import load_map
 
 
 @pytest.fixture()
@@ -15,4 +16,4 @@ def demo_model():
 
 @pytest.fixture()
 def ridge_map():
-    return demo.reference_map()
+    return load_map(demo.REFERENCE_MAP_TEXT)

@@ -223,9 +223,7 @@ def rank_configurations(model, repo, slot, arena, params=None, start=None):
         planner_name, _ = resolve_planner(alternative.blocks[block_id])
         score, completed = _score(planner_name, arena, params, start)
         ranked.append(
-            RankedConfiguration(
-                block_id=block_id, planner=planner_name, score=score, completed=completed, model=alternative
-            )
+            RankedConfiguration(block_id=block_id, planner=planner_name, score=score, completed=completed)
         )
     ranked.sort(key=lambda r: (not r.completed, r.score, r.block_id))
     return ranked

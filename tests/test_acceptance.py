@@ -24,13 +24,13 @@ from refmodel.composition import (
     validate_configuration,
 )
 from refmodel.core import Aspect, BuildingBlock, ConcernLayer, Model, TraceKind
-from refmodel.demo import build_demo_model, reference_map
+from refmodel.demo import REFERENCE_MAP_TEXT, build_demo_model
 from refmodel.errors import InvalidViewpoint, MergeConflict, ParseError, SchemaVersionMismatch
 from refmodel.evaluator import compare
 from refmodel.planners import plan_edge_follow, plan_terrain_aware
 from refmodel.repository import load, load_model, save, save_model
 from refmodel.simulation import SimParams, Termination, power_consumption, run
-from refmodel.terrain import Position, StepClass, TerrainMap, classify_step, generate_map
+from refmodel.terrain import Position, StepClass, TerrainMap, classify_step, generate_map, load_map
 
 # Regression fixtures for the shipped ridge map, computed at build-out time by
 # the implementation itself and cross-checked below against the exhaustive
@@ -82,7 +82,7 @@ def test_c1_step_classification():
 
 @criterion("C2 ridge-map comparison reproduces pinned totals", 5.0)
 def test_c2_reference_map_comparison():
-    tmap = reference_map()
+    tmap = load_map(REFERENCE_MAP_TEXT)
     start = Position(0, 0)
     report = compare(tmap, start=start)
     totals = {name: result.total_consumed for name, result in report.runs}

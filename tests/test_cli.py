@@ -107,6 +107,45 @@ class TestDemoWorkflow:
             "1: alg.terrain_aware (Terrain Aware Planner)",
         ]
 
+    def test_alternatives_rejects_a_replacement_already_in_model(self, demo_dir, capsys):
+        repo_arg = ("--repo", str(demo_dir / "demo.refrepo.json"))
+        model_arg = ("--model", str(demo_dir / "demo.refmodel.json"))
+        assert run_cli(capsys, "model", "adopt", "alg.terrain_aware", *repo_arg, *model_arg)[0] == 0
+        assert run_cli(capsys, "alternatives", "--slot", "alg.edge_follow", *repo_arg, *model_arg) == (
+            1, "", "error: cannot swap 'alg.edge_follow' for 'alg.terrain_aware': id already present in model\n"
+        )
+
+    def test_rank_and_alternatives_build_no_model(
+        self, demo_dir, demo_model, demo_repo, ridge_map, capsys, monkeypatch
+    ):
+        """A ranked configuration holds no model, and neither command swaps a block into one."""
+        assert [field.name for field in fields(evaluator.RankedConfiguration)] == [
+            "block_id", "planner", "score", "completed"
+        ]
+
+        def no_swap(*args):
+            raise AssertionError("an alternative model was built")
+
+        monkeypatch.setattr(composition, "_swap_block", no_swap)
+        ranked = evaluator.rank_configurations(demo_model, demo_repo, "alg.edge_follow", ridge_map)
+        assert ranked == oracles.rank_configurations(demo_model, demo_repo, "alg.edge_follow", ridge_map)
+        assert evaluator.ranking_to_csv(ranked) == (
+            "rank,block_id,planner,score,completed\n"
+            "1,alg.terrain_aware,terrain_aware,24.400000,1\n"
+            "2,alg.edge_follow,edge_follow,27.000000,1\n"
+        )
+        slot = ("--slot", "alg.edge_follow", "--repo", str(demo_dir / "demo.refrepo.json"))
+        slot += ("--model", str(demo_dir / "demo.refmodel.json"))
+        assert run_cli(capsys, "rank", *slot, "--map", str(demo_dir / "reference.terrain.txt")) == (
+            0,
+            "1. alg.terrain_aware (terrain_aware) score 24.400000\n"
+            "2. alg.edge_follow (edge_follow) score 27.000000\n",
+            "",
+        )
+        assert run_cli(capsys, "alternatives", *slot) == (
+            0, "0: alg.edge_follow (Edge Follow Planner)\n1: alg.terrain_aware (Terrain Aware Planner)\n", ""
+        )
+
 
 class TestRepoCommands:
     def test_init_list_add(self, tmp_path, capsys):
@@ -257,7 +296,7 @@ class TestModelCommands:
 
 
 class TestEvaluationCommands:
-    def test_simulate_csv_matches_library(self, demo_dir, capsys):
+    def test_simulate_csv_matches_library(self, demo_dir, ridge_map, capsys):
         map_path = demo_dir / "reference.terrain.txt"
         code, out, _ = run_cli(
             capsys,
@@ -265,8 +304,7 @@ class TestEvaluationCommands:
             "--format", "csv",
         )
         assert code == 0
-        tmap = demo.reference_map()
-        expected = simulation.sim_result_to_csv(simulation.run(tmap, "terrain_aware"))
+        expected = simulation.sim_result_to_csv(simulation.run(ridge_map, "terrain_aware"))
         assert out == expected
 
     def test_simulate_adaptive_picks_terrain_aware_on_ridge(self, demo_dir, capsys):
@@ -277,13 +315,13 @@ class TestEvaluationCommands:
         assert code == 0
         assert "terrain_aware" in out
 
-    def test_compare_csv_matches_library(self, demo_dir, capsys):
+    def test_compare_csv_matches_library(self, demo_dir, ridge_map, capsys):
         code, out, _ = run_cli(
             capsys,
             "compare", "--map", str(demo_dir / "reference.terrain.txt"), "--format", "csv",
         )
         assert code == 0
-        report = evaluator.compare(demo.reference_map(), map_label="reference.terrain.txt")
+        report = evaluator.compare(ridge_map, map_label="reference.terrain.txt")
         assert out == evaluator.comparison_to_csv(report)
 
     def test_compare_writes_artifacts(self, demo_dir, capsys, tmp_path):
@@ -323,17 +361,17 @@ class TestEvaluationCommands:
         assert lines[1].startswith("2. alg.edge_follow")
 
 
-    def test_defaults_match_library(self, demo_dir, capsys):
+    def test_defaults_match_library(self, demo_dir, ridge_map, capsys):
         """With no optional flag, simulate, compare and ensemble print what the library's defaults give."""
         map_path = demo_dir / "reference.terrain.txt"
-        result = simulation.run(demo.reference_map(), "edge_follow")
+        result = simulation.run(ridge_map, "edge_follow")
         assert run_cli(capsys, "simulate", "--map", str(map_path)) == (
             0,
             f"planner edge_follow: {result.steps_completed} step(s), "
             f"total {result.total_consumed:.6f}, {result.terminated.value}\n",
             "",
         )
-        report = evaluator.compare(demo.reference_map(), map_label=map_path.name)
+        report = evaluator.compare(ridge_map, map_label=map_path.name)
         assert run_cli(capsys, "compare", "--map", str(map_path)) == (
             0, evaluator.comparison_to_table(report), ""
         )
@@ -605,7 +643,7 @@ FOOTPRINTS = {
     "repo": MODEL_LAYER,
     "model": MODEL_LAYER,
     "rank": EVALUATION_LAYERS | MODEL_LAYER,
-    "demo": MODEL_LAYER | {"refmodel.demo", "refmodel.terrain"},
+    "demo": MODEL_LAYER | {"refmodel.demo"},
 }
 # The repo and model commands, each run with its line from FULL_LINES.
 EDITING_COMMANDS = [command.words for command in cli.COMMANDS if command.words.split()[0] in ("repo", "model")]

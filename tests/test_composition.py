@@ -30,6 +30,7 @@ from refmodel.composition import (
     connect,
     enumerate_alternatives,
     enumerate_alternatives_with_slots,
+    replacement_blocks,
     export_dot,
     extract_view,
     trace,
@@ -476,9 +477,12 @@ class TestRulesMatchReference:
         errors = set()
         for seed in RULE_SEEDS:
             model, repo, slot = swap_case(seed)
-            got = outcome(enumerate_alternatives_with_slots, model, repo, slot)
-            assert got == outcome(oracles.enumerate_alternatives_with_slots, model, repo, slot), seed
-            errors.add(got[1] and got[1][0])
+            pairs, error = outcome(oracles.enumerate_alternatives_with_slots, model, repo, slot)
+            assert outcome(enumerate_alternatives_with_slots, model, repo, slot) == (pairs, error), seed
+            blocks, block_error = outcome(replacement_blocks, model, repo, slot)
+            assert block_error == error, seed
+            assert [block.id for block in blocks or ()] == [block_id for block_id, _ in pairs or ()], seed
+            errors.add(error and error[0])
         assert errors == {None, DuplicateId}
 
 

@@ -7,7 +7,7 @@ import oracles
 import pytest
 
 from refmodel import evaluator, planners
-from refmodel.errors import NoAlternatives, StartBlocked
+from refmodel.errors import DuplicateId, NoAlternatives, StartBlocked
 from refmodel.evaluator import (
     EnsembleSpec,
     compare,
@@ -22,7 +22,7 @@ from refmodel.evaluator import (
     remaining_chart_svg,
 )
 from refmodel.planners import PlannerId
-from refmodel.repository import BlockAsset, add_asset
+from refmodel.repository import BlockAsset, add_asset, adopt
 from refmodel.simulation import SimParams, Termination
 from refmodel.terrain import GenParams, Position, generate_map, load_map
 
@@ -134,6 +134,12 @@ class TestRankConfigurations:
         ranked = rank_configurations(demo_model, ReferenceRepository(), "alg.edge_follow", ridge_map)
         assert len(ranked) == 1
         assert ranked[0].block_id == "alg.edge_follow"
+
+    def test_replacement_already_in_model_rejected(self, demo_model, demo_repo, ridge_map):
+        model = adopt(demo_repo, "alg.terrain_aware", demo_model)
+        message = "^cannot swap 'alg.edge_follow' for 'alg.terrain_aware': id already present in model$"
+        with pytest.raises(DuplicateId, match=message):
+            rank_configurations(model, demo_repo, "alg.edge_follow", ridge_map)
 
     def test_non_algorithm_slot_rejected(self, demo_model, demo_repo, ridge_map):
         with pytest.raises(NoAlternatives):
