@@ -30,9 +30,9 @@ from refmodel.composition import (
     connect,
     enumerate_alternatives,
     enumerate_alternatives_with_slots,
-    replacement_blocks,
     export_dot,
     extract_view,
+    replacement_blocks,
     trace,
     validate_configuration,
     viewpoint_valid,
@@ -481,7 +481,7 @@ class TestRulesMatchReference:
             assert outcome(enumerate_alternatives_with_slots, model, repo, slot) == (pairs, error), seed
             blocks, block_error = outcome(replacement_blocks, model, repo, slot)
             assert block_error == error, seed
-            assert [block.id for block in blocks or ()] == [block_id for block_id, _ in pairs or ()], seed
+            assert [(block.id, block) for block in blocks or ()] == [(i, m.blocks[i]) for i, m in pairs or ()], seed
             errors.add(error and error[0])
         assert errors == {None, DuplicateId}
 
