@@ -11,6 +11,7 @@ over one core that runs every planner on every map of an arena.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 import refmodel
@@ -84,14 +85,39 @@ class RankedConfiguration:
     completed: bool
 
 
-def _maps(arena: Arena) -> Iterator[tuple[int | None, TerrainMap]]:
-    """(seed, map) per arena map: (None, the map), or each generated map in seed order."""
+# The last arena map evaluated and its runs, kept so that ensemble then rank over
+# one arena plans each map once: at most one entry, (map key, start, params) ->
+# (map, {planner function: SimResult}). A generated map's key is (GenParams, seed),
+# any other map's the map itself. Planners are taken to be deterministic.
+_kept: dict = {}
+
+
+def _keep(key, make) -> tuple[TerrainMap, dict]:
+    """The map and runs kept under key; on a miss the kept map is dropped before make() builds the next."""
+    kept = _kept.get(key)
+    if kept is None:
+        _kept.clear()
+        kept = _kept[key] = make(), {}
+    return kept
+
+
+def _maps(arena: Arena, start: Position | None, params: SimParams) -> Iterator[tuple[int | None, TerrainMap, dict]]:
+    """(seed, map, its kept runs) per arena map: (None, the map), or each generated map in seed order."""
     if isinstance(arena, TerrainMap):
-        yield None, arena
+        yield None, *_keep((arena, start, params), lambda: arena)
         return
     gen = arena.gen
     for seed in range(arena.seed0, arena.seed0 + arena.n_maps):
-        yield seed, generate_map(gen.width, gen.height, gen.obstacle_density, seed, max_level=gen.max_level)
+        make = partial(generate_map, gen.width, gen.height, gen.obstacle_density, seed, max_level=gen.max_level)
+        yield seed, *_keep(((gen, seed), start, params), make)
+
+
+def _run(kept: dict, tmap: TerrainMap, planner: PlannerRef, start: Position, params: SimParams) -> tuple[str, SimResult]:
+    """(name, result) of one planner's run, taken from the map's kept runs when its function ran there."""
+    name, plan = resolve_planner(planner)
+    if plan not in kept:
+        kept[plan] = run(tmap, planner, start=start, params=params)
+    return name, kept[plan]
 
 
 def _rows(
@@ -102,16 +128,14 @@ def _rows(
     The start defaults to each map's first free cell; a start blocked on a generated
     map fails the run naming that map's seed, for replay. Callers reduce one row at a time.
     """
-    for seed, tmap in _maps(arena):
+    params = params or SimParams()
+    for seed, tmap, kept in _maps(arena, start, params):
         # Checked after the first map exists, so a generation error is reported first.
         if not planners:
             raise ValueError("compare needs at least one planner")
         origin = tmap.first_free() if start is None else start
         try:
-            runs = tuple(
-                (resolve_planner(planner)[0], run(tmap, planner, start=origin, params=params))
-                for planner in planners
-            )
+            runs = tuple(_run(kept, tmap, planner, origin, params) for planner in planners)
         except StartBlocked as exc:
             if seed is None:
                 raise

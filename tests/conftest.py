@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from refmodel import demo
@@ -17,3 +19,11 @@ def demo_model():
 @pytest.fixture()
 def ridge_map():
     return load_map(demo.REFERENCE_MAP_TEXT)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_arena_map():
+    """Each test starts with no arena map kept by the evaluator, so its results do not depend on test order."""
+    evaluator = sys.modules.get("refmodel.evaluator")
+    if evaluator is not None:
+        evaluator._kept.clear()

@@ -1,5 +1,7 @@
 import csv
+import gc
 import io
+import weakref
 from dataclasses import replace
 from xml.dom import minidom
 
@@ -9,6 +11,7 @@ import pytest
 from refmodel import evaluator, planners
 from refmodel.errors import DuplicateId, NoAlternatives, StartBlocked
 from refmodel.evaluator import (
+    DEFAULT_PLANNERS,
     EnsembleSpec,
     compare,
     comparison_to_csv,
@@ -21,7 +24,7 @@ from refmodel.evaluator import (
     ranking_to_csv,
     remaining_chart_svg,
 )
-from refmodel.planners import PlannerId
+from refmodel.planners import PlannerId, plan_edge_follow, plan_terrain_aware, register_planner, resolve_planner
 from refmodel.repository import BlockAsset, add_asset, adopt
 from refmodel.simulation import SimParams, Termination
 from refmodel.terrain import GenParams, Position, generate_map, load_map
@@ -107,9 +110,15 @@ class TestEnsemble:
             ensemble(GenParams(), 0)
 
     def test_blocked_start_names_the_map_seed(self):
-        """A start blocked on one generated map fails the run, naming that map's seed for replay."""
-        with pytest.raises(StartBlocked, match=r"^start \(0, 0\) is not a free cell on the map of seed 1$"):
-            ensemble(GenParams(obstacle_density=0.5), 3, start=Position(0, 0))
+        """A start blocked on one generated map fails the run, naming that map's seed for replay.
+
+        The maps and runs of the failed call leave the next calls unchanged.
+        """
+        gen = GenParams(obstacle_density=0.5)
+        for _ in range(2):
+            with pytest.raises(StartBlocked, match=r"^start \(0, 0\) is not a free cell on the map of seed 1$"):
+                ensemble(gen, 3, start=Position(0, 0))
+            assert ensemble(gen, 3) == oracles.ensemble(gen, 3, DEFAULT_PLANNERS)
 
     def test_repeated_planner_mean_is_per_run(self):
         gen = GenParams(width=6, height=5)
@@ -315,9 +324,12 @@ class TestMatchesReference:
     @pytest.mark.parametrize("planners", PLANNER_LISTS)
     def test_compare(self, planners, params):
         overruled = 0
+        (other,) = (p for p in PARAMS if p != params)
         for seed in SEEDS:
             tmap = _generate(HILLY, seed)
             label = f"seed={seed}"
+            # The same map evaluated with other params first must not lend its runs.
+            compare(tmap, planners, params=other)
             report = compare(tmap, planners, params=params, map_label=label)
             assert report == oracles.compare(tmap, planners, params=params, map_label=label)
             totals = [result.total_consumed for _, result in report.runs]
@@ -329,6 +341,7 @@ class TestMatchesReference:
     def test_compare_with_start_override(self, planners):
         for seed in SEEDS:
             tmap = _generate(OPEN, seed)
+            assert compare(tmap, planners) == oracles.compare(tmap, planners)
             report = compare(tmap, planners, start=OPEN_START)
             assert report.start == OPEN_START
             assert report == oracles.compare(tmap, planners, start=OPEN_START)
@@ -343,6 +356,11 @@ class TestMatchesReference:
             assert ensemble(HILLY, 1, planners, params=params, seed0=seed) == oracles.ensemble(
                 HILLY, 1, planners, params=params, seed0=seed
             )
+            # The same seed with another max_level is another map.
+            flatter = replace(HILLY, max_level=1)
+            assert ensemble(flatter, 1, planners, params=params, seed0=seed) == oracles.ensemble(
+                flatter, 1, planners, params=params, seed0=seed
+            )
 
     def test_ensemble_with_start_override(self):
         planners = PLANNER_LISTS[0]
@@ -352,6 +370,7 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("params", PARAMS)
     def test_rank_over_single_maps(self, demo_model, sweep_twin_repo, params):
+        # Each map follows another map of the same shape.
         for seed in SEEDS:
             tmap = _generate(HILLY, seed)
             ranked = rank_configurations(demo_model, sweep_twin_repo, "alg.edge_follow", tmap, params=params)
@@ -370,6 +389,18 @@ class TestMatchesReference:
         # The two edge_follow blocks tie exactly and break by block id.
         ids = [entry.block_id for entry in ranked]
         assert ids.index("alg.a_sweep") < ids.index("alg.edge_follow")
+
+    def test_reregistered_planner_takes_effect_on_the_next_call(self, demo_model, demo_repo):
+        arena = EnsembleSpec(HILLY, 1, seed0=5)
+        ensemble(HILLY, 1, seed0=5)
+        register_planner("edge_follow", plan_terrain_aware, overwrite=True)
+        try:
+            assert ensemble(HILLY, 1, seed0=5) == oracles.ensemble(HILLY, 1, DEFAULT_PLANNERS, seed0=5)
+            ranked = rank_configurations(demo_model, demo_repo, "alg.edge_follow", arena)
+            assert ranked == oracles.rank_configurations(demo_model, demo_repo, "alg.edge_follow", arena)
+            assert ranked[0].score == ranked[1].score
+        finally:
+            register_planner("edge_follow", plan_edge_follow, overwrite=True)
 
     def test_rank_with_start_override(self, demo_model, sweep_twin_repo):
         for arena in (_generate(OPEN, 9), EnsembleSpec(OPEN, len(SEEDS))):
@@ -391,3 +422,61 @@ def test_rank_generates_each_map_once(demo_model, demo_repo, monkeypatch):
     monkeypatch.setattr(evaluator, "generate_map", counting)
     rank_configurations(demo_model, demo_repo, "alg.edge_follow", EnsembleSpec(HILLY, 4, seed0=7))
     assert seeds == [7, 8, 9, 10]
+
+
+@pytest.fixture()
+def planner_calls():
+    """Names of the built-in planners, appended as each is called; the registry is restored afterwards."""
+    calls = []
+
+    def counted(name, plan):
+        def planner(tmap, start):
+            calls.append(name)
+            return plan(tmap, start)
+
+        return planner
+
+    originals = [resolve_planner(planner) for planner in DEFAULT_PLANNERS]
+    for name, plan in originals:
+        register_planner(name, counted(name, plan), overwrite=True)
+    try:
+        yield calls
+    finally:
+        for name, plan in originals:
+            register_planner(name, plan, overwrite=True)
+
+
+def test_ensemble_then_rank_plans_each_map_once(demo_model, demo_repo, monkeypatch, planner_calls):
+    """The benchmark's evaluate_maps step: rank over the map ensemble just evaluated reuses its runs."""
+    seeds = []
+    original = evaluator.generate_map
+
+    def counting(width, height, density, seed, **kwargs):
+        seeds.append(seed)
+        return original(width, height, density, seed, **kwargs)
+
+    monkeypatch.setattr(evaluator, "generate_map", counting)
+    stats = ensemble(HILLY, 1, seed0=3)
+    ranked = rank_configurations(demo_model, demo_repo, "alg.edge_follow", EnsembleSpec(HILLY, 1, 3))
+    assert seeds == [3]
+    assert sorted(planner_calls) == ["edge_follow", "terrain_aware"]
+    means = {entry.planner: entry.mean_total for entry in stats.per_planner}
+    assert [entry.score for entry in ranked] == [means[entry.planner] for entry in ranked]
+
+
+def test_ensemble_keeps_at_most_one_map(monkeypatch):
+    """A map is gone before the map after next is generated, and only the last one outlives the ensemble."""
+    made = []
+    original = evaluator.generate_map
+
+    def tracking(*args, **kwargs):
+        gc.collect()
+        assert all(ref() is None for ref in made[:-1])
+        tmap = original(*args, **kwargs)
+        made.append(weakref.ref(tmap))
+        return tmap
+
+    monkeypatch.setattr(evaluator, "generate_map", tracking)
+    ensemble(HILLY, 4, seed0=3)
+    gc.collect()
+    assert len(made) == 4 and all(ref() is None for ref in made[:-1])
