@@ -1,6 +1,8 @@
 import csv
 import gc
 import io
+import sys
+import threading
 import weakref
 from dataclasses import replace
 from xml.dom import minidom
@@ -480,3 +482,28 @@ def test_ensemble_keeps_at_most_one_map(monkeypatch):
     ensemble(HILLY, 4, seed0=3)
     gc.collect()
     assert len(made) == 4 and all(ref() is None for ref in made[:-1])
+
+
+def test_concurrent_callers_get_their_own_results():
+    """Threads evaluating different arenas at once each get the result of their own arena."""
+    arenas = [(HILLY, 0), (OPEN, 0), (HILLY, 1), (replace(HILLY, max_level=1), 0)]
+    expected = [oracles.ensemble(gen, 2, DEFAULT_PLANNERS, seed0=seed0) for gen, seed0 in arenas]
+    results = [[] for _ in arenas]
+
+    def work(index):
+        gen, seed0 = arenas[index]
+        for _ in range(5):
+            results[index].append(ensemble(gen, 2, seed0=seed0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(len(arenas))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[stats] * 5 for stats in expected]
