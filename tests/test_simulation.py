@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from genmodels import terrain_case
@@ -16,7 +16,7 @@ from refmodel.simulation import (
     run,
     sim_result_to_csv,
 )
-from refmodel.terrain import Position, TerrainMap, generate_map, load_map
+from refmodel.terrain import OBSTACLE, Position, TerrainMap, generate_map, load_map
 
 
 def straight_path(length, row=0):
@@ -111,12 +111,15 @@ class TestIndexAndPositionPaths:
         st.sampled_from((1.0, 0.3, 1.7)),
         st.floats(min_value=0.5, max_value=60.0, allow_nan=False),
     )
+    @example(903, 1.0, 1.0)  # every free cell of this map is in its last column
     def test_forms_agree(self, seed, factor, capacity):
         tmap, starts = terrain_case(seed)
         # one more column keeps every position free; one column less or another map usually does not
         others = [TerrainMap(cells=tuple(row + (1,) for row in tmap.cells)), terrain_case(seed + 1)[0]]
-        if tmap.width > 1:
-            others.append(TerrainMap(cells=tuple(row[:-1] for row in tmap.cells)))
+        narrower = tuple(row[:-1] for row in tmap.cells)
+        # a map whose only free cells are in its last column has no narrower map
+        if any(value != OBSTACLE for row in narrower for value in row):
+            others.append(TerrainMap(cells=narrower))
         params = SimParams(capacity=capacity, consumption_factor=factor)
         for planner in PlannerId:
             name, plan = resolve_planner(planner)
