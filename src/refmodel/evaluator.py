@@ -85,10 +85,10 @@ class RankedConfiguration:
     completed: bool
 
 
-# The last arena map evaluated and its runs, kept so that ensemble then rank over
-# one arena plans each map once: at most one entry, (map key, start, params) ->
-# (map, {planner function: SimResult}). A generated map's key is (GenParams, seed),
-# any other map's the map itself. Planners are taken to be deterministic.
+# The last generated map evaluated and its runs, kept so that ensemble then rank
+# over a one-map arena plan that map once: at most one entry, ((GenParams, seed),
+# start, params) -> (map, {planner function: SimResult}). A TerrainMap arena is
+# never kept. Planners are taken to be deterministic.
 _kept: dict = {}
 
 
@@ -102,9 +102,9 @@ def _keep(key, make) -> tuple[TerrainMap, dict]:
 
 
 def _maps(arena: Arena, start: Position | None, params: SimParams) -> Iterator[tuple[int | None, TerrainMap, dict]]:
-    """(seed, map, its kept runs) per arena map: (None, the map), or each generated map in seed order."""
+    """(seed, map, its kept runs) per arena map: (None, the map, no runs), or each generated map in seed order."""
     if isinstance(arena, TerrainMap):
-        yield None, *_keep((arena, start, params), lambda: arena)
+        yield None, arena, {}
         return
     gen = arena.gen
     for seed in range(arena.seed0, arena.seed0 + arena.n_maps):

@@ -239,7 +239,7 @@ _REGISTRY: dict[str, PlannerFn] = {
 
 
 def register_planner(name: str, planner: PlannerFn, *, overwrite: bool = False):
-    """Register a planner function so algorithm blocks can name it."""
+    """Register a planner function so algorithm blocks can name it; it must be deterministic in (map, start)."""
     if name in _REGISTRY and not overwrite:
         raise ValueError(f"planner '{name}' is already registered")
     _REGISTRY[name] = planner

@@ -413,7 +413,9 @@ class TestMatchesReference:
             )
 
 
-def test_rank_generates_each_map_once(demo_model, demo_repo, monkeypatch):
+@pytest.fixture()
+def generated_seeds(monkeypatch):
+    """Seeds of the maps the evaluator generates, appended as each is generated."""
     seeds = []
     original = evaluator.generate_map
 
@@ -422,8 +424,12 @@ def test_rank_generates_each_map_once(demo_model, demo_repo, monkeypatch):
         return original(width, height, density, seed, **kwargs)
 
     monkeypatch.setattr(evaluator, "generate_map", counting)
+    return seeds
+
+
+def test_rank_generates_each_map_once(demo_model, demo_repo, generated_seeds):
     rank_configurations(demo_model, demo_repo, "alg.edge_follow", EnsembleSpec(HILLY, 4, seed0=7))
-    assert seeds == [7, 8, 9, 10]
+    assert generated_seeds == [7, 8, 9, 10]
 
 
 @pytest.fixture()
@@ -448,22 +454,27 @@ def planner_calls():
             register_planner(name, plan, overwrite=True)
 
 
-def test_ensemble_then_rank_plans_each_map_once(demo_model, demo_repo, monkeypatch, planner_calls):
-    """The benchmark's evaluate_maps step: rank over the map ensemble just evaluated reuses its runs."""
-    seeds = []
-    original = evaluator.generate_map
-
-    def counting(width, height, density, seed, **kwargs):
-        seeds.append(seed)
-        return original(width, height, density, seed, **kwargs)
-
-    monkeypatch.setattr(evaluator, "generate_map", counting)
+def test_ensemble_then_rank_plans_each_map_once(demo_model, demo_repo, generated_seeds, planner_calls):
+    """The benchmark's evaluate_maps step: rank over the one-map ensemble just evaluated reuses its runs."""
     stats = ensemble(HILLY, 1, seed0=3)
     ranked = rank_configurations(demo_model, demo_repo, "alg.edge_follow", EnsembleSpec(HILLY, 1, 3))
-    assert seeds == [3]
+    assert generated_seeds == [3]
     assert sorted(planner_calls) == ["edge_follow", "terrain_aware"]
     means = {entry.planner: entry.mean_total for entry in stats.per_planner}
     assert [entry.score for entry in ranked] == [means[entry.planner] for entry in ranked]
+
+
+def test_only_the_last_generated_map_is_kept(demo_model, demo_repo, generated_seeds, planner_calls):
+    """Rank over a four-map ensemble just evaluated generates and plans every map again, and
+    a TerrainMap arena is planned on every call."""
+    ensemble(HILLY, 4, seed0=3)
+    rank_configurations(demo_model, demo_repo, "alg.edge_follow", EnsembleSpec(HILLY, 4, 3))
+    assert generated_seeds == [3, 4, 5, 6] * 2
+    assert len(planner_calls) == 16
+    tmap = _generate(HILLY, 3)
+    compare(tmap)
+    compare(tmap)
+    assert len(planner_calls) == 20
 
 
 def test_ensemble_keeps_at_most_one_map(monkeypatch):
