@@ -28,7 +28,7 @@ _EXPORTS = {
     ),
     "terrain": (
         "GenParams", "Position", "StepClass", "TerrainMap", "classify_step", "generate_map", "load_map",
-        "neighbors", "step_factor",
+        "step_factor",
     ),
     "planners": (
         "Path", "PlannerId", "plan_edge_follow", "plan_terrain_aware", "register_planner", "resolve_planner",

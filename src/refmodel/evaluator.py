@@ -4,15 +4,16 @@ Compares planners on one map, aggregates over seeded map ensembles, and ranks
 the plug-compatible alternatives of an algorithm-block slot by simulated
 energy. Runs that deplete the battery before finishing coverage never win
 against complete runs; among complete runs the lowest total energy wins and
-ties fall to the first planner in enumeration order. All three are reductions
-over one core that runs every planner on every map of an arena.
+ties fall to the first planner in enumeration order. compare runs its planners
+directly; ensemble and rank_configurations reduce one tally of each run's energy
+and completion, and the tally of the last generated arena is kept, without its
+maps, so evaluating that arena again runs only the planners it has not scored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import refmodel
 
@@ -72,7 +73,6 @@ class EnsembleSpec:
 
 
 Arena = Union[TerrainMap, EnsembleSpec]
-Row = tuple[tuple[str, SimResult], ...]
 
 
 @dataclass(frozen=True)
@@ -85,62 +85,13 @@ class RankedConfiguration:
     completed: bool
 
 
-# The last generated map evaluated and its runs, kept so that ensemble then rank
-# over a one-map arena plan that map once: at most one entry, ((GenParams, seed),
-# start, params) -> (map, {planner function: SimResult}). A TerrainMap arena is
-# never kept. Planners are taken to be deterministic.
-_kept: dict = {}
-
-
-def _keep(key, make) -> tuple[TerrainMap, dict]:
-    """The map and runs kept under key; on a miss the kept map is dropped before make() builds the next."""
-    kept = _kept.get(key)
-    if kept is None:
-        _kept.clear()
-        kept = _kept[key] = make(), {}
-    return kept
-
-
-def _maps(arena: Arena, start: Position | None, params: SimParams) -> Iterator[tuple[int | None, TerrainMap, dict]]:
-    """(seed, map, its kept runs) per arena map: (None, the map, no runs), or each generated map in seed order."""
-    if isinstance(arena, TerrainMap):
-        yield None, arena, {}
-        return
-    gen = arena.gen
-    for seed in range(arena.seed0, arena.seed0 + arena.n_maps):
-        make = partial(generate_map, gen.width, gen.height, gen.obstacle_density, seed, max_level=gen.max_level)
-        yield seed, *_keep(((gen, seed), start, params), make)
-
-
-def _run(kept: dict, tmap: TerrainMap, planner: PlannerRef, start: Position, params: SimParams) -> tuple[str, SimResult]:
-    """(name, result) of one planner's run, taken from the map's kept runs when its function ran there."""
-    name, plan = resolve_planner(planner)
-    if plan not in kept:
-        kept[plan] = run(tmap, planner, start=start, params=params)
-    return name, kept[plan]
-
-
-def _rows(
-    arena: Arena, planners: Sequence[PlannerRef], params: SimParams | None, start: Position | None
-) -> Iterator[tuple[Position, Row]]:
-    """Per map, one (name, result) run per planner, all from the same start and params.
-
-    The start defaults to each map's first free cell; a start blocked on a generated
-    map fails the run naming that map's seed, for replay. Callers reduce one row at a time.
-    """
-    params = params or SimParams()
-    for seed, tmap, kept in _maps(arena, start, params):
-        # Checked after the first map exists, so a generation error is reported first.
-        if not planners:
-            raise ValueError("compare needs at least one planner")
-        origin = tmap.first_free() if start is None else start
-        try:
-            runs = tuple(_run(kept, tmap, planner, origin, params) for planner in planners)
-        except StartBlocked as exc:
-            if seed is None:
-                raise
-            raise StartBlocked(f"{exc} on the map of seed {seed}") from None
-        yield origin, runs
+# The scores of the last generated arena evaluated, kept so that evaluating it again
+# plans no map: one entry (one per caller, while callers overlap), (EnsembleSpec,
+# start, params) -> {planner function: [(energy, completed) per map in seed order]}.
+# Each call reads the entry it looked up, so a caller that replaces it changes no
+# other caller's result. No map or SimResult is kept, and a TerrainMap arena is
+# never memoised. Planners are taken to be deterministic.
+_memo: dict = {}
 
 
 def _standing(completed: bool, energy: float, order: int | str) -> tuple:
@@ -148,29 +99,67 @@ def _standing(completed: bool, energy: float, order: int | str) -> tuple:
     return (not completed, energy, order)
 
 
-def _winner(row: Row) -> int:
-    """Index of the winning run in a row."""
-    return min(
-        range(len(row)),
-        key=lambda i: _standing(
-            row[i][1].terminated is Termination.PATH_COMPLETE, row[i][1].total_consumed, i
-        ),
-    )
+def _score(result: SimResult) -> tuple[float, bool]:
+    """A run's (energy, completed) pair, all that the winner rule and the tallies read of it."""
+    return result.total_consumed, result.terminated is Termination.PATH_COMPLETE
+
+
+def _winner(scores: Sequence[tuple[float, bool]]) -> int:
+    """Index of the winning (energy, completed) pair."""
+    return min(range(len(scores)), key=lambda i: _standing(scores[i][1], scores[i][0], i))
 
 
 def _tally(
     arena: Arena, planners: Sequence[PlannerRef], params: SimParams | None, start: Position | None
 ) -> tuple[list[list[float]], list[int], list[bool]]:
-    """Per planner, by index: its energy on each map in seed order, its wins, and whether it completed every map."""
-    totals: list[list[float]] = [[] for _ in planners]
+    """Per planner, by index: its energy on each map in seed order, its wins, and whether it completed every map.
+
+    Runs start at start, or at each map's first free cell; a start blocked on a generated map names its seed.
+    Only the planner functions missing from the arena's memo entry run, and with none missing no map is generated.
+    """
+    # Checked before the memo lookup, where an equal tuple or float Position would find another call's scores.
+    if start is not None and not (isinstance(start, Position) and all(type(v) is int for v in start)):
+        raise TypeError(f"start must be a Position of ints or None, not {start!r}")
+    params = params or SimParams()
+    plans = [resolve_planner(planner)[1] for planner in planners]
+    if isinstance(arena, TerrainMap):
+        scores = {}
+        maps = [(None, arena)]
+    else:
+        key = (arena, start, params)
+        scores = _memo.get(key)
+        if scores is None:
+            _memo.clear()
+            scores = _memo[key] = {}
+        gen = arena.gen
+        # The range is built here, so a float n_maps or seed0 fails before any memoised score is read.
+        maps = (
+            (seed, generate_map(gen.width, gen.height, gen.obstacle_density, seed, max_level=gen.max_level))
+            for seed in range(arena.seed0, arena.seed0 + arena.n_maps)
+        )
+    missing = {plan: planner for plan, planner in zip(plans, planners) if plan not in scores}
+    if missing or not planners:
+        found = {plan: [] for plan in missing}
+        for seed, tmap in maps:
+            # Checked after the first map exists, so a generation error is reported first.
+            if not planners:
+                raise ValueError("compare needs at least one planner")
+            origin = tmap.first_free() if start is None else start
+            for plan, planner in missing.items():
+                try:
+                    result = run(tmap, planner, start=origin, params=params)
+                except StartBlocked as exc:
+                    if seed is None:
+                        raise
+                    raise StartBlocked(f"{exc} on the map of seed {seed}") from None
+                found[plan].append(_score(result))
+        scores.update(found)
+    columns = [scores[plan] for plan in plans]
     wins = [0] * len(planners)
-    completed = [True] * len(planners)
-    for _, row in _rows(arena, planners, params, start):
+    for row in zip(*columns):
         wins[_winner(row)] += 1
-        for index, (_, result) in enumerate(row):
-            totals[index].append(result.total_consumed)
-            completed[index] &= result.terminated is Termination.PATH_COMPLETE
-    return totals, wins, completed
+    totals = [[energy for energy, _ in column] for column in columns]
+    return totals, wins, [all(done for _, done in column) for column in columns]
 
 
 def compare(
@@ -181,11 +170,15 @@ def compare(
     map_label: str = "",
 ) -> ComparisonReport:
     """Run every planner with identical inputs and pick the winner."""
+    if not planners:
+        raise ValueError("compare needs at least one planner")
     params = params or SimParams()
-    origin, runs = next(_rows(tmap, planners, params, start))
-    return ComparisonReport(
-        map_label=map_label, start=origin, params=params, runs=runs, winner=runs[_winner(runs)][0]
+    origin = tmap.first_free() if start is None else start
+    runs = tuple(
+        (resolve_planner(planner)[0], run(tmap, planner, start=origin, params=params)) for planner in planners
     )
+    winner = runs[_winner([_score(result) for _, result in runs])][0]
+    return ComparisonReport(map_label=map_label, start=origin, params=params, runs=runs, winner=winner)
 
 
 def ensemble(

@@ -147,15 +147,6 @@ class TerrainMap:
         return tuple(table)
 
 
-def neighbors(tmap: TerrainMap, pos: Position) -> list[Position]:
-    """Free 4-connected neighbors of a cell on the map, in N, E, S, W order."""
-    if not tmap.in_bounds(pos):
-        raise ValueError(f"cell {tuple(pos)} is off the map")
-    row, col = pos
-    around = (Position(row - 1, col), Position(row, col + 1), Position(row + 1, col), Position(row, col - 1))
-    return [nxt for nxt in around if tmap.is_free(nxt)]
-
-
 _SYMBOLS = {str(level): level for level in range(MIN_LEVEL, MAX_LEVEL + 1)}
 _SYMBOLS["X"] = OBSTACLE
 
@@ -194,6 +185,13 @@ class GenParams:
     height: int = 7
     obstacle_density: float = 0.15
     max_level: int = MAX_LEVEL
+
+    def __post_init__(self):
+        for name in ("width", "height", "max_level"):
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} must be an int, not {type(getattr(self, name)).__name__}")
+        if type(self.obstacle_density) not in (int, float):
+            raise TypeError(f"obstacle_density must be a number, not {type(self.obstacle_density).__name__}")
 
 
 def generate_map(

@@ -22,8 +22,8 @@ def ridge_map():
 
 
 @pytest.fixture(autouse=True)
-def no_kept_arena_map():
-    """Each test starts with no arena map kept by the evaluator, so its results do not depend on test order."""
+def no_memoised_scores():
+    """Each test starts with no arena scores memoised by the evaluator, so its results do not depend on test order."""
     evaluator = sys.modules.get("refmodel.evaluator")
     if evaluator is not None:
-        evaluator._kept.clear()
+        evaluator._memo.clear()

@@ -99,12 +99,19 @@ from refmodel.repository import (
     ViewpointAsset,
 )
 from refmodel.simulation import SimParams, Termination, run
-from refmodel.terrain import OBSTACLE, Position, TerrainMap, neighbors, step_factor
+from refmodel.terrain import OBSTACLE, Position, TerrainMap, step_factor
 
 
 def level(tmap: TerrainMap, pos: Position) -> int:
     """The elevation level of a free cell."""
     return tmap.cells[pos.row][pos.col]
+
+
+def neighbors(tmap: TerrainMap, pos: Position) -> list[Position]:
+    """Free 4-connected neighbors of a cell on the map, in N, E, S, W order."""
+    row, col = pos
+    around = (Position(row - 1, col), Position(row, col + 1), Position(row + 1, col), Position(row, col - 1))
+    return [nxt for nxt in around if tmap.is_free(nxt)]
 
 
 def flood_fill(tmap: TerrainMap, start: Position) -> set[Position]:

@@ -464,35 +464,81 @@ def test_ensemble_then_rank_plans_each_map_once(demo_model, demo_repo, generated
     assert [entry.score for entry in ranked] == [means[entry.planner] for entry in ranked]
 
 
-def test_only_the_last_generated_map_is_kept(demo_model, demo_repo, generated_seeds, planner_calls):
-    """Rank over a four-map ensemble just evaluated generates and plans every map again, and
-    a TerrainMap arena is planned on every call."""
-    ensemble(HILLY, 4, seed0=3)
-    rank_configurations(demo_model, demo_repo, "alg.edge_follow", EnsembleSpec(HILLY, 4, 3))
-    assert generated_seeds == [3, 4, 5, 6] * 2
-    assert len(planner_calls) == 16
-    tmap = _generate(HILLY, 3)
-    compare(tmap)
-    compare(tmap)
-    assert len(planner_calls) == 20
+def test_arena_scores_are_reused_at_any_size(demo_model, demo_repo, generated_seeds, planner_calls):
+    """Rank over a four-map ensemble just evaluated generates and plans nothing again; another start,
+    params or seed0 runs every map again, and a TerrainMap arena is planned on every call."""
+    stats = ensemble(HILLY, 4, seed0=3)
+    ranked = rank_configurations(demo_model, demo_repo, "alg.edge_follow", EnsembleSpec(HILLY, 4, 3))
+    assert generated_seeds == [3, 4, 5, 6]
+    assert len(planner_calls) == 8
+    means = {entry.planner: entry.mean_total for entry in stats.per_planner}
+    assert [entry.score for entry in ranked] == [means[entry.planner] for entry in ranked]
+    tmaps = [_generate(HILLY, seed) for seed in range(3, 8)]
+    free = next(pos for pos in tmaps[0].free_positions() if all(tmap.is_free(pos) for tmap in tmaps))
+    variants = (({"start": free}, [3, 4, 5, 6]), ({"params": PARAMS[1]}, [3, 4, 5, 6]), ({}, [4, 5, 6, 7]))
+    for changed, seeds in variants:
+        generated_seeds.clear()
+        planner_calls.clear()
+        stats = ensemble(HILLY, 4, seed0=seeds[0], **changed)
+        assert generated_seeds == seeds
+        assert len(planner_calls) == 8
+        assert stats == oracles.ensemble(HILLY, 4, DEFAULT_PLANNERS, seed0=seeds[0], **changed)
+    planner_calls.clear()
+    compare(tmaps[0])
+    compare(tmaps[0])
+    assert len(planner_calls) == 4
 
 
-def test_ensemble_keeps_at_most_one_map(monkeypatch):
-    """A map is gone before the map after next is generated, and only the last one outlives the ensemble."""
-    made = []
-    original = evaluator.generate_map
+def test_ensemble_keeps_at_most_one_map(monkeypatch, demo_model, demo_repo):
+    """A map is gone before the map after next is generated, and no generated map or run outlives
+    ensemble or rank_configurations; rank over the sixteen maps just evaluated generates none."""
+    maps, runs = [], []
+    generate, simulate = evaluator.generate_map, evaluator.run
 
-    def tracking(*args, **kwargs):
+    def generating(*args, **kwargs):
         gc.collect()
-        assert all(ref() is None for ref in made[:-1])
-        tmap = original(*args, **kwargs)
-        made.append(weakref.ref(tmap))
+        assert all(ref() is None for ref in maps[:-1])
+        tmap = generate(*args, **kwargs)
+        maps.append(weakref.ref(tmap))
         return tmap
 
-    monkeypatch.setattr(evaluator, "generate_map", tracking)
-    ensemble(HILLY, 4, seed0=3)
+    def running(*args, **kwargs):
+        result = simulate(*args, **kwargs)
+        runs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(evaluator, "generate_map", generating)
+    monkeypatch.setattr(evaluator, "run", running)
+    ensemble(HILLY, 16, seed0=3)
     gc.collect()
-    assert len(made) == 4 and all(ref() is None for ref in made[:-1])
+    assert len(maps) == 16 and len(runs) == 32
+    assert all(ref() is None for ref in maps + runs)
+    rank_configurations(demo_model, demo_repo, "alg.edge_follow", EnsembleSpec(HILLY, 16, 3))
+    assert len(maps) == 16 and len(runs) == 32
+    rank_configurations(demo_model, demo_repo, "alg.edge_follow", EnsembleSpec(HILLY, 4, 30))
+    gc.collect()
+    assert len(maps) == 20 and len(runs) == 40
+    assert all(ref() is None for ref in maps + runs)
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        (lambda: ensemble(GenParams(width=8, height=6), 1), lambda: ensemble(GenParams(width=8.0, height=6), 1)),
+        (lambda: ensemble(HILLY, 2), lambda: ensemble(HILLY, 2.0)),
+        (lambda: ensemble(HILLY, 1, seed0=3), lambda: ensemble(HILLY, 1, seed0=3.0)),
+        (lambda: ensemble(OPEN, 1, start=Position(0, 0)), lambda: ensemble(OPEN, 1, start=(0, 0))),
+        (lambda: ensemble(OPEN, 1, start=Position(0, 0)), lambda: ensemble(OPEN, 1, start=Position(0.0, 0))),
+    ],
+    ids=["width", "n_maps", "seed0", "start_tuple", "start_float"],
+)
+def test_equal_arguments_of_another_type_are_rejected_in_either_order(good, bad):
+    """A value equal to an accepted one but of another type never finds the accepted call's memoised scores."""
+    with pytest.raises(TypeError):
+        bad()
+    good()
+    with pytest.raises(TypeError):
+        bad()
 
 
 def test_concurrent_callers_get_their_own_results():

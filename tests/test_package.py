@@ -31,7 +31,7 @@ NAMES = {
     ],
     "terrain": [
         "GenParams", "Position", "StepClass", "TerrainMap", "classify_step", "generate_map", "load_map",
-        "neighbors", "step_factor",
+        "step_factor",
     ],
     "planners": [
         "Path", "PlannerId", "plan_edge_follow", "plan_terrain_aware", "register_planner", "resolve_planner",
@@ -56,7 +56,7 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_all_lists_the_public_names():
-    assert len(refmodel.__all__) == 83
+    assert len(refmodel.__all__) == 82
     assert sorted(refmodel.__all__) == sorted([*NAMES, *(name for names in NAMES.values() for name in names)])
 
 

@@ -11,13 +11,13 @@ from refmodel import terrain
 from refmodel.errors import BadSymbol, ParseError, RaggedRows, Unsatisfiable
 from refmodel.terrain import (
     OBSTACLE,
+    GenParams,
     Position,
     StepClass,
     TerrainMap,
     classify_step,
     generate_map,
     load_map,
-    neighbors,
     step_factor,
 )
 
@@ -92,10 +92,17 @@ class TestMapText:
             load_map("XX\nXX")
 
 
+def listed_neighbors(tmap, pos):
+    """The free neighbors the move table lists for a cell, as positions in its N, E, S, W order."""
+    return [Position(*divmod(index, tmap.width)) for index, _ in tmap.moves[pos.row * tmap.width + pos.col]]
+
+
 class TestNeighbors:
+    """The move table's neighbor lists against hand-written ones, so its index bounds are pinned without the oracle."""
+
     def test_interior_cell_has_four_in_order(self):
         tmap = load_map("000\n000\n000")
-        assert neighbors(tmap, Position(1, 1)) == [
+        assert listed_neighbors(tmap, Position(1, 1)) == [
             Position(0, 1),
             Position(1, 2),
             Position(2, 1),
@@ -104,23 +111,19 @@ class TestNeighbors:
 
     def test_corner_cell(self):
         tmap = load_map("00\n00")
-        assert neighbors(tmap, Position(0, 0)) == [Position(0, 1), Position(1, 0)]
+        assert listed_neighbors(tmap, Position(0, 0)) == [Position(0, 1), Position(1, 0)]
 
     def test_walled_in_cell(self):
         tmap = load_map("XXX\nX0X\nXXX")
-        assert neighbors(tmap, Position(1, 1)) == []
+        assert listed_neighbors(tmap, Position(1, 1)) == []
 
     def test_no_wrap_across_rows(self):
         """The cell after a row's last one is never its east neighbor: on one column it is south."""
-        assert neighbors(load_map("00\n00"), Position(0, 1)) == [Position(1, 1), Position(0, 0)]
+        assert listed_neighbors(load_map("00\n00"), Position(0, 1)) == [Position(1, 1), Position(0, 0)]
         column = load_map("0\n0\nX\n0")
-        assert [neighbors(column, Position(r, 0)) for r in (0, 1, 3)] == [[Position(1, 0)], [Position(0, 0)], []]
+        assert [listed_neighbors(column, Position(r, 0)) for r in (0, 1, 3)] == [[Position(1, 0)], [Position(0, 0)], []]
         row = load_map("00X0")
-        assert [neighbors(row, Position(0, c)) for c in (0, 1, 3)] == [[Position(0, 1)], [Position(0, 0)], []]
-
-    def test_off_the_map_rejected(self):
-        with pytest.raises(ValueError, match="off the map"):
-            neighbors(load_map("00"), Position(0, 2))
+        assert [listed_neighbors(row, Position(0, c)) for c in (0, 1, 3)] == [[Position(0, 1)], [Position(0, 0)], []]
 
 
 class TestGeneration:
@@ -172,6 +175,19 @@ def test_map_requires_a_free_cell():
 def test_map_rejects_out_of_band_levels():
     with pytest.raises(ValueError):
         TerrainMap(cells=((5,),))
+
+
+class TestGenParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("width", 8.0), ("height", True), ("max_level", "3"), ("obstacle_density", False), ("obstacle_density", "0.2")],
+    )
+    def test_wrong_type_rejected_naming_the_field(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be"):
+            GenParams(**{field: value})
+
+    def test_int_density_accepted(self):
+        assert GenParams(obstacle_density=0).obstacle_density == 0
 
 
 class TestGenerationMatchesReference:
