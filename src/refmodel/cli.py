@@ -5,8 +5,8 @@ one library function, and prints or writes the result. COMMANDS, at the end
 of the module, declares each subcommand with the options its handler reads.
 Handlers reach the library through the ``refmodel`` namespace, which loads a
 module on first use, so a command loads only the layers it runs.
-Exit codes: 0 on success, 1 on validation findings or domain errors, 2 on
-usage errors, including a flag the subcommand does not take.
+Exit codes: 0 on success, 1 on validation findings, domain errors or running
+out of memory, 2 on usage errors, including a flag the subcommand does not take.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RefModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except (_UsageError, ValueError) as exc:
         # Commands raise _UsageError for bad flags; library functions raise

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Set
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count, islice
 from operator import attrgetter
@@ -239,10 +239,13 @@ class _Version:
 
     def appended(self, key, value=None):
         """This version plus one entry, or itself if it holds the key; an older version copies first."""
-        if key in self:
+        if self._len < len(self._log) and key in self:
             return self
         log = self._log if self._len == len(self._log) else _Log(islice(self._log.items(), self._len))
-        log[key] = value
+        # One hash of the key on the newest version: setdefault grows the log only if the key is new.
+        log.setdefault(key, value)
+        if len(log) == self._len:
+            return self
         if log.positions is not None:
             log.positions[key] = self._len
         if log.targets is not None:
@@ -344,6 +347,15 @@ class Model:
         return sorted(self.traces, key=trace_key)
 
 
+def _next_version(prev, **changes):
+    """`prev` with `changes`, which are already valid, built without re-checking; a model gets a new `_derived`."""
+    new = object.__new__(type(prev))
+    new.__dict__.update(prev.__dict__, **changes)
+    if isinstance(new, Model):  # what is derived from a version belongs to that version alone
+        new.__dict__["_derived"] = {}
+    return new
+
+
 def connection_key(conn: Connection) -> tuple[str, str, str, str]:
     return (conn.source.block, conn.source.port, conn.target.block, conn.target.port)
 
@@ -353,13 +365,10 @@ def trace_key(link: TraceLink) -> tuple[str, str, str]:
 
 
 def add_block(model: Model, block: BuildingBlock) -> Model:
-    """Return the model with one more block.
-
-    Raises DuplicateId if the block's id is already taken.
-    """
+    """Return the model with one more block; raises DuplicateId if the block's id is already taken."""
     if block.id in model.blocks:
         raise DuplicateId(f"model '{model.id}' already contains block '{block.id}'")
-    return replace(model, blocks=model.blocks.appended(block.id, block))
+    return _next_version(model, blocks=model.blocks.appended(block.id, block))
 
 
 def port_compatible(provided: Port, required: Port) -> bool:
@@ -383,4 +392,4 @@ def add_trace(model: Model, link: TraceLink) -> Model:
         raise IllegalTraceKind(
             f"{link.kind.value} from {source.layer.value} to {target.layer.value} is not permitted"
         )
-    return replace(model, traces=model.traces.appended(link))
+    return _next_version(model, traces=model.traces.appended(link))

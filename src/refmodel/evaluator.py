@@ -19,7 +19,7 @@ import refmodel
 
 from .core import BlockKind, Model
 from .errors import NoAlternatives, StartBlocked
-from .planners import PlannerId, PlannerRef, resolve_planner
+from .planners import PlannerId, PlannerRef, check_start, resolve_planner
 from .simulation import SimParams, SimResult, Termination, run
 from .terrain import GenParams, Position, TerrainMap, generate_map
 
@@ -118,8 +118,8 @@ def _tally(
     Only the planner functions missing from the arena's memo entry run, and with none missing no map is generated.
     """
     # Checked before the memo lookup, where an equal tuple or float Position would find another call's scores.
-    if start is not None and not (isinstance(start, Position) and all(type(v) is int for v in start)):
-        raise TypeError(f"start must be a Position of ints or None, not {start!r}")
+    if start is not None:
+        check_start(start)
     params = params or SimParams()
     plans = [resolve_planner(planner)[1] for planner in planners]
     if isinstance(arena, TerrainMap):
@@ -173,7 +173,7 @@ def compare(
     if not planners:
         raise ValueError("compare needs at least one planner")
     params = params or SimParams()
-    origin = tmap.first_free() if start is None else start
+    origin = tmap.first_free() if start is None else check_start(start)
     runs = tuple(
         (resolve_planner(planner)[0], run(tmap, planner, start=origin, params=params)) for planner in planners
     )

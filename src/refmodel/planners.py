@@ -126,6 +126,13 @@ def plan_terrain_aware(tmap: TerrainMap, start: Position) -> Path:
     return _cover(tmap, start, greedy, _energy_search)
 
 
+def check_start(start) -> Position:
+    """start itself if it is a Position of ints, the only start a planner takes; else a TypeError."""
+    if isinstance(start, Position) and type(start.row) is int and type(start.col) is int:
+        return start
+    raise TypeError(f"start must be a Position of ints, not {start!r}")
+
+
 def _cover(tmap: TerrainMap, start: Position, next_cell: Callable, search: Callable) -> Path:
     """Step to next_cell(i, visited), or relocate when it is None, until no unvisited cell is reachable.
 
@@ -133,7 +140,7 @@ def _cover(tmap: TerrainMap, start: Position, next_cell: Callable, search: Calla
     returns, None once every reachable cell is visited. The search sets dist
     and parents of each cell it reaches and lists the cell in touched.
     """
-    if not tmap.is_free(start):
+    if not tmap.is_free(check_start(start)):
         raise StartBlocked(f"start {tuple(start)} is not a free cell")
     moves, width = tmap.moves, tmap.width
     here = start.row * width + start.col

@@ -28,6 +28,7 @@ from .core import (
     TraceLink,
     _by_id,
     _map_by_id,
+    _next_version,
     add_block,
     connection_key,
     trace_key,
@@ -119,7 +120,7 @@ def add_asset(repo: ReferenceRepository, asset: Asset) -> ReferenceRepository:
     """Return a repository with the asset added and the version bumped by one."""
     if asset.id in repo.assets:
         raise DuplicateId(f"repository already contains asset '{asset.id}'")
-    return ReferenceRepository(assets=repo.assets.appended(asset.id, asset), version=repo.version + 1)
+    return _next_version(repo, assets=repo.assets.appended(asset.id, asset), version=repo.version + 1)
 
 
 def list_assets(
@@ -149,7 +150,7 @@ def asset_of_kind(repo: ReferenceRepository, asset_id: str, kind: type) -> Asset
 def adopt(repo: ReferenceRepository, asset_id: str, model: Model) -> Model:
     """Copy a reference block verbatim into the model, marked as adopted."""
     block = asset_of_kind(repo, asset_id, BlockAsset).block
-    return add_block(model, replace(block, origin=Origin.ADOPTED))
+    return add_block(model, _next_version(block, origin=Origin.ADOPTED, parameters=dict(block.parameters)))
 
 
 _ADAPTABLE_FIELDS = frozenset({"name", "parameters", "port_types"})

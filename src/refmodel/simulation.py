@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from typing import Sequence
 
 from .errors import InvalidPath
-from .planners import Path, PlannerRef, resolve_planner
+from .planners import Path, PlannerRef, check_start, resolve_planner
 from .terrain import Position, TerrainMap
 
 
@@ -119,8 +119,7 @@ def run(
     the length steps_completed.
     """
     params = params or SimParams()
-    if start is None:
-        start = tmap.first_free()
+    start = tmap.first_free() if start is None else check_start(start)
     _, plan = resolve_planner(planner)
     path = plan(tmap, start)
     consumption = power_consumption(path, tmap, params.consumption_factor)

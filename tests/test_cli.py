@@ -62,6 +62,14 @@ class TestDemoWorkflow:
         assert code == 1
         assert "unbound required port" in out
 
+    def test_out_of_memory_exits_one_without_a_traceback(self, demo_dir, capsys, monkeypatch):
+        def exhausted(model):
+            raise MemoryError
+
+        monkeypatch.setattr(composition, "validate_configuration", exhausted)
+        code, out, err = run_cli(capsys, "validate", "--model", str(demo_dir / "demo.refmodel.json"))
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
     def test_trace_text_and_dot(self, demo_dir, capsys):
         model_arg = ("--model", str(demo_dir / "demo.refmodel.json"))
         code, out, _ = run_cli(capsys, "trace", "cap.mowing", "--direction", "down", *model_arg)

@@ -28,7 +28,7 @@ from refmodel.evaluator import (
 )
 from refmodel.planners import PlannerId, plan_edge_follow, plan_terrain_aware, register_planner, resolve_planner
 from refmodel.repository import BlockAsset, add_asset, adopt
-from refmodel.simulation import SimParams, Termination
+from refmodel.simulation import SimParams, Termination, run
 from refmodel.terrain import GenParams, Position, generate_map, load_map
 
 
@@ -539,6 +539,26 @@ def test_equal_arguments_of_another_type_are_rejected_in_either_order(good, bad)
     good()
     with pytest.raises(TypeError):
         bad()
+
+
+@pytest.mark.parametrize("start", [(1, 1), Position(1.0, 1)], ids=["tuple", "float"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tmap, start, model, repo: compare(tmap, start=start),
+        lambda tmap, start, model, repo: run(tmap, "edge_follow", start=start),
+        lambda tmap, start, model, repo: plan_edge_follow(tmap, start),
+        lambda tmap, start, model, repo: plan_terrain_aware(tmap, start),
+        lambda tmap, start, model, repo: ensemble(OPEN, 1, start=start),
+        lambda tmap, start, model, repo: rank_configurations(model, repo, "alg.edge_follow", tmap, start=start),
+    ],
+    ids=["compare", "run", "edge_follow", "terrain_aware", "ensemble", "rank_configurations"],
+)
+def test_a_start_that_is_not_a_position_of_ints_is_one_type_error_everywhere(
+    call, start, ridge_map, demo_model, demo_repo
+):
+    with pytest.raises(TypeError, match=r"^start must be a Position of ints, not "):
+        call(ridge_map, start, demo_model, demo_repo)
 
 
 def test_concurrent_callers_get_their_own_results():

@@ -15,7 +15,14 @@ import pytest
 
 from genmodels import dense_trace_model, performs_chain_model, random_block
 from refmodel import composition
-from refmodel.composition import TraceDirection, capability_coverage, connect, trace, validate_configuration
+from refmodel.composition import (
+    TraceDirection,
+    capability_coverage,
+    connect,
+    replacement_blocks,
+    trace,
+    validate_configuration,
+)
 from refmodel.core import (
     BlockKind,
     BuildingBlock,
@@ -33,7 +40,7 @@ from refmodel.core import (
     trace_pair_permitted,
 )
 from refmodel.errors import AlreadyBound
-from refmodel.repository import BlockAsset, ReferenceRepository, add_asset, load, load_model, save, save_model
+from refmodel.repository import BlockAsset, ReferenceRepository, add_asset, adopt, load, load_model, save, save_model
 
 POOL = 14
 
@@ -321,8 +328,27 @@ def test_steps_run_once_per_model_and_direction(monkeypatch):
     assert capability_coverage(model) == oracles.capability_coverage(model)
     assert runs == [("chain", TraceDirection.UP), ("chain", TraceDirection.DOWN)]
 
+    # A write right after the reads: the new version sees its own link, not the old version's cached steps.
     extended = add_trace(model, TraceLink(TraceKind.EXHIBITS, "res", "cap"))
     assert capability_coverage(extended) == oracles.capability_coverage(extended)
     assert trace(extended, "cap", TraceDirection.DOWN) == oracles.trace(extended, "cap", TraceDirection.DOWN)
+    assert ("res", TraceKind.EXHIBITS) in composition._cached_steps(extended, TraceDirection.DOWN)["cap"]
     assert trace(model, "cap", TraceDirection.DOWN) == oracles.trace(model, "cap", TraceDirection.DOWN)
     assert len(runs) == 3
+
+
+def test_adopted_blocks_never_share_parameters_with_the_asset():
+    """adopt and replacement_blocks re-origin an asset's block; the parameters are the new block's own copy."""
+    repo = ReferenceRepository()
+    for block_id in ("alg.a", "alg.b"):
+        block = BuildingBlock(
+            block_id, block_id, ConcernLayer.RESOURCE, BlockKind.ALGORITHM_BLOCK, parameters={"k": 1}
+        )
+        repo = add_asset(repo, BlockAsset(block))
+    model = adopt(repo, "alg.a", Model(id="m"))
+    slot_block, swapped = replacement_blocks(model, repo, "alg.a")
+    assert slot_block is model.blocks["alg.a"]
+    assert (slot_block.origin, swapped.origin, swapped.id) == (Origin.ADOPTED, Origin.ADOPTED, "alg.b")
+    slot_block.parameters["k"] = 2
+    swapped.parameters["k"] = 3
+    assert [asset.block.parameters for asset in repo.block_assets()] == [{"k": 1}, {"k": 1}]
