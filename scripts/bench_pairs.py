@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Compare an earlier commit with this checkout in alternating pairs of benchmark runs.
 
-Checks REV out into a temporary `git worktree` and runs `bench/run.py` once
+Checks REV out into a temporary `git worktree` and runs the benchmark once
 from that worktree and once from this checkout in each pair, REV first in
 even pairs (0, 2, ...) and this checkout first in odd ones. Each side runs
-its own `bench/run.py` and sources. Prints, for every end-to-end metric of
-BENCHMARK.json on every workload run: both sides' medians, REV's quartiles,
-the ratio of the medians (this checkout / REV) and the pairs this checkout
-won (better by the metric's direction; ties count for neither side). The last
-line is one JSON object with every run's end-to-end metrics, in run order.
-Exits 1 if a run fails or is not `correct: true`; the worktree is removed on
-every exit.
+its own `bench/run.py` and sources, one process per workload; `--workload
+all` runs every workload of BENCHMARK.json in turn, as `bench/run.py
+--workload all` does. Prints, for every end-to-end metric of BENCHMARK.json
+on every workload run: both sides' medians, REV's quartiles
+(`statistics.quantiles`), the ratio of the medians (this checkout / REV) and
+the pairs this checkout won (better by the metric's direction; ties count
+for neither side). The last line is one JSON object with every run's
+end-to-end metrics and `attempted` count per workload, in run order. Exits 1
+if a run fails or is not `correct: true`; the worktree is removed on every
+exit, a SIGTERM included.
 
 Usage: python scripts/bench_pairs.py REV [--pairs 10] [--workload all] [--seconds 40] [--seed 11]
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -33,18 +37,22 @@ def git(*args: str) -> None:
     subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
 
 
-def bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict[str, float] | None:
-    """One run's metrics as `workload.metric`, or None if it failed or is not correct: true."""
-    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        return None
-    result = json.loads(proc.stdout.splitlines()[-1])
-    if result.get("correct") is not True:
-        return None
-    prefix = "" if workload == "all" else f"{workload}."
-    return {prefix + name: entry["value"] for name, entry in result["metrics"].items()}
+def bench(checkout: Path, workloads: list[str], seconds: float, seed: int) -> dict[str, float] | None:
+    """One run of each workload: metrics and op count as `workload.name`; None if one fails or is not correct."""
+    metrics = {}
+    for workload in workloads:
+        command = [sys.executable, "bench/run.py", "--workload", workload]
+        command += ["--seed", str(seed), "--seconds", str(seconds)]
+        proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            return None
+        result = json.loads(proc.stdout.splitlines()[-1])
+        if result.get("correct") is not True:
+            return None
+        metrics.update({f"{workload}.{name}": entry["value"] for name, entry in result["metrics"].items()})
+        metrics[f"{workload}.attempted"] = result["attempted"]
+    return metrics
 
 
 def summary(name: str, before: list[float], after: list[float], lower_is_better: bool) -> str:
@@ -65,8 +73,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args(argv)
 
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    lower_is_better = {entry["name"]: entry["better"] == "lower" for entry in declared}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    lower_is_better = {entry["name"]: entry["better"] == "lower" for entry in declared["end_to_end"]}
+    workloads = [entry["name"] for entry in declared["workloads"]] if args.workload == "all" else [args.workload]
+    keep = {*lower_is_better, "attempted"}
+    # A plain kill ends the run through SystemExit, so the worktree is removed then too.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     worktree = scratch / "rev"
     try:
@@ -79,15 +91,15 @@ def main(argv=None) -> int:
         runs: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
         for pair in range(args.pairs):
             for side in list(sides) if pair % 2 == 0 else list(sides)[::-1]:
-                metrics = bench(sides[side], args.workload, args.seconds, args.seed)
+                metrics = bench(sides[side], workloads, args.seconds, args.seed)
                 if metrics is None:
                     print(f"error: pair {pair}: the run of {side} failed or is not correct: true", file=sys.stderr)
                     return 1
-                runs[side].append({k: v for k, v in metrics.items() if k.rsplit(".", 1)[-1] in lower_is_better})
+                runs[side].append({k: v for k, v in metrics.items() if k.rsplit(".", 1)[-1] in keep})
                 print(f"pair {pair} {side}: correct", flush=True)
         before, after = runs.values()
         print(f"{'metric':<30} {'rev median':>11} {'rev q1':>11} {'rev q3':>11} {'median':>11} {'ratio':>6}    won")
-        for name in sorted(before[0]):
+        for name in sorted(name for name in before[0] if not name.endswith(".attempted")):
             rows = [run[name] for run in before], [run[name] for run in after]
             print(summary(name, *rows, lower_is_better[name.rsplit(".", 1)[-1]]))
         print(json.dumps(runs))

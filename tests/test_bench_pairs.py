@@ -15,7 +15,8 @@ def bench_pairs(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    declared = {"workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": END_TO_END}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
     monkeypatch.setattr(module, "ROOT", tmp_path)
     calls = []
     # Each side's runs in order: the checkout at tmp_path is this change, any other cwd the worktree of REV.
@@ -25,11 +26,12 @@ def bench_pairs(tmp_path, monkeypatch):
         if command[0] == "git":
             calls.append(command[1:3])
             return subprocess.CompletedProcess(command, 0, "", "")
-        assert command[1:] == ["bench/run.py", "--workload", "all", "--seed", "11", "--seconds", "40"]
+        workload = command[3]
+        assert command[1:] == ["bench/run.py", "--workload", workload, "--seed", "11", "--seconds", "40"]
         side = "change" if Path(cwd) == tmp_path else "rev"
-        calls.append(side)
-        result = results[side].pop(0)
-        return subprocess.CompletedProcess(command, 0, "summary\n" + json.dumps(result) + "\n", "")
+        calls.append((side, workload))
+        result = results[side].pop(0) if workload == "w" else ok_v
+        return subprocess.CompletedProcess(command, 0, "meta\n" + json.dumps(result) + "\n", "")
 
     monkeypatch.setattr(module.subprocess, "run", fake_run)
     return module, calls, results
@@ -37,11 +39,14 @@ def bench_pairs(tmp_path, monkeypatch):
 
 def result(round_s, peak_rss_mb, correct=True):
     metrics = {
-        "w.round_s": {"value": round_s, "unit": "s"},
-        "w.peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
-        "w.cmd_ms_p50": {"value": 1.0, "unit": "ms"},
+        "round_s": {"value": round_s, "unit": "s"},
+        "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
+        "cmd_ms_p50": {"value": 1.0, "unit": "ms"},
     }
     return {"correct": correct, "attempted": 4, "failed": 0, "metrics": metrics}
+
+
+ok_v = result(1.0, 20.0)
 
 
 def test_alternates_sides_and_reports_medians_quartiles_ratio_and_wins(bench_pairs, capsys):
@@ -51,21 +56,24 @@ def test_alternates_sides_and_reports_medians_quartiles_ratio_and_wins(bench_pai
     assert module.main(["abc123", "--pairs", "4"]) == 0
     worktree, runs, remove = calls[0], calls[1:-2], calls[-2:]
     assert worktree == ["worktree", "add"] and remove == [["worktree", "remove"], ["worktree", "prune"]]
-    assert runs == ["rev", "change", "change", "rev", "rev", "change", "change", "rev"]
+    sides = ["rev", "change", "change", "rev", "rev", "change", "change", "rev"]
+    assert runs == [(side, workload) for side in sides for workload in ("w", "v")]
     out = capsys.readouterr().out.splitlines()
-    rows = {line.split()[0]: line.split()[1:] for line in out if line.startswith("w.")}
+    rows = {line.split()[0]: line.split()[1:] for line in out if line.startswith(("w.", "v."))}
     # rev median 5, quartiles 2.5 and 7.5 (exclusive method); change median 3.5, winning pairs 0, 2 and 3.
     assert rows["w.round_s"] == ["5", "2.5", "7.5", "3.5", "0.700", "3/4"]
     assert rows["w.peak_rss_mb"] == ["40", "40", "40", "40", "1.000", "0/4"]
+    assert sorted(rows) == ["v.peak_rss_mb", "v.round_s", "w.peak_rss_mb", "w.round_s"]
     recorded = json.loads(out[-1])
     assert [run["w.round_s"] for run in recorded["this checkout"]] == [1.0, 5.0, 3.0, 4.0]
-    assert set(recorded["abc123"][0]) == {"w.round_s", "w.peak_rss_mb"}
+    kept = ("round_s", "peak_rss_mb", "attempted")
+    assert set(recorded["abc123"][0]) == {f"{workload}.{name}" for workload in "wv" for name in kept}
 
 
 def test_exits_one_on_a_run_that_is_not_correct_and_removes_the_worktree(bench_pairs, capsys):
     module, calls, results = bench_pairs
     results["rev"] = [result(2.0, 40.0)]
     results["change"] = [result(1.0, 40.0, correct=False)]
-    assert module.main(["abc123"]) == 1
-    assert calls == [["worktree", "add"], "rev", "change", ["worktree", "remove"], ["worktree", "prune"]]
+    assert module.main(["abc123", "--workload", "w"]) == 1
+    assert calls == [["worktree", "add"], ("rev", "w"), ("change", "w"), ["worktree", "remove"], ["worktree", "prune"]]
     assert "pair 0: the run of this checkout failed or is not correct: true" in capsys.readouterr().err
