@@ -33,10 +33,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def git(*args: str) -> None:
-    subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
-
-
 def bench(checkout: Path, workloads: list[str], seconds: float, seed: int) -> dict[str, float] | None:
     """One run of each workload: metrics and op count as `workload.name`; None if one fails or is not correct."""
     metrics = {}
@@ -77,13 +73,12 @@ def main(argv=None) -> int:
     lower_is_better = {entry["name"]: entry["better"] == "lower" for entry in declared["end_to_end"]}
     workloads = [entry["name"] for entry in declared["workloads"]] if args.workload == "all" else [args.workload]
     keep = {*lower_is_better, "attempted"}
-    # A plain kill ends the run through SystemExit, so the worktree is removed then too.
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     worktree = scratch / "rev"
     try:
         try:
-            git("worktree", "add", "--detach", str(worktree), args.rev)
+            add = ["git", "worktree", "add", "--detach", str(worktree), args.rev]
+            subprocess.run(add, cwd=ROOT, capture_output=True, text=True, check=True)
         except subprocess.CalledProcessError as exc:
             print(f"error: cannot check out {args.rev}: {exc.stderr.strip()}", file=sys.stderr)
             return 1
@@ -111,4 +106,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # A plain kill ends the run through SystemExit, so main's `finally` removes the worktree then too.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     raise SystemExit(main())

@@ -365,7 +365,10 @@ def trace_key(link: TraceLink) -> tuple[str, str, str]:
 
 
 def add_block(model: Model, block: BuildingBlock) -> Model:
-    """Return the model with one more block; raises DuplicateId if the block's id is already taken."""
+    """Return the model with one more block.
+
+    Raises DuplicateId if the block's id is already taken.
+    """
     if block.id in model.blocks:
         raise DuplicateId(f"model '{model.id}' already contains block '{block.id}'")
     return _next_version(model, blocks=model.blocks.appended(block.id, block))

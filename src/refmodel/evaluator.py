@@ -173,7 +173,7 @@ def compare(
     if not planners:
         raise ValueError("compare needs at least one planner")
     params = params or SimParams()
-    origin = tmap.first_free() if start is None else check_start(start)
+    origin = tmap.first_free() if start is None else start
     runs = tuple(
         (resolve_planner(planner)[0], run(tmap, planner, start=origin, params=params)) for planner in planners
     )
