@@ -3,25 +3,28 @@
 
 Checks REV out into a temporary `git worktree` and runs the benchmark once
 from that worktree and once from this checkout in each pair, REV first in
-even pairs (0, 2, ...) and this checkout first in odd ones. Each side runs
-its own `bench/run.py` and sources, one process per workload; `--workload
-all` runs every workload of BENCHMARK.json in turn, as `bench/run.py
---workload all` does. Prints, for every end-to-end metric of BENCHMARK.json
-on every workload run: both sides' medians, REV's quartiles
-(`statistics.quantiles`), the ratio of the medians (this checkout / REV) and
-the pairs this checkout won (better by the metric's direction; ties count
-for neither side). The last line is one JSON object with every run's
-end-to-end metrics and `attempted` count per workload, in run order. Exits 1
-if a run fails or is not `correct: true`; the worktree is removed on every
-exit, a SIGTERM included.
+even pairs (0, 2, ...) and this checkout first in odd ones. Each run is one
+`bench/run.py --workload WORKLOAD` of that side's own sources, for the
+`run_seconds` of BENCHMARK.json; `--workload all` runs every workload, each
+in its own process, as `bench/run.py` does. Prints, for every end-to-end
+metric of BENCHMARK.json on every workload run: both sides' medians, REV's
+quartiles (`statistics.quantiles`), the ratio of the medians (this checkout
+/ REV) and the pairs this checkout won (better by the metric's direction;
+ties count for neither side). The last line is one JSON object with every
+run's end-to-end metrics and `attempted` count per workload, in run order.
+Exits 1 if a run fails or is not `correct: true`. Each run starts in a
+process group of its own, which is killed if this script exits first, a
+SIGTERM included; the worktree is removed on every exit.
 
-Usage: python scripts/bench_pairs.py REV [--pairs 10] [--workload all] [--seconds 40] [--seed 11]
+Usage: python scripts/bench_pairs.py REV [--pairs 10] [--workload all] [--seed 11]
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import shutil
 import signal
 import statistics
@@ -33,21 +36,41 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def bench(checkout: Path, workloads: list[str], seconds: float, seed: int) -> dict[str, float] | None:
-    """One run of each workload: metrics and op count as `workload.name`; None if one fails or is not correct."""
-    metrics = {}
-    for workload in workloads:
-        command = [sys.executable, "bench/run.py", "--workload", workload]
-        command += ["--seed", str(seed), "--seconds", str(seconds)]
-        proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
-            return None
-        result = json.loads(proc.stdout.splitlines()[-1])
-        if result.get("correct") is not True:
-            return None
-        metrics.update({f"{workload}.{name}": entry["value"] for name, entry in result["metrics"].items()})
-        metrics[f"{workload}.attempted"] = result["attempted"]
+def run_in_group(command: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run command to its end in a new process group, and kill the whole group if this process exits first."""
+    with subprocess.Popen(
+        command, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
+    ) as proc:
+        try:
+            out, err = proc.communicate()
+        except BaseException:
+            # bench/run.py runs its rounds in child processes, which a kill of proc alone would leave running.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(command, proc.returncode, out, err)
+
+
+def bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict[str, float] | None:
+    """One run: metrics and op counts as `workload.name`; None if it fails or is not correct."""
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = run_in_group(command, checkout)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return None
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    if result.get("correct") is not True:
+        return None
+    if workload != "all":
+        metrics = {f"{workload}.{name}": entry["value"] for name, entry in result["metrics"].items()}
+        return {**metrics, f"{workload}.attempted": result["attempted"]}
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    # `--workload all` prints one `name: correct=... attempted=N failed=M` line per workload.
+    for line in lines:
+        name, found, rest = line.partition(": correct=")
+        if found:
+            metrics[f"{name}.attempted"] = int(rest.split(" attempted=")[1].split()[0])
     return metrics
 
 
@@ -65,13 +88,11 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="the commit to compare with, e.g. the parent of this change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", default="all")
-    parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower_is_better = {entry["name"]: entry["better"] == "lower" for entry in declared["end_to_end"]}
-    workloads = [entry["name"] for entry in declared["workloads"]] if args.workload == "all" else [args.workload]
     keep = {*lower_is_better, "attempted"}
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     worktree = scratch / "rev"
@@ -86,7 +107,7 @@ def main(argv=None) -> int:
         runs: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
         for pair in range(args.pairs):
             for side in list(sides) if pair % 2 == 0 else list(sides)[::-1]:
-                metrics = bench(sides[side], workloads, args.seconds, args.seed)
+                metrics = bench(sides[side], args.workload, declared["run_seconds"], args.seed)
                 if metrics is None:
                     print(f"error: pair {pair}: the run of {side} failed or is not correct: true", file=sys.stderr)
                     return 1

@@ -19,14 +19,12 @@ from .core import (
     ConcernLayer,
     Connection,
     Model,
-    Origin,
     Port,
     PortDirection,
     PortRef,
     TraceKind,
     TraceLink,
     _by_id,
-    _next_version,
     connection_key,
     port_compatible,
     trace_key,
@@ -226,7 +224,7 @@ def connect(model: Model, provided_ref: PortRef, required_ref: PortRef) -> Model
     if model.connections.binds(required_ref):
         raise AlreadyBound(f"required port {required_ref.block}:{required_ref.port} is already bound")
     connection = Connection(source=provided_ref, target=required_ref)
-    return _next_version(model, connections=model.connections.appended(connection))
+    return model._next(connections=model.connections.appended(connection))
 
 
 def _resolve_port(model: Model, ref: PortRef) -> Port:
@@ -362,7 +360,7 @@ def replacement_blocks(model: Model, repo: "ReferenceRepository", slot: str) -> 
         candidate = asset.block
         if (candidate.layer, candidate.kind, candidate.port_signature()) != signature:
             continue
-        replacement = _next_version(candidate, origin=Origin.ADOPTED, parameters=dict(candidate.parameters))
+        replacement = candidate._adopted()
         # An equal block maps each port to itself, so swapping it in would change nothing.
         if replacement.id == slot and replacement == slot_block:
             blocks.insert(0, slot_block)

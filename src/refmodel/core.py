@@ -152,6 +152,10 @@ class BuildingBlock:
         """Sorted multiset of (direction, interface type); the plug-compatibility key."""
         return tuple(sorted((p.direction.value, p.interface_type) for p in self.ports))
 
+    def _adopted(self) -> BuildingBlock:
+        """This block marked as adopted, with its own copy of the parameters, so it never shares the asset's dict."""
+        return _next_version(self, origin=Origin.ADOPTED, parameters=dict(self.parameters))
+
 
 @dataclass(frozen=True)
 class PortRef:
@@ -327,6 +331,10 @@ class Model:
         object.__setattr__(self, "connections", _set_of(self.connections))
         object.__setattr__(self, "traces", _set_of(self.traces))
 
+    def _next(self, **changes) -> Model:
+        """The next version: this model with `changes`, which are already valid, and an empty `_derived` of its own."""
+        return _next_version(self, _derived={}, **changes)
+
     def block(self, block_id: str) -> BuildingBlock:
         try:
             return self.blocks[block_id]
@@ -348,11 +356,9 @@ class Model:
 
 
 def _next_version(prev, **changes):
-    """`prev` with `changes`, which are already valid, built without re-checking; a model gets a new `_derived`."""
+    """`prev` with `changes`, which are already valid, built without re-checking them or its other fields."""
     new = object.__new__(type(prev))
     new.__dict__.update(prev.__dict__, **changes)
-    if isinstance(new, Model):  # what is derived from a version belongs to that version alone
-        new.__dict__["_derived"] = {}
     return new
 
 
@@ -371,7 +377,7 @@ def add_block(model: Model, block: BuildingBlock) -> Model:
     """
     if block.id in model.blocks:
         raise DuplicateId(f"model '{model.id}' already contains block '{block.id}'")
-    return _next_version(model, blocks=model.blocks.appended(block.id, block))
+    return model._next(blocks=model.blocks.appended(block.id, block))
 
 
 def port_compatible(provided: Port, required: Port) -> bool:
@@ -395,4 +401,4 @@ def add_trace(model: Model, link: TraceLink) -> Model:
         raise IllegalTraceKind(
             f"{link.kind.value} from {source.layer.value} to {target.layer.value} is not permitted"
         )
-    return _next_version(model, traces=model.traces.appended(link))
+    return model._next(traces=model.traces.appended(link))

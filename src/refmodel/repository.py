@@ -150,7 +150,7 @@ def asset_of_kind(repo: ReferenceRepository, asset_id: str, kind: type) -> Asset
 def adopt(repo: ReferenceRepository, asset_id: str, model: Model) -> Model:
     """Copy a reference block verbatim into the model, marked as adopted."""
     block = asset_of_kind(repo, asset_id, BlockAsset).block
-    return add_block(model, _next_version(block, origin=Origin.ADOPTED, parameters=dict(block.parameters)))
+    return add_block(model, block._adopted())
 
 
 _ADAPTABLE_FIELDS = frozenset({"name", "parameters", "port_types"})

@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import signal
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,55 +11,77 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 END_TO_END = [{"name": "round_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]
 
 
-@pytest.fixture()
-def bench_pairs(tmp_path, monkeypatch):
-    """The script as a module, rooted at tmp_path, whose git and bench runs are faked and logged."""
+def load_script():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    declared = {"workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": END_TO_END}
+    return module
+
+
+@pytest.fixture()
+def bench_pairs(tmp_path, monkeypatch):
+    """The script as a module, rooted at tmp_path, whose git and bench runs are faked and logged."""
+    module = load_script()
+    declared = {"run_seconds": 40, "workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": END_TO_END}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
     monkeypatch.setattr(module, "ROOT", tmp_path)
     calls = []
-    # Each side's runs in order: the checkout at tmp_path is this change, any other cwd the worktree of REV.
-    results = {"rev": [], "change": []}
+    # Each side's outputs in order: the checkout at tmp_path is this change, any other cwd the worktree of REV.
+    outputs = {"rev": [], "change": []}
 
-    def fake_run(command, cwd=None, **kwargs):
-        if command[0] == "git":
-            calls.append(command[1:3])
-            return subprocess.CompletedProcess(command, 0, "", "")
+    def fake_git(command, cwd=None, **kwargs):
+        assert command[0] == "git"
+        calls.append(command[1:3])
+        return subprocess.CompletedProcess(command, 0, "", "")
+
+    def fake_bench(command, cwd):
         workload = command[3]
         assert command[1:] == ["bench/run.py", "--workload", workload, "--seed", "11", "--seconds", "40"]
         side = "change" if Path(cwd) == tmp_path else "rev"
         calls.append((side, workload))
-        result = results[side].pop(0) if workload == "w" else ok_v
-        return subprocess.CompletedProcess(command, 0, "meta\n" + json.dumps(result) + "\n", "")
+        return subprocess.CompletedProcess(command, 0, outputs[side].pop(0), "")
 
-    monkeypatch.setattr(module.subprocess, "run", fake_run)
-    return module, calls, results
+    monkeypatch.setattr(module.subprocess, "run", fake_git)
+    monkeypatch.setattr(module, "run_in_group", fake_bench)
+    return module, calls, outputs
 
 
-def result(round_s, peak_rss_mb, correct=True):
-    metrics = {
+def metrics(round_s, peak_rss_mb):
+    return {
         "round_s": {"value": round_s, "unit": "s"},
         "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
         "cmd_ms_p50": {"value": 1.0, "unit": "ms"},
     }
-    return {"correct": correct, "attempted": 4, "failed": 0, "metrics": metrics}
 
 
-ok_v = result(1.0, 20.0)
+def one_workload(round_s, peak_rss_mb, correct=True):
+    """What `bench/run.py --workload w` prints: a meta line, then the result."""
+    result = {"correct": correct, "attempted": 4, "failed": 0, "metrics": metrics(round_s, peak_rss_mb)}
+    return '{"meta": {}}\n' + json.dumps(result) + "\n"
+
+
+def all_workloads(round_s, peak_rss_mb):
+    """What `bench/run.py --workload all` prints: a summary per workload, then the combined result."""
+    per_workload = {"w": (metrics(round_s, peak_rss_mb), 4), "v": (metrics(1.0, 20.0), 7)}
+    lines, combined = [], {}
+    for name, (entries, attempted) in per_workload.items():
+        lines.append(f"{name}: correct=True attempted={attempted} failed=0")
+        lines += [f"  {metric} {entry['value']} {entry['unit']}" for metric, entry in entries.items()]
+        combined.update({f"{name}.{metric}": entry for metric, entry in entries.items()})
+        combined[f"{name}.layer.self_s"] = {"value": 0.5, "unit": "s"}
+    lines.append(json.dumps({"correct": True, "attempted": 11, "failed": 0, "metrics": combined}))
+    return "\n".join(lines) + "\n"
 
 
 def test_alternates_sides_and_reports_medians_quartiles_ratio_and_wins(bench_pairs, capsys):
-    module, calls, results = bench_pairs
-    results["rev"] = [result(value, 40.0) for value in (2.0, 4.0, 6.0, 8.0)]
-    results["change"] = [result(value, 40.0) for value in (1.0, 5.0, 3.0, 4.0)]
+    module, calls, outputs = bench_pairs
+    outputs["rev"] = [all_workloads(value, 40.0) for value in (2.0, 4.0, 6.0, 8.0)]
+    outputs["change"] = [all_workloads(value, 40.0) for value in (1.0, 5.0, 3.0, 4.0)]
     assert module.main(["abc123", "--pairs", "4"]) == 0
     worktree, runs, remove = calls[0], calls[1:-2], calls[-2:]
     assert worktree == ["worktree", "add"] and remove == [["worktree", "remove"], ["worktree", "prune"]]
     sides = ["rev", "change", "change", "rev", "rev", "change", "change", "rev"]
-    assert runs == [(side, workload) for side in sides for workload in ("w", "v")]
+    assert runs == [(side, "all") for side in sides]
     out = capsys.readouterr().out.splitlines()
     rows = {line.split()[0]: line.split()[1:] for line in out if line.startswith(("w.", "v."))}
     # rev median 5, quartiles 2.5 and 7.5 (exclusive method); change median 3.5, winning pairs 0, 2 and 3.
@@ -66,14 +90,58 @@ def test_alternates_sides_and_reports_medians_quartiles_ratio_and_wins(bench_pai
     assert sorted(rows) == ["v.peak_rss_mb", "v.round_s", "w.peak_rss_mb", "w.round_s"]
     recorded = json.loads(out[-1])
     assert [run["w.round_s"] for run in recorded["this checkout"]] == [1.0, 5.0, 3.0, 4.0]
-    kept = ("round_s", "peak_rss_mb", "attempted")
-    assert set(recorded["abc123"][0]) == {f"{workload}.{name}" for workload in "wv" for name in kept}
+    assert recorded["abc123"][0] == {
+        "w.round_s": 2.0, "w.peak_rss_mb": 40.0, "w.attempted": 4,
+        "v.round_s": 1.0, "v.peak_rss_mb": 20.0, "v.attempted": 7,
+    }  # fmt: skip
+
+
+def test_one_workload_is_keyed_by_its_name(bench_pairs, capsys):
+    module, calls, outputs = bench_pairs
+    outputs["rev"] = [one_workload(2.0, 40.0)]
+    outputs["change"] = [one_workload(1.0, 40.0)]
+    assert module.main(["abc123", "--workload", "w", "--pairs", "1"]) == 0
+    recorded = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert recorded["this checkout"] == [{"w.round_s": 1.0, "w.peak_rss_mb": 40.0, "w.attempted": 4}]
 
 
 def test_exits_one_on_a_run_that_is_not_correct_and_removes_the_worktree(bench_pairs, capsys):
-    module, calls, results = bench_pairs
-    results["rev"] = [result(2.0, 40.0)]
-    results["change"] = [result(1.0, 40.0, correct=False)]
+    module, calls, outputs = bench_pairs
+    outputs["rev"] = [one_workload(2.0, 40.0)]
+    outputs["change"] = [one_workload(1.0, 40.0, correct=False)]
     assert module.main(["abc123", "--workload", "w"]) == 1
     assert calls == [["worktree", "add"], ("rev", "w"), ("change", "w"), ["worktree", "remove"], ["worktree", "prune"]]
     assert "pair 0: the run of this checkout failed or is not correct: true" in capsys.readouterr().err
+
+
+def test_a_run_is_waited_for_in_a_process_group_of_its_own():
+    module = load_script()
+    command = [sys.executable, "-c", "import os; print(os.getpgid(0) == os.getpid())"]
+    proc = module.run_in_group(command, Path.cwd())
+    assert (proc.returncode, proc.stdout) == (0, "True\n")
+
+
+def test_an_interrupted_run_kills_its_whole_process_group(monkeypatch):
+    module = load_script()
+    killed = []
+
+    class Interrupted:
+        pid = 4321
+
+        def __init__(self, command, **kwargs):
+            assert kwargs["start_new_session"] is True
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def communicate(self):
+            raise SystemExit(1)  # as the SIGTERM handler raises it
+
+    monkeypatch.setattr(module.subprocess, "Popen", Interrupted)
+    monkeypatch.setattr(module.os, "killpg", lambda pgid, sig: killed.append((pgid, sig)))
+    with pytest.raises(SystemExit):
+        module.run_in_group(["bench/run.py"], Path.cwd())
+    assert killed == [(4321, signal.SIGKILL)]
