@@ -10,8 +10,11 @@ in its own process, as `bench/run.py` does. Prints, for every end-to-end
 metric of BENCHMARK.json on every workload run: both sides' medians, REV's
 quartiles (`statistics.quantiles`), the ratio of the medians (this checkout
 / REV) and the pairs this checkout won (better by the metric's direction;
-ties count for neither side). The last line is one JSON object with every
-run's end-to-end metrics and `attempted` count per workload, in run order.
+ties count for neither side). Under that table it prints both sides' median
+`attempted` count per workload and their ratio, since a faster side runs
+more rounds in the same time, and `peak_rss_mb` of compose_fleet grows with
+the round count. The last line is one JSON object with every run's
+end-to-end metrics and `attempted` count per workload, in run order.
 Exits 1 if a run fails or is not `correct: true`. Each run starts in a
 process group of its own, which is killed if this script exits first, a
 SIGTERM included; the worktree is removed on every exit.
@@ -118,6 +121,10 @@ def main(argv=None) -> int:
         for name in sorted(name for name in before[0] if not name.endswith(".attempted")):
             rows = [run[name] for run in before], [run[name] for run in after]
             print(summary(name, *rows, lower_is_better[name.rsplit(".", 1)[-1]]))
+        print(f"{'calls attempted':<30} {'rev median':>11} {'median':>11} {'ratio':>6}")
+        for name in sorted(name for name in before[0] if name.endswith(".attempted")):
+            old, new = (statistics.median(run[name] for run in side) for side in (before, after))
+            print(f"{name:<30} {old:>11.5g} {new:>11.5g} {f'{new / old:.3f}' if old else 'n/a':>6}")
         print(json.dumps(runs))
         return 0
     finally:

@@ -375,9 +375,10 @@ def add_block(model: Model, block: BuildingBlock) -> Model:
 
     Raises DuplicateId if the block's id is already taken.
     """
-    if block.id in model.blocks:
+    blocks = model.blocks.appended(block.id, block)
+    if blocks is model.blocks:
         raise DuplicateId(f"model '{model.id}' already contains block '{block.id}'")
-    return model._next(blocks=model.blocks.appended(block.id, block))
+    return model._next(blocks=blocks)
 
 
 def port_compatible(provided: Port, required: Port) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import AbstractSet, Any, Callable, Mapping, NamedTuple, Sequence, Union
 
 from .composition import Pattern, PatternAnchor, Viewpoint
@@ -118,9 +119,10 @@ class ReferenceRepository:
 
 def add_asset(repo: ReferenceRepository, asset: Asset) -> ReferenceRepository:
     """Return a repository with the asset added and the version bumped by one."""
-    if asset.id in repo.assets:
+    assets = repo.assets.appended(asset.id, asset)
+    if assets is repo.assets:
         raise DuplicateId(f"repository already contains asset '{asset.id}'")
-    return _next_version(repo, assets=repo.assets.appended(asset.id, asset), version=repo.version + 1)
+    return _next_version(repo, assets=assets, version=repo.version + 1)
 
 
 def list_assets(
@@ -226,7 +228,7 @@ def extend(
 
 def save(repo: ReferenceRepository) -> str:
     """Serialize a repository to its canonical JSON document."""
-    return _dumps(repository_to_document(repo))
+    return _encode(_REPOSITORY, repo)
 
 
 def load(text: str) -> ReferenceRepository:
@@ -236,7 +238,7 @@ def load(text: str) -> ReferenceRepository:
 
 def save_model(model: Model) -> str:
     """Serialize a model to its canonical JSON document."""
-    return _dumps(model_to_document(model))
+    return _encode(_MODEL, model)
 
 
 def load_model(text: str) -> Model:
@@ -249,50 +251,12 @@ def load_asset(text: str) -> Asset:
     return _decode(_ASSET, text)
 
 
-def repository_to_document(repo: ReferenceRepository) -> dict:
-    return _REPOSITORY.encode(repo)
-
-
-def model_to_document(model: Model) -> dict:
-    return _MODEL.encode(model)
-
-
-def _dumps(doc: dict) -> str:
-    """`json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\\n"`, without the
-    pure-Python encoder that the standard library falls back to for an indent."""
+def _encode(codec: _Codec, value) -> str:
+    """The text of `json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\\n"`, with no `doc` built."""
     chunks = []
-    _write(doc, "\n", chunks.append)
+    codec.write(value, "", "\n", chunks)
     chunks.append("\n")
     return "".join(chunks)
-
-
-def _write(value, newline: str, emit):
-    """Emit `value` in chunks; `newline` is a line break plus the indent of the line `value` is on."""
-    if isinstance(value, dict) and value:
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in sorted(value.items()):
-            key = _quote(json.dumps(key) if isinstance(key, (int, float)) or key is None else key)
-            if type(item) is str:
-                emit(f"{separator}{key}: {_quote(item)}")
-            else:
-                emit(f"{separator}{key}: ")
-                _write(item, inner, emit)
-            separator = "," + inner
-        emit(newline + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        inner = newline + "  "
-        for i, item in enumerate(value):
-            emit(("," if i else "[") + inner)
-            _write(item, inner, emit)
-        emit(newline + "]")
-    else:  # a string, a number, a constant, or an empty object or array
-        emit(_TEXT.get(type(value), _scalar)(value))
-
-
-_quote = json.encoder.encode_basestring
-_scalar = json.JSONEncoder(ensure_ascii=False).encode
-_TEXT = {str: _quote, int: int.__repr__, dict: lambda _: "{}", list: lambda _: "[]"}
 
 
 def _reject_constant(name: str):
@@ -325,10 +289,11 @@ def _located(step: str, exc: ParseError) -> ParseError:
 
 
 class _Codec(NamedTuple):
-    """How a value is written to JSON, read back, and read when missing. `decode` raises ParseErrors
-    whose message starts with the path below the value; each enclosing record or array prepends its step."""
+    """How a value is written to JSON (after `prefix`, on a line that `newline` began), read back, and read
+    when missing. `decode` raises ParseErrors whose message starts with the path below the value; each
+    enclosing record or array prepends its step."""
 
-    encode: Callable[[Any], Any]
+    write: Callable[[Any, str, str, list], None]
     decode: Callable[[Any], Any]
     default: Any = None
 
@@ -344,9 +309,19 @@ def _expect(kind: type, name: str) -> Callable[[Any], Any]:
     return decode
 
 
+def _leaf(text: Callable[[Any], str]):
+    """A writer of a value that `text` gives on one line."""
+    return lambda value, prefix, newline, chunks: chunks.append(prefix + text(value))
+
+
+_quote = json.encoder.encode_basestring
+# What json.dumps writes for each type of scalar, a parameter's value or the repository version.
+_SCALAR_TEXT = {str: _quote, int: int.__repr__, float: float.__repr__, bool: lambda flag: "true" if flag else "false"}
+
+
 _object, _list, _string = _expect(dict, "an object"), _expect(list, "an array"), _expect(str, "a string")
-_STR = _Codec(lambda value: value, _string, "")
-_INT = _Codec(lambda value: value, _expect(int, "an integer"), 0)
+_STR = _Codec(_leaf(_quote), _string, "")
+_INT = _Codec(_leaf(lambda value: _SCALAR_TEXT[type(value)](value)), _expect(int, "an integer"), 0)
 
 
 def _tokens(members: Mapping[str, Any], what: str) -> Callable[[Any], Any]:
@@ -363,7 +338,7 @@ def _tokens(members: Mapping[str, Any], what: str) -> Callable[[Any], Any]:
 def _enum(cls, default=None) -> _Codec:
     """An enum member, written as its token."""
     decode = _tokens({member.value: member for member in cls}, cls.__name__.lower())
-    return _Codec(lambda member: member.value, decode, default)
+    return _Codec(_leaf({member: _quote(member.value) for member in cls}.__getitem__), decode, default)
 
 
 def _decode_scalars(value) -> dict[str, Scalar]:
@@ -379,16 +354,29 @@ def _check_schema_version(found):
         raise SchemaVersionMismatch(f": expected {SCHEMA_VERSION}, found {found!r}")
 
 
-_SCALARS = _Codec(lambda scalars: dict(sorted(scalars.items())), _decode_scalars, {})
-_SCHEMA_VERSION = _Codec(lambda _: SCHEMA_VERSION, _check_schema_version)
+def _lines(brackets: str, entries: Callable[[Any], list], write_entry):
+    """A writer of the `entries` of a value between `brackets`, one a line, or of bare brackets if it has none."""
+
+    def write(value, prefix, newline, chunks):
+        inner = newline + "  "
+        separator = prefix + brackets[0] + inner
+        start = len(chunks)
+        for entry in entries(value):
+            write_entry(entry, separator, inner, chunks)
+            separator = "," + inner
+        chunks.append(newline + brackets[1] if len(chunks) > start else prefix + brackets)
+
+    return write
+
+
+_SCALAR_ENTRY = _leaf(lambda item: f"{_quote(item[0])}: {_SCALAR_TEXT[type(item[1])](item[1])}")
+_SCALARS = _Codec(_lines("{}", lambda scalars: sorted(scalars.items()), _SCALAR_ENTRY), _decode_scalars, {})
+_SCHEMA_VERSION = _Codec(_leaf(lambda _: str(SCHEMA_VERSION)), _check_schema_version)
 
 
 def _array(item: _Codec, key, unique: str = "") -> _Codec:
     """A list written sorted by `key` and read, in document order, into a tuple; a `unique`
     list is a dict by id instead, and an entry that repeats an id is a duplicate `unique` id."""
-
-    def encode(values) -> list:
-        return [item.encode(v) for v in sorted(values.values() if unique else values, key=key)]
 
     def decode(value):
         entries, records = _list(value), {} if unique else []
@@ -403,16 +391,25 @@ def _array(item: _Codec, key, unique: str = "") -> _Codec:
             raise _located(f"[{len(records)}]", exc)
         return records if unique else tuple(records)
 
-    return _Codec(encode, decode, [])
+    write = _lines("[]", lambda values: sorted(values.values() if unique else values, key=key), item.write)
+    return _Codec(write, decode, [])
 
 
 def _record(cls, codecs: Mapping[str, _Codec], attributes: Mapping[str, str | None] | None = None) -> _Codec:
     """An object with one codec per key, read in key order into `cls`; any other key is an error. A key
     is also its attribute, unless `attributes` maps it to another, or to None for a key only checked."""
     rows = [(key, (attributes or {}).get(key, key), *codec) for key, codec in codecs.items()]
+    # The writer's rows in sorted key order: the key's text, a getter of its value, and the value's writer.
+    fields = [(_quote(key) + ": ", attrgetter(attr) if attr else lambda _: None, write)
+              for key, attr, write, *_ in sorted(rows)]
 
-    def encode(obj) -> dict:
-        return {key: encode_field(attr and getattr(obj, attr)) for key, attr, encode_field, _, _ in rows}
+    def write(obj, prefix, newline, chunks):
+        inner = newline + "  "
+        separator = prefix + "{" + inner
+        for key, get, write_field in fields:
+            write_field(get(obj), separator + key, inner, chunks)
+            separator = "," + inner
+        chunks.append(newline + "}")
 
     def decode(value):
         obj = _object(value)
@@ -429,7 +426,7 @@ def _record(cls, codecs: Mapping[str, _Codec], attributes: Mapping[str, str | No
         except ValueError as exc:  # the record's own check, at the record's path
             raise ParseError(f": {exc}") from None
 
-    return _Codec(encode, decode)
+    return _Codec(write, decode)
 
 
 def _check_fields(obj: dict, allowed: AbstractSet[str]):
@@ -462,14 +459,15 @@ _ASSET_KINDS = {
     "pattern": _record(PatternAsset, {"pattern": _PATTERN}),
     "viewpoint": _record(ViewpointAsset, {"viewpoint": _VIEWPOINT}),
 }
-_ASSET_TOKENS = {BlockAsset: "block", PatternAsset: "pattern", ViewpointAsset: "viewpoint"}
+# asset class -> the writer of its document: the kind token, the payload under the token's key, and the id
+_ASSET_WRITERS = {
+    cls: _record(cls, {"asset_kind": _Codec(_leaf(lambda _, text=_quote(token): text), None), token: codec,
+                       "id": _STR}, {"asset_kind": None}).write
+    for cls, token, codec in [(BlockAsset, "block", _BLOCK), (PatternAsset, "pattern", _PATTERN),
+                              (ViewpointAsset, "viewpoint", _VIEWPOINT)]
+}
 _ASSET_KEYS = {"id", "asset_kind", *_ASSET_KINDS}
 _ASSET_KIND = _tokens({token: token for token in _ASSET_KINDS}, "asset kind")
-
-
-def _encode_asset(asset: Asset) -> dict:
-    token = _ASSET_TOKENS[type(asset)]
-    return {"id": asset.id, "asset_kind": token, **_ASSET_KINDS[token].encode(asset)}
 
 
 def _decode_asset(value) -> Asset:
@@ -487,7 +485,7 @@ def _decode_asset(value) -> Asset:
     return asset
 
 
-_ASSET = _Codec(_encode_asset, _decode_asset)
+_ASSET = _Codec(lambda asset, *place: _ASSET_WRITERS[type(asset)](asset, *place), _decode_asset)
 _MODEL = _record(Model, {
     "schema_version": _SCHEMA_VERSION, "id": _STR, "blocks": _array(_BLOCK, _by_id, unique="block"),
     "connections": _CONNECTIONS, "traces": _TRACES,

@@ -60,9 +60,9 @@ def one_workload(round_s, peak_rss_mb, correct=True):
     return '{"meta": {}}\n' + json.dumps(result) + "\n"
 
 
-def all_workloads(round_s, peak_rss_mb):
+def all_workloads(round_s, peak_rss_mb, attempted=4):
     """What `bench/run.py --workload all` prints: a summary per workload, then the combined result."""
-    per_workload = {"w": (metrics(round_s, peak_rss_mb), 4), "v": (metrics(1.0, 20.0), 7)}
+    per_workload = {"w": (metrics(round_s, peak_rss_mb), attempted), "v": (metrics(1.0, 20.0), 7)}
     lines, combined = [], {}
     for name, (entries, attempted) in per_workload.items():
         lines.append(f"{name}: correct=True attempted={attempted} failed=0")
@@ -76,20 +76,27 @@ def all_workloads(round_s, peak_rss_mb):
 def test_alternates_sides_and_reports_medians_quartiles_ratio_and_wins(bench_pairs, capsys):
     module, calls, outputs = bench_pairs
     outputs["rev"] = [all_workloads(value, 40.0) for value in (2.0, 4.0, 6.0, 8.0)]
-    outputs["change"] = [all_workloads(value, 40.0) for value in (1.0, 5.0, 3.0, 4.0)]
+    # This checkout runs more calls in three pairs: 5, 6, 5 and 4 against REV's 4, a median of 5.
+    outputs["change"] = [all_workloads(value, 40.0, n) for value, n in ((1.0, 5), (5.0, 6), (3.0, 5), (4.0, 4))]
     assert module.main(["abc123", "--pairs", "4"]) == 0
     worktree, runs, remove = calls[0], calls[1:-2], calls[-2:]
     assert worktree == ["worktree", "add"] and remove == [["worktree", "remove"], ["worktree", "prune"]]
     sides = ["rev", "change", "change", "rev", "rev", "change", "change", "rev"]
     assert runs == [(side, "all") for side in sides]
     out = capsys.readouterr().out.splitlines()
-    rows = {line.split()[0]: line.split()[1:] for line in out if line.startswith(("w.", "v."))}
+    metric_header = next(i for i, line in enumerate(out) if line.startswith("metric"))
+    calls_header = next(i for i, line in enumerate(out) if line.startswith("calls attempted"))
+    rows = {line.split()[0]: line.split()[1:] for line in out[metric_header + 1 : calls_header]}
     # rev median 5, quartiles 2.5 and 7.5 (exclusive method); change median 3.5, winning pairs 0, 2 and 3.
     assert rows["w.round_s"] == ["5", "2.5", "7.5", "3.5", "0.700", "3/4"]
     assert rows["w.peak_rss_mb"] == ["40", "40", "40", "40", "1.000", "0/4"]
     assert sorted(rows) == ["v.peak_rss_mb", "v.round_s", "w.peak_rss_mb", "w.round_s"]
+    # Under the table: each workload's median calls attempted, REV's then this checkout's, and their ratio.
+    attempted = [line.split() for line in out[calls_header + 1 : -1]]
+    assert attempted == [["v.attempted", "7", "7", "1.000"], ["w.attempted", "4", "5", "1.250"]]
     recorded = json.loads(out[-1])
     assert [run["w.round_s"] for run in recorded["this checkout"]] == [1.0, 5.0, 3.0, 4.0]
+    assert [run["w.attempted"] for run in recorded["this checkout"]] == [5, 6, 5, 4]
     assert recorded["abc123"][0] == {
         "w.round_s": 2.0, "w.peak_rss_mb": 40.0, "w.attempted": 4,
         "v.round_s": 1.0, "v.peak_rss_mb": 20.0, "v.attempted": 7,

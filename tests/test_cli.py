@@ -764,6 +764,7 @@ class TestExitCodes:
             (("model", "adapt", "res.battery", "--param", "capacity=nan", "{repo}", "{model}"), "finite"),
             (("model", "adapt", "res.battery", "--param", "capacity=inf", "{repo}", "{model}"), "finite"),
             (("model", "extend", "res.battery", "--param", "reserve=-inf", "{repo}", "{model}"), "finite"),
+            (("ensemble", "--width", "100000", "--height", "100000"), "at most 2000000 cells, not 100000x100000"),
         ],
     )
     def test_library_value_error_is_usage_error(self, demo_dir, capsys, argv, message):

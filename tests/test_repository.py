@@ -38,7 +38,6 @@ from refmodel.repository import (
     PatternAsset,
     ReferenceRepository,
     ViewpointAsset,
-    _dumps,
     adapt,
     add_asset,
     adopt,
@@ -47,8 +46,6 @@ from refmodel.repository import (
     load,
     load_asset,
     load_model,
-    model_to_document,
-    repository_to_document,
     save,
     save_model,
 )
@@ -237,13 +234,12 @@ class TestPersistence:
         assert reversed_pattern == pattern
         repo = add_asset(ReferenceRepository(), PatternAsset(reversed_pattern))
         assert load(save(repo)) == repo
-        (document,) = repository_to_document(repo)["assets"]
+        (document,) = json.loads(save(repo))["assets"]
         assert load_asset(json.dumps(document)) == PatternAsset(reversed_pattern)
 
     def test_repeated_anchor_in_a_pattern_document(self):
-        (document,) = repository_to_document(
-            add_asset(ReferenceRepository(), PatternAsset(demo.services_pattern()))
-        )["assets"]
+        repo = add_asset(ReferenceRepository(), PatternAsset(demo.services_pattern()))
+        (document,) = json.loads(save(repo))["assets"]
         anchors = document["pattern"]["anchors"]
         anchors.insert(0, anchors[0])
         with pytest.raises(ParseError, match=f"duplicate anchor id '{anchors[0]['id']}'$"):
@@ -370,14 +366,14 @@ class TestMatchesReference:
         models = [demo_model, *(m(seed) for seed in SEEDS for m in (random_model, dense_trace_model))]
         for repo in repos:
             assert save(repo) == oracles.save(repo)
-            assert repository_to_document(repo) == oracles.repository_to_document(repo)
+            assert json.loads(save(repo)) == oracles.repository_to_document(repo)
         for model in models:
             assert save_model(model) == oracles.save_model(model)
-            assert model_to_document(model) == oracles.model_to_document(model)
+            assert json.loads(save_model(model)) == oracles.model_to_document(model)
 
     def test_mutated_repositories(self, demo_repo):
         for repo in [demo_repo, *(random_repository(seed) for seed in MUTATED_SEEDS)]:
-            doc = repository_to_document(repo)
+            doc = json.loads(save(repo))
             _assert_loads_like_reference(load, oracles.load, _mutations(doc))
             for asset in doc["assets"]:
                 _assert_loads_like_reference(load_asset, oracles.load_asset, _mutations(asset))
@@ -385,13 +381,13 @@ class TestMatchesReference:
     def test_mutated_models(self, demo_model):
         models = [demo_model, *(m(seed) for seed in MUTATED_SEEDS for m in (random_model, dense_trace_model))]
         for model in models:
-            _assert_loads_like_reference(load_model, oracles.load_model, _mutations(model_to_document(model)))
+            _assert_loads_like_reference(load_model, oracles.load_model, _mutations(json.loads(save_model(model))))
 
 
 def _format_words():
     """Every key and string value of the demo documents: the format's own vocabulary."""
     keys, strings = set(), set()
-    stack = [repository_to_document(demo.build_demo_repository()), model_to_document(demo.build_demo_model())]
+    stack = [json.loads(save(demo.build_demo_repository())), json.loads(save_model(demo.build_demo_model()))]
     while stack:
         node = stack.pop()
         if isinstance(node, dict):
@@ -501,6 +497,31 @@ def awkward_repositories(draw):
     return ReferenceRepository(assets={asset.id: asset for asset in assets}, version=version)
 
 
+def awkward_block(text="", **parameters) -> BuildingBlock:
+    """A block with `text` as its id, name, port id, interface type and one parameter's key and value, and
+    with `parameters`; with no text it has no port, and no parameter beyond `parameters`."""
+    ports = [Port(text, PortDirection.PROVIDED, text, ConcernLayer.RESOURCE)] if text else []
+    parameters = {text: text, **parameters} if text else parameters
+    return BuildingBlock(text or "block", text, ConcernLayer.RESOURCE, BlockKind.FUNCTION, ports, parameters)
+
+
+# Values a document can hold, each in a block. What it cannot hold (NaN, a non-scalar parameter such as a list or
+# an object, a key that is not a string) never reaches the writer, since the block refuses it:
+# tests/test_core.py::TestBuildingBlock::test_non_scalar_parameter_rejected and ::test_non_finite_parameter_rejected.
+AWKWARD_VALUES = {
+    "non_ascii": awkward_block("é\U0001f600"),
+    "line_separator": awkward_block("a\u2028b"),
+    "lone_surrogate": awkward_block("\ud800 \udfff"),
+    "quote_and_backslash": awkward_block('"\\'),
+    "huge_ints": awkward_block(huge=10**30, negative=-(2**63), zero=0),
+    "negative_zero": awkward_block(zero=-0.0),
+    "subnormal": awkward_block(tiny=5e-324),
+    "1e16": awkward_block(large=1e16, largest=1.7976931348623157e308),
+    "booleans": awkward_block(true=True, false=False),
+    "empty": awkward_block(),
+}
+
+
 class TestWriterMatchesJsonDumps:
     """The writer gives the bytes of json.dumps(indent=2, sort_keys=True, ensure_ascii=False)."""
 
@@ -518,20 +539,43 @@ class TestWriterMatchesJsonDumps:
         assert text == oracles.save(repo)
         assert load(text) == repo
 
+    @pytest.mark.parametrize("block", AWKWARD_VALUES.values(), ids=AWKWARD_VALUES.keys())
+    def test_awkward_values(self, block):
+        """A block holding the case's values saves like the oracle in a model, as an asset and in a pattern,
+        beside a pattern whose lists are all empty, and reads back equal."""
+        model = Model(id=block.name, blocks={block.id: block})
+        assets = [BlockAsset(block), PatternAsset(Pattern("with the block", (block,))), PatternAsset(Pattern("none"))]
+        repo = ReferenceRepository(assets={asset.id: asset for asset in assets}, version=10**30)
+        assert len(repo.assets) == 3
+        assert save_model(model) == oracles.save_model(model)
+        assert save(repo) == oracles.save(repo)
+        assert load_model(save_model(model)) == model
+        assert load(save(repo)) == repo
+
     @pytest.mark.parametrize(
         "value",
         [[], {}, (), [[]], [{}], {"a": []}, None, True, [1, "x", None], [-0.0, 5e-324, 1e16, float("nan")],
          {"é\u2028": "\ud800\U0001f600"}, {2: "b", 1: []}, {None: (1,)}],
     )
     def test_any_json_value(self, value):
-        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        """Any JSON value handed to a block as its parameters is refused by the block, or saved as the oracle
+        saves it: no other value reaches the writer."""
+        try:
+            block = make_block(parameters=value)
+        except (TypeError, ValueError):
+            return
+        model = Model(id="m", blocks={block.id: block})
+        repo = add_asset(ReferenceRepository(), BlockAsset(block))
+        assert save_model(model) == oracles.save_model(model)
+        assert save(repo) == oracles.save(repo)
+        assert json.loads(save_model(model))["blocks"][0]["parameters"] == json.loads(json.dumps(dict(value)))
 
     @pytest.mark.parametrize("value", [{"a": object()}, {(1, 2): 3}], ids=["value", "key"])
     def test_what_json_cannot_write_is_refused(self, value):
         with pytest.raises(TypeError):
             json.dumps(value)
-        with pytest.raises(TypeError):
-            _dumps(value)
+        with pytest.raises(ValueError, match="is a object, not a scalar|parameter key \\(1, 2\\) is not a string"):
+            make_block(parameters=value)
 
 
 def _assert_first_error_like_reference(load_fn, reference, text) -> str:
@@ -571,7 +615,7 @@ class TestFirstError:
         ],
     )
     def test_model_faults(self, demo_model, path, changes):
-        text = _changed(model_to_document(demo_model), path, changes)
+        text = _changed(json.loads(save_model(demo_model)), path, changes)
         _assert_first_error_like_reference(load_model, oracles.load_model, text)
 
     @pytest.mark.parametrize(
@@ -586,17 +630,17 @@ class TestFirstError:
         ],
     )
     def test_repository_faults(self, demo_repo, path, changes):
-        text = _changed(repository_to_document(demo_repo), path, changes)
+        text = _changed(json.loads(save(demo_repo)), path, changes)
         _assert_first_error_like_reference(load, oracles.load, text)
 
     def test_duplicate_block_before_a_bad_entry(self, demo_model):
-        document = model_to_document(demo_model)
+        document = json.loads(save_model(demo_model))
         document["blocks"][1:1] = [document["blocks"][0], {"id": 1}]
         message = _assert_first_error_like_reference(load_model, oracles.load_model, json.dumps(document))
         assert message.startswith("$.blocks[1]: duplicate block id")
 
     def test_duplicate_asset_before_a_bad_entry(self, demo_repo):
-        document = repository_to_document(demo_repo)
+        document = json.loads(save(demo_repo))
         document["assets"][1:1] = [document["assets"][0], {"asset_kind": 1}]
         message = _assert_first_error_like_reference(load, oracles.load, json.dumps(document))
         assert message.startswith("$.assets[1]: duplicate asset id")

@@ -39,7 +39,7 @@ from refmodel.core import (
     add_trace,
     trace_pair_permitted,
 )
-from refmodel.errors import AlreadyBound
+from refmodel.errors import AlreadyBound, DuplicateId
 from refmodel.repository import BlockAsset, ReferenceRepository, add_asset, adopt, load, load_model, save, save_model
 
 POOL = 14
@@ -222,6 +222,27 @@ class TestBranching:
         branch = add_trace(again, TraceLink(TraceKind.MAPS_TO, "t", "cap"))
         assert branch == newer and branch.traces == newer.traces
         assert len(base.traces) == 1 and TraceLink(TraceKind.MAPS_TO, "t", "cap") not in base.traces
+
+    def test_duplicate_id_on_the_newest_and_an_older_version(self):
+        """A block or asset whose id the version holds is refused, and no version changes: not the one
+        written to, nor a later one sharing its store."""
+        older = add_block(Model(id="m"), service("a"))
+        newest = add_block(older, service("b"))
+        older_repo = add_asset(ReferenceRepository(), BlockAsset(service("a")))
+        newest_repo = add_asset(older_repo, BlockAsset(service("b")))
+        for version, block_id in ((newest, "a"), (newest, "b"), (older, "a")):
+            with pytest.raises(DuplicateId, match=f"^model 'm' already contains block '{block_id}'$"):
+                add_block(version, replace(service(block_id), name="other"))
+        for version, asset_id in ((newest_repo, "a"), (newest_repo, "b"), (older_repo, "a")):
+            with pytest.raises(DuplicateId, match=f"^repository already contains asset '{asset_id}'$"):
+                add_asset(version, BlockAsset(replace(service(asset_id), name="other")))
+        assert older.blocks == {"a": service("a")} and newest.blocks == {"a": service("a"), "b": service("b")}
+        assert older_repo.version == 1 and older_repo.assets == {"a": BlockAsset(service("a"))}
+        assert newest_repo.version == 2 and list(newest_repo.assets) == ["a", "b"]
+        assert [asset.block.name for asset in newest_repo.assets.values()] == ["a", "b"]
+        # The older versions still take the id only a later version holds.
+        assert list(add_block(older, service("b")).blocks) == ["a", "b"]
+        assert list(add_asset(older_repo, BlockAsset(service("b"))).assets) == ["a", "b"]
 
     def test_loop_over_a_version_while_writing_it(self):
         model = Model(id="m", blocks={bid: service(bid) for bid in "ab"})

@@ -166,6 +166,29 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_map(0, 3, 0.1, seed=0)
 
+    @pytest.mark.parametrize(
+        "width, height",
+        [(terrain.MAX_CELLS + 1, 1), (1, terrain.MAX_CELLS + 1), (1415, 1415), (10**5, 10**5), (10**30, 10**30)],
+    )
+    def test_size_above_the_cap_rejected_before_generating(self, monkeypatch, width, height):
+        calls = []
+        monkeypatch.setattr(terrain, "_fbm_grid", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=f"at most {terrain.MAX_CELLS} cells, not {width}x{height}$"):
+            generate_map(width, height, 0.1, seed=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("width, height", [(terrain.MAX_CELLS, 1), (1, terrain.MAX_CELLS), (1000, 2000)])
+    def test_size_at_the_cap_is_generated(self, monkeypatch, width, height):
+        class Reached(Exception):
+            pass
+
+        def fbm_grid(*args, **kwargs):
+            raise Reached(args[:2])  # stop before the cells are allocated
+
+        monkeypatch.setattr(terrain, "_fbm_grid", fbm_grid)
+        with pytest.raises(Reached, match=f"{width}, {height}"):
+            generate_map(width, height, 0.1, seed=0)
+
 
 def test_map_requires_a_free_cell():
     with pytest.raises(ValueError):
