@@ -10,7 +10,13 @@ in its own process, as `bench/run.py` does. Prints, for every end-to-end
 metric of BENCHMARK.json on every workload run: both sides' medians, REV's
 quartiles (`statistics.quantiles`), the ratio of the medians (this checkout
 / REV) and the pairs this checkout won (better by the metric's direction;
-ties count for neither side). Under that table it prints both sides' median
+ties count for neither side), and a verdict by the rules for paired runs:
+`gain` if this checkout won at least 9 in 10 pairs and the medians differ
+by more than REV's interquartile range; else `worse` if its median is worse
+than REV's by more than the metric's `bound` (a fraction of REV's median);
+else `unresolved` if REV's interquartile range is wider than the bound and
+not every run of this checkout beats every run of REV; else `within`.
+Under that table it prints both sides' median
 `attempted` count per workload and their ratio, since a faster side runs
 more rounds in the same time, and `peak_rss_mb` of compose_fleet grows with
 the round count. The last line is one JSON object with every run's
@@ -77,13 +83,23 @@ def bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict[str,
     return metrics
 
 
-def summary(name: str, before: list[float], after: list[float], lower_is_better: bool) -> str:
-    """One row: both medians, the quartiles of `before`, the ratio of medians and the pairs `after` won."""
+def summary(name: str, before: list[float], after: list[float], lower_is_better: bool, bound: float) -> str:
+    """One row: both medians, the quartiles of `before`, the ratio of medians, the pairs `after` won and the verdict."""
     q1, _, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else before * 3
     old, new = statistics.median(before), statistics.median(after)
-    won = sum((b < a) if lower_is_better else (b > a) for a, b in zip(before, after))
+    sign = 1 if lower_is_better else -1  # sign * (a - b) > 0: b reads better than a
+    won = sum(sign * (a - b) > 0 for a, b in zip(before, after))
+    every_run_better = max(after) < min(before) if lower_is_better else min(after) > max(before)
+    if 10 * won >= 9 * len(before) and sign * (old - new) > q3 - q1:
+        verdict = "gain"
+    elif sign * (new - old) > bound * old:
+        verdict = "worse"
+    elif q3 - q1 > bound * old and not every_run_better:
+        verdict = "unresolved"
+    else:
+        verdict = "within"
     ratio = f"{new / old:.3f}" if old else "n/a"
-    return f"{name:<30} {old:>11.5g} {q1:>11.5g} {q3:>11.5g} {new:>11.5g} {ratio:>6} {won:>3}/{len(before)}"
+    return f"{name:<30} {old:>11.5g} {q1:>11.5g} {q3:>11.5g} {new:>11.5g} {ratio:>6} {won:>3}/{len(before)} {verdict}"
 
 
 def main(argv=None) -> int:
@@ -96,6 +112,7 @@ def main(argv=None) -> int:
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower_is_better = {entry["name"]: entry["better"] == "lower" for entry in declared["end_to_end"]}
+    bounds = {entry["name"]: entry["bound"] for entry in declared["end_to_end"]}
     keep = {*lower_is_better, "attempted"}
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     worktree = scratch / "rev"
@@ -117,10 +134,12 @@ def main(argv=None) -> int:
                 runs[side].append({k: v for k, v in metrics.items() if k.rsplit(".", 1)[-1] in keep})
                 print(f"pair {pair} {side}: correct", flush=True)
         before, after = runs.values()
-        print(f"{'metric':<30} {'rev median':>11} {'rev q1':>11} {'rev q3':>11} {'median':>11} {'ratio':>6}    won")
+        header = f"{'metric':<30} {'rev median':>11} {'rev q1':>11} {'rev q3':>11} {'median':>11} {'ratio':>6}    won"
+        print(header + " verdict")
         for name in sorted(name for name in before[0] if not name.endswith(".attempted")):
             rows = [run[name] for run in before], [run[name] for run in after]
-            print(summary(name, *rows, lower_is_better[name.rsplit(".", 1)[-1]]))
+            metric = name.rsplit(".", 1)[-1]
+            print(summary(name, *rows, lower_is_better[metric], bounds[metric]))
         print(f"{'calls attempted':<30} {'rev median':>11} {'median':>11} {'ratio':>6}")
         for name in sorted(name for name in before[0] if name.endswith(".attempted")):
             old, new = (statistics.median(run[name] for run in side) for side in (before, after))

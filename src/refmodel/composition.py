@@ -224,7 +224,7 @@ def connect(model: Model, provided_ref: PortRef, required_ref: PortRef) -> Model
     if model.connections.binds(required_ref):
         raise AlreadyBound(f"required port {required_ref.block}:{required_ref.port} is already bound")
     connection = Connection(source=provided_ref, target=required_ref)
-    return model._next(connections=model.connections.appended(connection))
+    return model._next("connections", model.connections.appended(connection))
 
 
 def _resolve_port(model: Model, ref: PortRef) -> Port:

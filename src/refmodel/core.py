@@ -24,26 +24,38 @@ Scalar = Union[str, int, float, bool]
 _by_id = attrgetter("id")
 
 
-class ConcernLayer(Enum):
+def _wrong_type(obj, kind: type, *names: str) -> TypeError:
+    """The error for the first of the fields `names` of `obj` whose value is not exactly a `kind`."""
+    name = next(name for name in names if type(getattr(obj, name)) is not kind)
+    return TypeError(f"{type(obj).__name__}.{name} must be {kind.__name__}, not {type(getattr(obj, name)).__name__}")
+
+
+class _Token(Enum):
+    # A member equals only itself (Enum compares by identity), so hashing by identity agrees
+    # with ==, and a lookup keyed by a member hashes at C speed instead of calling Enum.__hash__.
+    __hash__ = object.__hash__
+
+
+class ConcernLayer(_Token):
     STRATEGIC = "strategic"
     OPERATIONAL = "operational"
     SERVICE = "service"
     RESOURCE = "resource"
 
 
-class Aspect(Enum):
+class Aspect(_Token):
     STRUCTURE = "structure"
     BEHAVIOR = "behavior"
     PARAMETERS = "parameters"
     REQUIREMENTS = "requirements"
 
 
-class PortDirection(Enum):
+class PortDirection(_Token):
     PROVIDED = "provided"
     REQUIRED = "required"
 
 
-class BlockKind(Enum):
+class BlockKind(_Token):
     CAPABILITY = "capability"
     OPERATIONAL_PERFORMER = "operational_performer"
     OPERATIONAL_ACTIVITY = "operational_activity"
@@ -54,14 +66,14 @@ class BlockKind(Enum):
     ALGORITHM_BLOCK = "algorithm_block"
 
 
-class Origin(Enum):
+class Origin(_Token):
     REFERENCE_ASSET = "reference_asset"
     ADOPTED = "adopted"
     ADAPTED = "adapted"
     EXTENDED = "extended"
 
 
-class TraceKind(Enum):
+class TraceKind(_Token):
     EXHIBITS = "exhibits"
     MAPS_TO = "maps_to"
     PERFORMS = "performs"
@@ -154,7 +166,7 @@ class BuildingBlock:
 
     def _adopted(self) -> BuildingBlock:
         """This block marked as adopted, with its own copy of the parameters, so it never shares the asset's dict."""
-        return _next_version(self, origin=Origin.ADOPTED, parameters=dict(self.parameters))
+        return _next_version(self, {"origin": Origin.ADOPTED, "parameters": dict(self.parameters)})
 
 
 @dataclass(frozen=True)
@@ -164,6 +176,10 @@ class PortRef:
     block: str
     port: str
 
+    def __post_init__(self):
+        if type(self.block) is not str or type(self.port) is not str:
+            raise _wrong_type(self, str, "block", "port")
+
 
 @dataclass(frozen=True)
 class Connection:
@@ -171,6 +187,10 @@ class Connection:
 
     source: PortRef
     target: PortRef
+
+    def __post_init__(self):
+        if type(self.source) is not PortRef or type(self.target) is not PortRef:
+            raise _wrong_type(self, PortRef, "source", "target")
 
 
 @dataclass(frozen=True)
@@ -180,6 +200,12 @@ class TraceLink:
     kind: TraceKind
     source: str
     target: str
+
+    def __post_init__(self):
+        if type(self.kind) is not TraceKind:
+            raise _wrong_type(self, TraceKind, "kind")
+        if type(self.source) is not str or type(self.target) is not str:
+            raise _wrong_type(self, str, "source", "target")
 
 
 # Permitted (source layer, target layer, kind) triples for trace links.
@@ -327,13 +353,16 @@ class Model:
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.id) is not str:
+            raise _wrong_type(self, str, "id")
         object.__setattr__(self, "blocks", _map_by_id(self.blocks, f"model '{self.id}': key", "block id"))
         object.__setattr__(self, "connections", _set_of(self.connections))
         object.__setattr__(self, "traces", _set_of(self.traces))
 
-    def _next(self, **changes) -> Model:
-        """The next version: this model with `changes`, which are already valid, and an empty `_derived` of its own."""
-        return _next_version(self, _derived={}, **changes)
+    def _next(self, name: str, value) -> Model:
+        """The next version: this model with the field `name` set to `value`, which is already valid, and an empty
+        `_derived` of its own."""
+        return _next_version(self, {name: value, "_derived": {}})
 
     def block(self, block_id: str) -> BuildingBlock:
         try:
@@ -355,10 +384,11 @@ class Model:
         return sorted(self.traces, key=trace_key)
 
 
-def _next_version(prev, **changes):
-    """`prev` with `changes`, which are already valid, built without re-checking them or its other fields."""
+def _next_version(prev, changes: dict):
+    """`prev` with `changes` (field name to value), which are already valid, built without re-checking them or its
+    other fields: its fields are copied and the changes merged in, one dict built."""
     new = object.__new__(type(prev))
-    new.__dict__.update(prev.__dict__, **changes)
+    object.__setattr__(new, "__dict__", prev.__dict__ | changes)
     return new
 
 
@@ -378,7 +408,7 @@ def add_block(model: Model, block: BuildingBlock) -> Model:
     blocks = model.blocks.appended(block.id, block)
     if blocks is model.blocks:
         raise DuplicateId(f"model '{model.id}' already contains block '{block.id}'")
-    return model._next(blocks=blocks)
+    return model._next("blocks", blocks)
 
 
 def port_compatible(provided: Port, required: Port) -> bool:
@@ -402,4 +432,4 @@ def add_trace(model: Model, link: TraceLink) -> Model:
         raise IllegalTraceKind(
             f"{link.kind.value} from {source.layer.value} to {target.layer.value} is not permitted"
         )
-    return model._next(traces=model.traces.appended(link))
+    return model._next("traces", model.traces.appended(link))

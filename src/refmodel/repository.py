@@ -30,6 +30,7 @@ from .core import (
     _by_id,
     _map_by_id,
     _next_version,
+    _wrong_type,
     add_block,
     connection_key,
     trace_key,
@@ -102,6 +103,8 @@ class ReferenceRepository:
     version: int = 0
 
     def __post_init__(self):
+        if type(self.version) is not int:
+            raise _wrong_type(self, int, "version")
         object.__setattr__(self, "assets", _map_by_id(self.assets, "repository key", "asset id"))
 
     def asset(self, asset_id: str) -> Asset:
@@ -122,7 +125,7 @@ def add_asset(repo: ReferenceRepository, asset: Asset) -> ReferenceRepository:
     assets = repo.assets.appended(asset.id, asset)
     if assets is repo.assets:
         raise DuplicateId(f"repository already contains asset '{asset.id}'")
-    return _next_version(repo, assets=assets, version=repo.version + 1)
+    return _next_version(repo, {"assets": assets, "version": repo.version + 1})
 
 
 def list_assets(
@@ -453,18 +456,17 @@ _PATTERN = _record(Pattern, {
 })
 _VIEWPOINT = _record(Viewpoint, {"subject": _LAYER, "aspect": _enum(Aspect), "name": _STR})
 
+# Each asset class, its asset_kind token, and the codec of its payload, which a document holds under the token.
+_ASSET_TABLE = [
+    (BlockAsset, "block", _BLOCK), (PatternAsset, "pattern", _PATTERN), (ViewpointAsset, "viewpoint", _VIEWPOINT),
+]
 # asset_kind token -> the asset class read from the payload under the same key
-_ASSET_KINDS = {
-    "block": _record(BlockAsset, {"block": _BLOCK}),
-    "pattern": _record(PatternAsset, {"pattern": _PATTERN}),
-    "viewpoint": _record(ViewpointAsset, {"viewpoint": _VIEWPOINT}),
-}
+_ASSET_KINDS = {token: _record(cls, {token: codec}) for cls, token, codec in _ASSET_TABLE}
 # asset class -> the writer of its document: the kind token, the payload under the token's key, and the id
 _ASSET_WRITERS = {
     cls: _record(cls, {"asset_kind": _Codec(_leaf(lambda _, text=_quote(token): text), None), token: codec,
                        "id": _STR}, {"asset_kind": None}).write
-    for cls, token, codec in [(BlockAsset, "block", _BLOCK), (PatternAsset, "pattern", _PATTERN),
-                              (ViewpointAsset, "viewpoint", _VIEWPOINT)]
+    for cls, token, codec in _ASSET_TABLE
 }
 _ASSET_KEYS = {"id", "asset_kind", *_ASSET_KINDS}
 _ASSET_KIND = _tokens({token: token for token in _ASSET_KINDS}, "asset kind")

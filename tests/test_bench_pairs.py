@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
-END_TO_END = [{"name": "round_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]
+END_TO_END = [
+    {"name": "round_s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+]
 
 
 def load_script():
@@ -88,8 +91,9 @@ def test_alternates_sides_and_reports_medians_quartiles_ratio_and_wins(bench_pai
     calls_header = next(i for i, line in enumerate(out) if line.startswith("calls attempted"))
     rows = {line.split()[0]: line.split()[1:] for line in out[metric_header + 1 : calls_header]}
     # rev median 5, quartiles 2.5 and 7.5 (exclusive method); change median 3.5, winning pairs 0, 2 and 3.
-    assert rows["w.round_s"] == ["5", "2.5", "7.5", "3.5", "0.700", "3/4"]
-    assert rows["w.peak_rss_mb"] == ["40", "40", "40", "40", "1.000", "0/4"]
+    # 3 of 4 pairs won is no gain, and REV's quartiles lie 1.0 of its median apart, wider than the 0.25 bound.
+    assert rows["w.round_s"] == ["5", "2.5", "7.5", "3.5", "0.700", "3/4", "unresolved"]
+    assert rows["w.peak_rss_mb"] == ["40", "40", "40", "40", "1.000", "0/4", "within"]
     assert sorted(rows) == ["v.peak_rss_mb", "v.round_s", "w.peak_rss_mb", "w.round_s"]
     # Under the table: each workload's median calls attempted, REV's then this checkout's, and their ratio.
     attempted = [line.split() for line in out[calls_header + 1 : -1]]
@@ -101,6 +105,39 @@ def test_alternates_sides_and_reports_medians_quartiles_ratio_and_wins(bench_pai
         "w.round_s": 2.0, "w.peak_rss_mb": 40.0, "w.attempted": 4,
         "v.round_s": 1.0, "v.peak_rss_mb": 20.0, "v.attempted": 7,
     }  # fmt: skip
+
+
+TIGHT = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]  # quartiles 0.985 and 1.01
+WIDE = [1.0, 1.0, 1.0, 1.0, 1.0, 1.6, 1.6, 1.6, 1.6, 1.6]  # median 1.3, quartiles 1.0 and 1.6
+
+
+@pytest.mark.parametrize(
+    "rev, change, verdict",
+    [
+        # Ten of ten pairs won, and the medians 0.2 apart, more than REV's interquartile range of 0.025.
+        (TIGHT, [0.8] * 10, "gain"),
+        # Nine of ten pairs is still a gain.
+        (TIGHT, [0.8] * 9 + [1.2], "gain"),
+        # Eight of ten is not, and the medians lie within the bound.
+        (TIGHT, [0.8] * 8 + [1.2] * 2, "within"),
+        # The median 1.3 is worse than REV's 1.0 by more than the 0.25 bound.
+        (TIGHT, [1.3] * 10, "worse"),
+        # REV's quartiles lie 0.6 apart, 0.46 of its median; 1.1 beats some of its runs and loses to others.
+        (WIDE, [1.1] * 10, "unresolved"),
+        # As wide a spread, but every run of the change beats every run of REV, by less than REV's spread.
+        (WIDE, [0.99] * 10, "within"),
+        (TIGHT, [1.1] * 10, "within"),
+    ],
+)
+def test_verdict(bench_pairs, capsys, rev, change, verdict):
+    module, calls, outputs = bench_pairs
+    outputs["rev"] = [one_workload(value, 40.0) for value in rev]
+    outputs["change"] = [one_workload(value, 40.0) for value in change]
+    assert module.main(["abc123", "--workload", "w"]) == 0
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+    assert rows["metric"][-1] == "verdict"
+    assert rows["w.round_s"][-1] == verdict
+    assert rows["w.peak_rss_mb"][-1] == "within"
 
 
 def test_one_workload_is_keyed_by_its_name(bench_pairs, capsys):

@@ -1,14 +1,22 @@
+import copy
+import enum
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from refmodel import demo
 from refmodel.core import (
+    Aspect,
     BlockKind,
     BuildingBlock,
     ConcernLayer,
+    Connection,
     Model,
     Origin,
     Port,
     PortDirection,
+    PortRef,
     TraceKind,
     TraceLink,
     add_block,
@@ -18,6 +26,7 @@ from refmodel.core import (
     trace_pair_permitted,
 )
 from refmodel.errors import DuplicateId, IllegalTraceKind, UnknownElement
+from refmodel.repository import ReferenceRepository, save, save_model
 
 
 def block(block_id, kind, **kwargs):
@@ -173,3 +182,60 @@ def test_model_rejects_mismatched_block_key():
 
 def test_block_asset_origin_values():
     assert {o.value for o in Origin} == {"reference_asset", "adopted", "adapted", "extended"}
+
+
+class TestFieldTypes:
+    """A field that a document must hold as a string, token or integer is checked when the value is built."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Model(id=3), "Model.id must be str, not int"),
+            (lambda: Model(id=None), "Model.id must be str, not NoneType"),
+            (lambda: PortRef(1, "p"), "PortRef.block must be str, not int"),
+            (lambda: PortRef("b", b"p"), "PortRef.port must be str, not bytes"),
+            (lambda: TraceLink("exhibits", "a", "b"), "TraceLink.kind must be TraceKind, not str"),
+            (lambda: TraceLink(BlockKind.SERVICE, "a", "b"), "TraceLink.kind must be TraceKind, not BlockKind"),
+            (lambda: TraceLink(TraceKind.EXHIBITS, ("a",), "b"), "TraceLink.source must be str, not tuple"),
+            (lambda: TraceLink(TraceKind.EXHIBITS, "a", 2.0), "TraceLink.target must be str, not float"),
+            (lambda: Connection(("b", "p"), PortRef("c", "q")), "Connection.source must be PortRef, not tuple"),
+            (lambda: Connection(PortRef("b", "p"), "c:q"), "Connection.target must be PortRef, not str"),
+            (lambda: ReferenceRepository(version=True), "ReferenceRepository.version must be int, not bool"),
+            (lambda: ReferenceRepository(version=1.0), "ReferenceRepository.version must be int, not float"),
+            (lambda: ReferenceRepository(version="1"), "ReferenceRepository.version must be int, not str"),
+        ],
+    )
+    def test_wrong_type_rejected_naming_the_field(self, build, message):
+        with pytest.raises(TypeError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_values_of_the_right_types_are_accepted(self):
+        ref = PortRef("b", "p")
+        assert Connection(ref, ref).target is ref
+        assert TraceLink(TraceKind.MAPS_TO, "s", "c").kind is TraceKind.MAPS_TO
+        assert Model(id="").id == ""
+        assert ReferenceRepository(version=-(10**30)).version == -(10**30)
+
+
+def test_core_enums_hash_by_identity(monkeypatch):
+    """Building and saving the demo hashes no core enum member through the Python-level Enum.__hash__."""
+    hashed = []
+    enum_hash = enum.Enum.__hash__
+
+    def counting_hash(member):
+        hashed.append(member)
+        return enum_hash(member)
+
+    monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
+    repo = demo.build_demo_repository()
+    save(repo)
+    save_model(demo.build_demo_model(repo))
+    assert hashed == []
+    # Hashing by identity keeps a member's entries: pickle and deepcopy give the member itself back.
+    for cls in (ConcernLayer, Aspect, PortDirection, BlockKind, Origin, TraceKind):
+        table, members = {member: member.value for member in cls}, frozenset(cls)
+        for member in cls:
+            for same in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member)):
+                assert same is member and hash(same) == hash(member)
+                assert table[same] == member.value and same in members
