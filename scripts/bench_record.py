@@ -1,16 +1,12 @@
 #!/usr/bin/env python3
 """Record one point of the benchmark trajectory as BENCH_<PR>.json at the repository root.
 
-Runs `bench/run.py --workload all` at workload seed 11 for the benchmark's
-declared run length (`run_seconds` in BENCHMARK.json) and writes the run's
-metadata and metrics. Every record uses the same seed, so the ratios to an
-earlier record compare the same workloads.
-Refuses to write, and exits 1, unless the run reports `correct: true`. When
-an earlier BENCH_*.json exists, prints each metric's ratio to the latest one
-(new / old; below 1 is better for every metric whose unit is a time, a size
-or a count), after a line naming both records' commit, Python and CPU count.
-Each side is one run, taken at its own time, so the ratios include any drift
-of the host's speed between the two runs.
+Runs `scripts/bench_pairs.py`'s pairs (its pair count, `--workload all`, seed
+11) of this checkout against `meta.git_sha` of the latest earlier record that
+names a commit, prints their table, and writes `meta`, `metrics` (this
+checkout's medians, with units), `baseline` (REV's sha and bench_pairs' row
+per end-to-end metric of each workload) and `correct: true`. Writes nothing,
+and exits 1, if no earlier record names a commit or a run is not correct.
 
 Usage: python scripts/bench_record.py PR
 """
@@ -21,23 +17,25 @@ import argparse
 import json
 import os
 import platform
-import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
+import bench_pairs
+
 ROOT = Path(__file__).resolve().parents[1]
-SEED = 11
 
 
-def previous_record(pr: int) -> Path | None:
-    """The BENCH_<n>.json with the largest n below pr, if any."""
+def baseline_record(pr: int) -> tuple[Path, str] | None:
+    """The BENCH_<n>.json with the largest n below pr whose meta names a commit, and that commit."""
     found = []
     for path in ROOT.glob("BENCH_*.json"):
-        match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
-        if match and int(match.group(1)) < pr:
-            found.append((int(match.group(1)), path))
-    return max(found)[1] if found else None
+        number = path.stem.removeprefix("BENCH_")
+        sha = number.isdigit() and json.loads(path.read_text()).get("meta", {}).get("git_sha", "unknown")
+        if number.isdigit() and int(number) < pr and sha != "unknown":
+            found.append((int(number), path, sha))
+    return max(found)[1:] if found else None
 
 
 def git(*args: str) -> str:
@@ -48,64 +46,48 @@ def git(*args: str) -> str:
     return proc.stdout.strip()
 
 
-def provenance(name: str, meta: dict) -> str:
-    """A record's file name with the commit, Python and CPU count it was measured with."""
-    facts = ", ".join(f"{key} {meta.get(key, 'unknown')}" for key in ("git_sha", "python", "nproc"))
-    return f"{name} ({facts})"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("pr", type=int, help="number of the change being recorded")
     args = parser.parse_args(argv)
 
+    found = baseline_record(args.pr)
+    if found is None:
+        print(f"error: no BENCH_*.json below {args.pr} names a commit to pair with; nothing written", file=sys.stderr)
+        return 1
+    earlier, rev = found
+    runs = bench_pairs.run_pairs(rev, "all", bench_pairs.PAIRS, bench_pairs.SEED)
+    if runs is None:
+        print("error: a run failed or is not correct: true; nothing written", file=sys.stderr)
+        return 1
+    before, after = runs
+    bench_pairs.report(rev, before, after)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    command = [sys.executable, "bench/run.py", "--workload", "all", "--seed", str(SEED), "--seconds", str(seconds)]
-    proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stdout + proc.stderr)
-        print(f"error: bench/run.py exited {proc.returncode}; nothing written", file=sys.stderr)
-        return 1
-    *summary, result_line = proc.stdout.splitlines()
-    print("\n".join(summary))
-    result = json.loads(result_line)
-    if result.get("correct") is not True:
-        print("error: the run is not correct: true; nothing written", file=sys.stderr)
-        return 1
-
+    medians = bench_pairs.medians(after)
+    attempted = {name: medians.pop(name)["value"] for name in list(medians) if name.endswith(".attempted")}
     meta = {
         "pr": args.pr,
-        "seed": SEED,
+        "seed": bench_pairs.SEED,
         "seconds": seconds,
-        "command": ["python3", *command[1:]],
+        "command": f"python3 bench/run.py --workload all --seed {bench_pairs.SEED} --seconds {seconds}".split(),
         "git_sha": git("rev-parse", "HEAD"),
         "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "workloads": [line for line in summary if not line.startswith(" ")],
+        "pairs": len(after),
+        "baseline_record": earlier.name,
+        "bytecode": bench_pairs.NO_BYTECODE,
+        "workloads": attempted,
     }
-    record = {"meta": meta, **result}
+    baseline = {"git_sha": rev, "rows": bench_pairs.rows(before, after)}
+    record = {"meta": meta, "metrics": medians, "baseline": baseline, "correct": True}
     target = ROOT / f"BENCH_{args.pr}.json"
-    before = previous_record(args.pr)
     target.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {target.name}")
-
-    if before is None:
-        print("no earlier BENCH_*.json to compare with")
-        return 0
-    old_record = json.loads(before.read_text())
-    old = old_record["metrics"]
-    print(
-        f"{provenance(target.name, meta)} vs {provenance(before.name, old_record.get('meta', {}))}: "
-        "two single runs, so host drift is not controlled"
-    )
-    print(f"ratio {target.name} / {before.name}:")
-    for name, entry in result["metrics"].items():
-        base = old.get(name, {}).get("value")
-        ratio = f"{entry['value'] / base:8.3f}" if base else "     n/a"
-        print(f"  {name:<56} {ratio}")
+    print(f"wrote {target.name}, paired with {earlier.name} ({rev})")
     return 0
 
 
 if __name__ == "__main__":
+    # A plain kill ends the run through SystemExit, so run_pairs' `finally` removes the worktree then too.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     raise SystemExit(main())

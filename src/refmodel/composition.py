@@ -25,6 +25,7 @@ from .core import (
     TraceKind,
     TraceLink,
     _by_id,
+    _wrong_type,
     connection_key,
     port_compatible,
     trace_key,
@@ -52,6 +53,14 @@ class PatternAnchor:
     id: str
     layer: ConcernLayer
     kind: BlockKind
+
+    def __post_init__(self):
+        if type(self.id) is not str:
+            raise _wrong_type(self, str, "id")
+        if type(self.layer) is not ConcernLayer:
+            raise _wrong_type(self, ConcernLayer, "layer")
+        if type(self.kind) is not BlockKind:
+            raise _wrong_type(self, BlockKind, "kind")
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,12 @@ class Port:
     layer: ConcernLayer
 
     def __post_init__(self):
+        if type(self.id) is not str or type(self.interface_type) is not str:
+            raise _wrong_type(self, str, "id", "interface_type")
+        if type(self.direction) is not PortDirection:
+            raise _wrong_type(self, PortDirection, "direction")
+        if type(self.layer) is not ConcernLayer:
+            raise _wrong_type(self, ConcernLayer, "layer")
         if not self.id:
             raise ValueError("port id must be non-empty")
         if not self.interface_type:
@@ -126,6 +132,14 @@ class BuildingBlock:
     origin: Origin = Origin.REFERENCE_ASSET
 
     def __post_init__(self):
+        if type(self.id) is not str or type(self.name) is not str:
+            raise _wrong_type(self, str, "id", "name")
+        if type(self.layer) is not ConcernLayer:
+            raise _wrong_type(self, ConcernLayer, "layer")
+        if type(self.kind) is not BlockKind:
+            raise _wrong_type(self, BlockKind, "kind")
+        if type(self.origin) is not Origin:
+            raise _wrong_type(self, Origin, "origin")
         object.__setattr__(self, "ports", tuple(sorted(self.ports, key=_by_id)))
         object.__setattr__(self, "parameters", dict(self.parameters))
         if not self.id:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -28,7 +29,7 @@ def bench_pairs(tmp_path, monkeypatch):
     declared = {"run_seconds": 40, "workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": END_TO_END}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
     monkeypatch.setattr(module, "ROOT", tmp_path)
-    calls = []
+    calls, envs = [], []
     # Each side's outputs in order: the checkout at tmp_path is this change, any other cwd the worktree of REV.
     outputs = {"rev": [], "change": []}
 
@@ -37,15 +38,18 @@ def bench_pairs(tmp_path, monkeypatch):
         calls.append(command[1:3])
         return subprocess.CompletedProcess(command, 0, "", "")
 
-    def fake_bench(command, cwd):
+    def fake_bench(command, cwd, env):
         workload = command[3]
         assert command[1:] == ["bench/run.py", "--workload", workload, "--seed", "11", "--seconds", "40"]
         side = "change" if Path(cwd) == tmp_path else "rev"
         calls.append((side, workload))
+        assert os.listdir(env["PYTHONPYCACHEPREFIX"]) == []  # an empty directory: no bytecode to read
+        envs.append(env)
         return subprocess.CompletedProcess(command, 0, outputs[side].pop(0), "")
 
     monkeypatch.setattr(module.subprocess, "run", fake_git)
     monkeypatch.setattr(module, "run_in_group", fake_bench)
+    module.envs = envs
     return module, calls, outputs
 
 
@@ -99,12 +103,14 @@ def test_alternates_sides_and_reports_medians_quartiles_ratio_and_wins(bench_pai
     attempted = [line.split() for line in out[calls_header + 1 : -1]]
     assert attempted == [["v.attempted", "7", "7", "1.000"], ["w.attempted", "4", "5", "1.250"]]
     recorded = json.loads(out[-1])
-    assert [run["w.round_s"] for run in recorded["this checkout"]] == [1.0, 5.0, 3.0, 4.0]
-    assert [run["w.attempted"] for run in recorded["this checkout"]] == [5, 6, 5, 4]
-    assert recorded["abc123"][0] == {
-        "w.round_s": 2.0, "w.peak_rss_mb": 40.0, "w.attempted": 4,
-        "v.round_s": 1.0, "v.peak_rss_mb": 20.0, "v.attempted": 7,
+    assert [run["w.round_s"]["value"] for run in recorded["this checkout"]] == [1.0, 5.0, 3.0, 4.0]
+    assert [run["w.attempted"]["value"] for run in recorded["this checkout"]] == [5, 6, 5, 4]
+    # Every metric a run reports is kept with its unit, the per-layer ones included.
+    assert {name: entry["value"] for name, entry in recorded["abc123"][0].items()} == {
+        "w.round_s": 2.0, "w.peak_rss_mb": 40.0, "w.cmd_ms_p50": 1.0, "w.layer.self_s": 0.5, "w.attempted": 4,
+        "v.round_s": 1.0, "v.peak_rss_mb": 20.0, "v.cmd_ms_p50": 1.0, "v.layer.self_s": 0.5, "v.attempted": 7,
     }  # fmt: skip
+    assert recorded["abc123"][0]["w.peak_rss_mb"]["unit"] == "MB"
 
 
 TIGHT = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]  # quartiles 0.985 and 1.01
@@ -146,7 +152,25 @@ def test_one_workload_is_keyed_by_its_name(bench_pairs, capsys):
     outputs["change"] = [one_workload(1.0, 40.0)]
     assert module.main(["abc123", "--workload", "w", "--pairs", "1"]) == 0
     recorded = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert recorded["this checkout"] == [{"w.round_s": 1.0, "w.peak_rss_mb": 40.0, "w.attempted": 4}]
+    keyed = {f"w.{name}": entry for name, entry in metrics(1.0, 40.0).items()}
+    assert recorded["this checkout"] == [{**keyed, "w.attempted": {"value": 4, "unit": "calls"}}]
+
+
+def test_every_run_reads_and_writes_no_bytecode_cache(bench_pairs, capsys, monkeypatch):
+    module, calls, outputs = bench_pairs
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)  # so the script has to set it
+    outputs["rev"] = [one_workload(2.0, 40.0)] * 2
+    outputs["change"] = [one_workload(1.0, 40.0)] * 2
+    assert module.main(["abc123", "--workload", "w", "--pairs", "2"]) == 0
+    assert len(module.envs) == 4 and all(env == module.envs[0] for env in module.envs)
+    env = module.envs[0]
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert env["PYTHONPYCACHEPREFIX"] not in ("", os.environ.get("PYTHONPYCACHEPREFIX"))
+    # The rest of the environment is passed on, and the cache directory is removed with the worktree.
+    assert env["PATH"] == os.environ["PATH"]
+    assert not Path(env["PYTHONPYCACHEPREFIX"]).exists()
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.endswith(": " + module.NO_BYTECODE) and "PYTHONDONTWRITEBYTECODE=1" in header
 
 
 def test_exits_one_on_a_run_that_is_not_correct_and_removes_the_worktree(bench_pairs, capsys):
@@ -161,7 +185,7 @@ def test_exits_one_on_a_run_that_is_not_correct_and_removes_the_worktree(bench_p
 def test_a_run_is_waited_for_in_a_process_group_of_its_own():
     module = load_script()
     command = [sys.executable, "-c", "import os; print(os.getpgid(0) == os.getpid())"]
-    proc = module.run_in_group(command, Path.cwd())
+    proc = module.run_in_group(command, Path.cwd(), None)
     assert (proc.returncode, proc.stdout) == (0, "True\n")
 
 
@@ -187,5 +211,5 @@ def test_an_interrupted_run_kills_its_whole_process_group(monkeypatch):
     monkeypatch.setattr(module.subprocess, "Popen", Interrupted)
     monkeypatch.setattr(module.os, "killpg", lambda pgid, sig: killed.append((pgid, sig)))
     with pytest.raises(SystemExit):
-        module.run_in_group(["bench/run.py"], Path.cwd())
+        module.run_in_group(["bench/run.py"], Path.cwd(), None)
     assert killed == [(4321, signal.SIGKILL)]

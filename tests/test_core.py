@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from refmodel import demo
+from refmodel.composition import PatternAnchor
 from refmodel.core import (
     Aspect,
     BlockKind,
@@ -184,6 +185,9 @@ def test_block_asset_origin_values():
     assert {o.value for o in Origin} == {"reference_asset", "adopted", "adapted", "extended"}
 
 
+SVC = ConcernLayer.SERVICE
+
+
 class TestFieldTypes:
     """A field that a document must hold as a string, token or integer is checked when the value is built."""
 
@@ -203,6 +207,21 @@ class TestFieldTypes:
             (lambda: ReferenceRepository(version=True), "ReferenceRepository.version must be int, not bool"),
             (lambda: ReferenceRepository(version=1.0), "ReferenceRepository.version must be int, not float"),
             (lambda: ReferenceRepository(version="1"), "ReferenceRepository.version must be int, not str"),
+            (lambda: Port(3, PortDirection.PROVIDED, "t", SVC), "Port.id must be str, not int"),
+            (lambda: Port("p", "provided", "t", SVC), "Port.direction must be PortDirection, not str"),
+            (lambda: Port("p", PortDirection.PROVIDED, None, SVC), "Port.interface_type must be str, not NoneType"),
+            (lambda: Port("p", PortDirection.PROVIDED, "t", "service"), "Port.layer must be ConcernLayer, not str"),
+            (lambda: BuildingBlock(3, "s", SVC, BlockKind.SERVICE), "BuildingBlock.id must be str, not int"),
+            (lambda: BuildingBlock("s", 3, SVC, BlockKind.SERVICE), "BuildingBlock.name must be str, not int"),
+            (lambda: BuildingBlock("s", "s", "x", "y"), "BuildingBlock.layer must be ConcernLayer, not str"),
+            (lambda: BuildingBlock("s", "s", SVC, "y"), "BuildingBlock.kind must be BlockKind, not str"),
+            (
+                lambda: BuildingBlock("s", "s", SVC, BlockKind.SERVICE, origin="adopted"),
+                "BuildingBlock.origin must be Origin, not str",
+            ),
+            (lambda: PatternAnchor(3, "x", "y"), "PatternAnchor.id must be str, not int"),
+            (lambda: PatternAnchor("a", "x", BlockKind.SERVICE), "PatternAnchor.layer must be ConcernLayer, not str"),
+            (lambda: PatternAnchor("a", SVC, "service"), "PatternAnchor.kind must be BlockKind, not str"),
         ],
     )
     def test_wrong_type_rejected_naming_the_field(self, build, message):
@@ -216,6 +235,9 @@ class TestFieldTypes:
         assert TraceLink(TraceKind.MAPS_TO, "s", "c").kind is TraceKind.MAPS_TO
         assert Model(id="").id == ""
         assert ReferenceRepository(version=-(10**30)).version == -(10**30)
+        port = Port("p", PortDirection.REQUIRED, "t", SVC)
+        assert BuildingBlock("s", "", SVC, BlockKind.SERVICE, (port,), origin=Origin.ADAPTED).ports == (port,)
+        assert PatternAnchor("a", SVC, BlockKind.SERVICE).kind is BlockKind.SERVICE
 
 
 def test_core_enums_hash_by_identity(monkeypatch):
