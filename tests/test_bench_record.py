@@ -126,7 +126,7 @@ def test_refuses_to_write_an_incorrect_run(bench_record, tmp_path, capsys):
 def test_writes_nothing_without_an_earlier_record_that_names_a_commit(bench_record, tmp_path, capsys):
     module, log, outputs = bench_record
     write_record(tmp_path / "BENCH_4.json", git_sha="unknown")
-    write_record(tmp_path / "BENCH_6.json", git_sha="abc123")  # not earlier than PR 6
+    write_record(tmp_path / "BENCH_6.json", git_sha="abc123")  # not below the number being recorded
     assert module.main(["6"]) == 1
     assert log == {"git": [], "runs": []}
     assert json.loads((tmp_path / "BENCH_6.json").read_text())["meta"] == {"git_sha": "abc123"}
