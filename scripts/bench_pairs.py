@@ -2,21 +2,23 @@
 """Compare an earlier commit with this checkout in alternating pairs of benchmark runs.
 
 Each pair runs `bench/run.py --workload WORKLOAD` for BENCHMARK.json's
-`run_seconds` once from a temporary `git worktree` of REV and once from this
-checkout, REV first in even pairs. Every run reads and writes no bytecode
-cache (`PYTHONDONTWRITEBYTECODE=1`, `PYTHONPYCACHEPREFIX` an empty
-directory), so both sides compile every module, the standard library's
-included, from source. For each end-to-end metric of each workload it prints
-REV's median and quartiles, this checkout's median, their ratio, the pairs
-this checkout won (ties count for neither) and a verdict: `gain` if it won
-at least 9 in 10 pairs by more than REV's interquartile range; else `worse`
-if its median is worse by more than the metric's `bound`; else `unresolved`
-if REV's interquartile range is wider than the bound and not every run of
-this checkout beats every run of REV; else `within`. Then both sides' median
-calls attempted per workload (a faster side runs more rounds, and
-compose_fleet's `peak_rss_mb` grows with them), and a last JSON line with
-every run's metrics. Exits 1 if a run fails or is not `correct: true`. Each
-run has a process group of its own, killed if this script exits first.
+`run_seconds` once from a temporary `git worktree` of REV and once from a
+temporary copy of this checkout's files (those `git ls-files --cached --others
+--exclude-standard` lists, so no bytecode cache), REV first in even pairs.
+Every run has `PYTHONDONTWRITEBYTECODE=1`: both sides compile their own
+modules from source, and the standard library loads from its installed
+bytecode, as in a fresh checkout. For each end-to-end metric of each
+workload it prints REV's median and quartiles, this checkout's median, their
+ratio, the pairs this checkout won (ties count for neither) and a verdict:
+`gain` if it won at least 9 in 10 pairs by more than REV's interquartile
+range; else `worse` if its median is worse by more than the metric's
+`bound`; else `unresolved` if REV's interquartile range is wider than the
+bound and not every run of this checkout beats every run of REV; else
+`within`. Then both sides' median calls attempted per workload (a faster
+side runs more rounds, and compose_fleet's `peak_rss_mb` grows with them),
+and a last JSON line with every run's metrics. Exits 1 if a run fails or is
+not `correct: true`. Each run has a process group of its own, killed if this
+script exits first.
 
 Usage: python scripts/bench_pairs.py REV [--pairs 10] [--workload all] [--seed 11]
 """
@@ -37,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS, SEED = 10, 11
-NO_BYTECODE = "PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX=an empty directory: every module compiles from source"
+NO_BYTECODE = "PYTHONDONTWRITEBYTECODE=1, each side a fresh copy of its files: refmodel compiles from source"
 
 Run = dict[str, dict]  # metric name -> {"value": ..., "unit": ...}, as bench/run.py reports it
 
@@ -80,14 +82,23 @@ def bench(checkout: Path, workload: str, seconds: float, seed: int, env: dict[st
     return metrics
 
 
+def copy_checkout(target: Path) -> None:
+    """Copy the files of this checkout that git tracks or would track, and so no bytecode cache, to target."""
+    listed = ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"]
+    names = subprocess.run(listed, cwd=ROOT, capture_output=True, text=True, check=True).stdout.split("\0")
+    for name in names:
+        if name and (ROOT / name).is_file():  # a tracked file deleted here is listed too
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, target / name)
+
+
 def run_pairs(rev: str, workload: str, pairs: int, seed: int) -> tuple[list[Run], list[Run]] | None:
     """REV's runs and this checkout's, in run order; None, after a message, if a run fails or REV has no checkout."""
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     print(f"{pairs} pairs of bench/run.py --workload {workload} --seed {seed} --seconds {seconds}: {NO_BYTECODE}")
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
-    worktree = scratch / "rev"
-    (scratch / "pycache").mkdir()
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(scratch / "pycache")}
+    worktree, checkout = scratch / "rev", scratch / "checkout"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         try:
             add = ["git", "worktree", "add", "--detach", str(worktree), rev]
@@ -95,7 +106,8 @@ def run_pairs(rev: str, workload: str, pairs: int, seed: int) -> tuple[list[Run]
         except subprocess.CalledProcessError as exc:
             print(f"error: cannot check out {rev}: {exc.stderr.strip()}", file=sys.stderr)
             return None
-        sides = {rev: worktree, "this checkout": ROOT}
+        copy_checkout(checkout)
+        sides = {rev: worktree, "this checkout": checkout}
         runs: dict[str, list[Run]] = {side: [] for side in sides}
         for pair in range(pairs):
             for side in list(sides) if pair % 2 == 0 else list(sides)[::-1]:

@@ -8,7 +8,7 @@ DOT export of views and trace trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Mapping
 
@@ -25,6 +25,7 @@ from .core import (
     TraceKind,
     TraceLink,
     _by_id,
+    _record,
     _wrong_type,
     connection_key,
     port_compatible,
@@ -46,7 +47,7 @@ if TYPE_CHECKING:
     from .repository import ReferenceRepository
 
 
-@dataclass(frozen=True)
+@_record
 class PatternAnchor:
     """A block id the pattern expects to find in the target model."""
 
@@ -63,7 +64,7 @@ class PatternAnchor:
             raise _wrong_type(self, BlockKind, "kind")
 
 
-@dataclass(frozen=True)
+@_record
 class Pattern:
     """A self-contained sub-model template, applied to a model by merge; blocks and anchors in id order."""
 
@@ -105,7 +106,7 @@ class Pattern:
         return tuple(a.id for a in self.anchors)
 
 
-@dataclass(frozen=True)
+@_record
 class Viewpoint:
     """A (subject layer, aspect) lens onto a model."""
 
@@ -114,7 +115,7 @@ class Viewpoint:
     name: str = ""
 
 
-@dataclass(frozen=True)
+@_record
 class View:
     """The model subset a viewpoint selects: elements plus induced relations."""
 
@@ -130,21 +131,23 @@ class CoverageStatus(Enum):
     UNCOVERED = "uncovered"
 
 
-@dataclass(frozen=True)
+@_record
 class CapabilityCoverage:
+    """One capability's coverage status, with the trace chains that witness it."""
+
     capability_id: str
     status: CoverageStatus
     witnesses: tuple[tuple[str, ...], ...] = ()
 
 
-@dataclass(frozen=True)
+@_record
 class CoverageReport:
     """Per-capability coverage statuses with witness trace chains."""
 
     entries: tuple[CapabilityCoverage, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class ValidationReport:
     """Findings from structural validation; the model is valid iff all lists are empty."""
 
@@ -177,7 +180,7 @@ class TraceDirection(Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_record
 class TraceNode:
     """One node of a trace tree; `link` is the kind of the edge that led here.
 
@@ -293,7 +296,8 @@ def apply_pattern(
 def _relinked(
     links: Model | Pattern, block_ids: Mapping[str, str], port_ids: Mapping[str, str]
 ) -> tuple[frozenset[Connection], frozenset[TraceLink]]:
-    """The connections and traces with each block in `block_ids` renamed, and its ports per `port_ids`."""
+    """The connections and traces with each block in `block_ids` renamed, and its ports per `port_ids`; a link
+    that touches no renamed block is kept as it is."""
 
     def ref(old: PortRef) -> PortRef:
         if old.block not in block_ids:
@@ -303,8 +307,15 @@ def _relinked(
     def block(old: str) -> str:
         return block_ids.get(old, old)
 
-    connections = frozenset(Connection(ref(c.source), ref(c.target)) for c in links.connections)
-    return connections, frozenset(TraceLink(t.kind, block(t.source), block(t.target)) for t in links.traces)
+    connections = frozenset(
+        Connection(ref(c.source), ref(c.target)) if c.source.block in block_ids or c.target.block in block_ids else c
+        for c in links.connections
+    )
+    traces = frozenset(
+        TraceLink(t.kind, block(t.source), block(t.target)) if t.source in block_ids or t.target in block_ids else t
+        for t in links.traces
+    )
+    return connections, traces
 
 
 def validate_configuration(model: Model) -> ValidationReport:

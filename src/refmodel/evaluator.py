@@ -12,12 +12,11 @@ maps, so evaluating that arena again runs only the planners it has not scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import refmodel
 
-from .core import BlockKind, Model
+from .core import BlockKind, Model, _record, _wrong_type
 from .errors import NoAlternatives, StartBlocked
 from .planners import PlannerId, PlannerRef, check_start, resolve_planner
 from .simulation import SimParams, SimResult, Termination, run
@@ -29,7 +28,7 @@ if TYPE_CHECKING:
 DEFAULT_PLANNERS: tuple[PlannerId, ...] = (PlannerId.EDGE_FOLLOW, PlannerId.TERRAIN_AWARE)
 
 
-@dataclass(frozen=True)
+@_record
 class ComparisonReport:
     """One simulation per planner on a shared map, plus the winner."""
 
@@ -40,8 +39,10 @@ class ComparisonReport:
     winner: str
 
 
-@dataclass(frozen=True)
+@_record
 class PlannerStats:
+    """One planner's energy totals (mean, least, most) over an ensemble's maps, and the maps it won."""
+
     planner: str
     mean_total: float
     min_total: float
@@ -49,7 +50,7 @@ class PlannerStats:
     wins: int
 
 
-@dataclass(frozen=True)
+@_record
 class EnsembleStats:
     """Per-planner aggregates over a seeded family of generated maps."""
 
@@ -59,7 +60,7 @@ class EnsembleStats:
     per_planner: tuple[PlannerStats, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class EnsembleSpec:
     """Arena description for ranking over generated maps instead of one map."""
 
@@ -68,6 +69,10 @@ class EnsembleSpec:
     seed0: int = 0
 
     def __post_init__(self):
+        if type(self.gen) is not GenParams:
+            raise _wrong_type(self, GenParams, "gen")
+        if type(self.n_maps) is not int or type(self.seed0) is not int:
+            raise _wrong_type(self, int, "n_maps", "seed0")
         if self.n_maps < 1:
             raise ValueError("ensemble needs at least one map")
 
@@ -75,7 +80,7 @@ class EnsembleSpec:
 Arena = Union[TerrainMap, EnsembleSpec]
 
 
-@dataclass(frozen=True)
+@_record
 class RankedConfiguration:
     """One alternative configuration with its simulated energy score."""
 
@@ -132,7 +137,6 @@ def _tally(
             _memo.clear()
             scores = _memo[key] = {}
         gen = arena.gen
-        # The range is built here, so a float n_maps or seed0 fails before any memoised score is read.
         maps = (
             (seed, generate_map(gen.width, gen.height, gen.obstacle_density, seed, max_level=gen.max_level))
             for seed in range(arena.seed0, arena.seed0 + arena.n_maps)

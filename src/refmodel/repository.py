@@ -8,7 +8,7 @@ connections, and traces sorted by id) and therefore byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from operator import attrgetter
 from typing import AbstractSet, Any, Callable, Mapping, NamedTuple, Sequence, Union
 
@@ -30,6 +30,7 @@ from .core import (
     _by_id,
     _map_by_id,
     _next_version,
+    _record,
     _wrong_type,
     add_block,
     connection_key,
@@ -52,7 +53,7 @@ REPOSITORY_SUFFIX = ".refrepo.json"
 MODEL_SUFFIX = ".refmodel.json"
 
 
-@dataclass(frozen=True)
+@_record
 class BlockAsset:
     """A frozen reference block; payload origin is always `reference_asset`."""
 
@@ -70,8 +71,10 @@ class BlockAsset:
         return self.block.id
 
 
-@dataclass(frozen=True)
+@_record
 class PatternAsset:
+    """A reference pattern, stored under its id."""
+
     pattern: Pattern
 
     @property
@@ -79,8 +82,10 @@ class PatternAsset:
         return self.pattern.id
 
 
-@dataclass(frozen=True)
+@_record
 class ViewpointAsset:
+    """A reference viewpoint, stored under its name."""
+
     viewpoint: Viewpoint
 
     def __post_init__(self):
@@ -95,7 +100,7 @@ class ViewpointAsset:
 Asset = Union[BlockAsset, PatternAsset, ViewpointAsset]
 
 
-@dataclass(frozen=True)
+@_record
 class ReferenceRepository:
     """Immutable store of reference assets; version counts mutating operations."""
 
@@ -398,7 +403,7 @@ def _array(item: _Codec, key, unique: str = "") -> _Codec:
     return _Codec(write, decode, [])
 
 
-def _record(cls, codecs: Mapping[str, _Codec], attributes: Mapping[str, str | None] | None = None) -> _Codec:
+def _struct(cls, codecs: Mapping[str, _Codec], attributes: Mapping[str, str | None] | None = None) -> _Codec:
     """An object with one codec per key, read in key order into `cls`; any other key is an error. A key
     is also its attribute, unless `attributes` maps it to another, or to None for a key only checked."""
     rows = [(key, (attributes or {}).get(key, key), *codec) for key, codec in codecs.items()]
@@ -438,33 +443,33 @@ def _check_fields(obj: dict, allowed: AbstractSet[str]):
 
 
 _LAYER, _BLOCK_KIND = _enum(ConcernLayer), _enum(BlockKind)
-_PORT = _record(
+_PORT = _struct(
     Port, {"id": _STR, "direction": _enum(PortDirection), "interface_type": _STR, "layer": _LAYER}
 )
-_BLOCK = _record(BuildingBlock, {
+_BLOCK = _struct(BuildingBlock, {
     "ports": _array(_PORT, _by_id), "parameters": _SCALARS, "id": _STR, "name": _STR, "layer": _LAYER,
     "kind": _BLOCK_KIND, "origin": _enum(Origin, Origin.REFERENCE_ASSET.value),
 })
-_PORT_REF = _record(PortRef, {"block": _STR, "port": _STR})
-_CONNECTION = _record(Connection, {"from": _PORT_REF, "to": _PORT_REF}, {"from": "source", "to": "target"})
+_PORT_REF = _struct(PortRef, {"block": _STR, "port": _STR})
+_CONNECTION = _struct(Connection, {"from": _PORT_REF, "to": _PORT_REF}, {"from": "source", "to": "target"})
 _CONNECTIONS = _array(_CONNECTION, connection_key)
-_TRACES = _array(_record(TraceLink, {"kind": _enum(TraceKind), "source": _STR, "target": _STR}), trace_key)
-_ANCHOR = _record(PatternAnchor, {"id": _STR, "layer": _LAYER, "kind": _BLOCK_KIND})
-_PATTERN = _record(Pattern, {
+_TRACES = _array(_struct(TraceLink, {"kind": _enum(TraceKind), "source": _STR, "target": _STR}), trace_key)
+_ANCHOR = _struct(PatternAnchor, {"id": _STR, "layer": _LAYER, "kind": _BLOCK_KIND})
+_PATTERN = _struct(Pattern, {
     "blocks": _array(_BLOCK, _by_id), "connections": _CONNECTIONS, "traces": _TRACES,
     "anchors": _array(_ANCHOR, _by_id), "id": _STR,
 })
-_VIEWPOINT = _record(Viewpoint, {"subject": _LAYER, "aspect": _enum(Aspect), "name": _STR})
+_VIEWPOINT = _struct(Viewpoint, {"subject": _LAYER, "aspect": _enum(Aspect), "name": _STR})
 
 # Each asset class, its asset_kind token, and the codec of its payload, which a document holds under the token.
 _ASSET_TABLE = [
     (BlockAsset, "block", _BLOCK), (PatternAsset, "pattern", _PATTERN), (ViewpointAsset, "viewpoint", _VIEWPOINT),
 ]
 # asset_kind token -> the asset class read from the payload under the same key
-_ASSET_KINDS = {token: _record(cls, {token: codec}) for cls, token, codec in _ASSET_TABLE}
+_ASSET_KINDS = {token: _struct(cls, {token: codec}) for cls, token, codec in _ASSET_TABLE}
 # asset class -> the writer of its document: the kind token, the payload under the token's key, and the id
 _ASSET_WRITERS = {
-    cls: _record(cls, {"asset_kind": _Codec(_leaf(lambda _, text=_quote(token): text), None), token: codec,
+    cls: _struct(cls, {"asset_kind": _Codec(_leaf(lambda _, text=_quote(token): text), None), token: codec,
                        "id": _STR}, {"asset_kind": None}).write
     for cls, token, codec in _ASSET_TABLE
 }
@@ -488,10 +493,10 @@ def _decode_asset(value) -> Asset:
 
 
 _ASSET = _Codec(lambda asset, *place: _ASSET_WRITERS[type(asset)](asset, *place), _decode_asset)
-_MODEL = _record(Model, {
+_MODEL = _struct(Model, {
     "schema_version": _SCHEMA_VERSION, "id": _STR, "blocks": _array(_BLOCK, _by_id, unique="block"),
     "connections": _CONNECTIONS, "traces": _TRACES,
 }, {"schema_version": None})
-_REPOSITORY = _record(ReferenceRepository, {
+_REPOSITORY = _struct(ReferenceRepository, {
     "schema_version": _SCHEMA_VERSION, "version": _INT, "assets": _array(_ASSET, _by_id, unique="asset"),
 }, {"schema_version": None})

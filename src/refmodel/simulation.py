@@ -9,17 +9,17 @@ negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from typing import Sequence
 
+from .core import _record, _wrong_type
 from .errors import InvalidPath
 from .planners import Path, PlannerRef, check_start, resolve_planner
 from .terrain import Position, TerrainMap
 
 
-@dataclass(frozen=True)
+@_record
 class SimParams:
     """Fixed simulation inputs: battery capacity, consumption scale, charging."""
 
@@ -28,6 +28,13 @@ class SimParams:
     charging: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if type(self.capacity) not in (int, float) or type(self.consumption_factor) not in (int, float):
+            raise _wrong_type(self, (int, float), "capacity", "consumption_factor")
+        if type(self.charging) not in (tuple, list):
+            raise _wrong_type(self, (tuple, list), "charging")
+        for entry in self.charging:
+            if type(entry) not in (int, float):
+                raise TypeError(f"SimParams.charging entries must be int or float, not {type(entry).__name__}")
         object.__setattr__(self, "charging", tuple(float(c) for c in self.charging))
         if not (math.isfinite(self.capacity) and self.capacity > 0):
             raise ValueError("capacity must be positive and finite")
@@ -42,7 +49,7 @@ class Termination(Enum):
     BATTERY_DEPLETED = "battery_depleted"
 
 
-@dataclass(frozen=True)
+@_record
 class SimResult:
     """Executed path plus per-step consumption and remaining-charge series."""
 

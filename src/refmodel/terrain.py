@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
+from .core import _record
 from .errors import BadSymbol, ParseError, RaggedRows, Unsatisfiable
 
 OBSTACLE = -1
@@ -72,7 +72,7 @@ def step_factor(from_level: int, to_level: int) -> float:
 _LEVEL_FACTORS = tuple(tuple(step_factor(a, b) for b in range(MAX_LEVEL + 1)) for a in range(MAX_LEVEL + 1))
 
 
-@dataclass(frozen=True)
+@_record
 class TerrainMap:
     """Rectangular grid of elevation levels 0-3 with obstacle cells (-1)."""
 
@@ -176,7 +176,7 @@ def load_map(text: str) -> TerrainMap:
         raise ParseError(str(exc)) from None
 
 
-@dataclass(frozen=True)
+@_record
 class GenParams:
     """Knobs for seeded map generation.
 

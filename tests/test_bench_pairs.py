@@ -29,27 +29,36 @@ def bench_pairs(tmp_path, monkeypatch):
     declared = {"run_seconds": 40, "workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": END_TO_END}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
     monkeypatch.setattr(module, "ROOT", tmp_path)
-    calls, envs = [], []
-    # Each side's outputs in order: the checkout at tmp_path is this change, any other cwd the worktree of REV.
+    # This checkout holds a bytecode cache that git ignores, so it is not listed; a listed file may be deleted.
+    (tmp_path / "bench" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "bench" / "run.py").write_text("# the runner\n")
+    (tmp_path / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"stale")
+    listed = "BENCHMARK.json\0bench/run.py\0deleted.py\0"
+    calls, envs, copies = [], [], []
+    # Each side's outputs in order: the worktree of REV is named rev, and any other cwd runs this change.
     outputs = {"rev": [], "change": []}
 
     def fake_git(command, cwd=None, **kwargs):
         assert command[0] == "git"
+        if command[1] == "ls-files":
+            assert Path(cwd) == tmp_path and "--others" in command and "--exclude-standard" in command
+            return subprocess.CompletedProcess(command, 0, listed, "")
         calls.append(command[1:3])
         return subprocess.CompletedProcess(command, 0, "", "")
 
     def fake_bench(command, cwd, env):
         workload = command[3]
         assert command[1:] == ["bench/run.py", "--workload", workload, "--seed", "11", "--seconds", "40"]
-        side = "change" if Path(cwd) == tmp_path else "rev"
+        side = "rev" if Path(cwd).name == "rev" else "change"
         calls.append((side, workload))
-        assert os.listdir(env["PYTHONPYCACHEPREFIX"]) == []  # an empty directory: no bytecode to read
+        if side == "change":
+            copies.append((Path(cwd), sorted(str(f.relative_to(cwd)) for f in Path(cwd).rglob("*") if f.is_file())))
         envs.append(env)
         return subprocess.CompletedProcess(command, 0, outputs[side].pop(0), "")
 
     monkeypatch.setattr(module.subprocess, "run", fake_git)
     monkeypatch.setattr(module, "run_in_group", fake_bench)
-    module.envs = envs
+    module.envs, module.copies = envs, copies
     return module, calls, outputs
 
 
@@ -156,19 +165,20 @@ def test_one_workload_is_keyed_by_its_name(bench_pairs, capsys):
     assert recorded["this checkout"] == [{**keyed, "w.attempted": {"value": 4, "unit": "calls"}}]
 
 
-def test_every_run_reads_and_writes_no_bytecode_cache(bench_pairs, capsys, monkeypatch):
+def test_every_run_reads_and_writes_no_bytecode_cache(bench_pairs, capsys, monkeypatch, tmp_path):
     module, calls, outputs = bench_pairs
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)  # so the script has to set it
     outputs["rev"] = [one_workload(2.0, 40.0)] * 2
     outputs["change"] = [one_workload(1.0, 40.0)] * 2
     assert module.main(["abc123", "--workload", "w", "--pairs", "2"]) == 0
     assert len(module.envs) == 4 and all(env == module.envs[0] for env in module.envs)
-    env = module.envs[0]
-    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
-    assert env["PYTHONPYCACHEPREFIX"] not in ("", os.environ.get("PYTHONPYCACHEPREFIX"))
-    # The rest of the environment is passed on, and the cache directory is removed with the worktree.
-    assert env["PATH"] == os.environ["PATH"]
-    assert not Path(env["PYTHONPYCACHEPREFIX"]).exists()
+    # Only PYTHONDONTWRITEBYTECODE is set; the rest of the environment is passed on as it is.
+    assert module.envs[0] == {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    # This checkout runs from a fresh copy of the files git lists: its bytecode cache is not among them.
+    (copy, files), later = module.copies[0], module.copies[1:]
+    assert copy != tmp_path and files == ["BENCHMARK.json", "bench/run.py"]
+    assert (copy / "bench" / "run.py").exists() is False  # the copy is removed with the worktree
+    assert later == [(copy, files)]
     header = capsys.readouterr().out.splitlines()[0]
     assert header.endswith(": " + module.NO_BYTECODE) and "PYTHONDONTWRITEBYTECODE=1" in header
 

@@ -39,7 +39,7 @@ def bench_record(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "ROOT", tmp_path)
     monkeypatch.setattr(pairs, "ROOT", tmp_path)
     log = {"git": [], "runs": []}
-    # Each side's outputs in order: the checkout at tmp_path is this change, any other cwd the worktree of REV.
+    # Each side's outputs in order: the worktree of REV is named rev, and any other cwd runs this change.
     outputs = {"rev": [], "change": []}
 
     def fake_run(command, cwd=None, **kwargs):
@@ -55,7 +55,7 @@ def bench_record(tmp_path, monkeypatch):
     def fake_run_in_group(command, cwd, env):
         assert command[1:] == ["bench/run.py", "--workload", "all", "--seed", "11", "--seconds", "40"]
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
-        side = "change" if Path(cwd) == tmp_path else "rev"
+        side = "rev" if Path(cwd).name == "rev" else "change"
         log["runs"].append(side)
         return subprocess.CompletedProcess(command, 0, outputs[side].pop(0), "")
 

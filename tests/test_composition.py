@@ -267,6 +267,20 @@ class TestEnumerateAlternatives:
                 "alg.terrain_aware" in (conn.source.block, conn.target.block)
             )
 
+    def test_links_that_do_not_touch_the_slot_are_kept_as_they_are(self, demo_model, demo_repo):
+        swapped = enumerate_alternatives(demo_model, demo_repo, "alg.edge_follow")[1]
+        swap = {"alg.edge_follow", "alg.terrain_aware"}
+        for old, new, ends in (
+            (demo_model.connections, swapped.connections, lambda c: {c.source.block, c.target.block}),
+            (demo_model.traces, swapped.traces, lambda t: {t.source, t.target}),
+        ):
+            originals = {link: link for link in old}
+            kept = [link for link in new if not ends(link) & swap]
+            assert kept and len(new) == len(old)
+            assert all(originals[link] is link for link in kept)
+        # The demo's slot has connections, which are rebuilt, and no traces.
+        assert any("alg.terrain_aware" in (c.source.block, c.target.block) for c in swapped.connections)
+
     def test_slot_own_asset_is_element_zero(self, demo_model, demo_repo):
         """The current model leads even when another alternative's id sorts first."""
         swapped = enumerate_alternatives(demo_model, demo_repo, "alg.edge_follow")[1]

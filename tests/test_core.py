@@ -1,12 +1,15 @@
 import copy
+import dataclasses
 import enum
+import inspect
 import pickle
+from collections.abc import Mapping, Set as AbstractSet
 
 import pytest
 from hypothesis import given, strategies as st
 
-from refmodel import demo
-from refmodel.composition import PatternAnchor
+from refmodel import composition, core, demo, evaluator, repository, simulation, terrain
+from refmodel.composition import PatternAnchor, extract_view
 from refmodel.core import (
     Aspect,
     BlockKind,
@@ -27,7 +30,9 @@ from refmodel.core import (
     trace_pair_permitted,
 )
 from refmodel.errors import DuplicateId, IllegalTraceKind, UnknownElement
+from refmodel.evaluator import EnsembleSpec, compare, ensemble, rank_configurations
 from refmodel.repository import ReferenceRepository, save, save_model
+from refmodel.terrain import GenParams, load_map
 
 
 def block(block_id, kind, **kwargs):
@@ -261,3 +266,151 @@ def test_core_enums_hash_by_identity(monkeypatch):
             for same in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member)):
                 assert same is member and hash(same) == hash(member)
                 assert table[same] == member.value and same in members
+
+
+# The record classes that keep the methods dataclass(frozen=True) generates: a compose_fleet round builds about
+# 39 000 of them and hashes them 43 700 times, and the generated methods are faster per call than shared ones.
+GENERATED = ("PortRef", "Connection", "TraceLink")
+METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
+
+
+def record_classes() -> dict[str, type]:
+    """Every dataclass defined in a refmodel module, by name."""
+    modules = (core, composition, repository, terrain, simulation, evaluator)
+    return {
+        name: value
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == module.__name__
+    }
+
+
+def test_records_share_written_methods_instead_of_generated_source():
+    records = record_classes()
+    assert len(records) == 27
+    for name, cls in records.items():
+        # dataclass compiles the source it writes from the file name "<string>".
+        generated = [m for m in METHODS if getattr(inspect.unwrap(getattr(cls, m)), "__code__", None)
+                     and inspect.unwrap(getattr(cls, m)).__code__.co_filename == "<string>"]  # fmt: skip
+        assert generated == (list(METHODS) if name in GENERATED else []), name
+
+
+def demo_records() -> dict[str, object]:
+    """One instance of each record class, found in the demo repository and model and one run of each evaluator."""
+    repo = demo.build_demo_repository()
+    model = demo.build_demo_model(repo)
+    tmap = load_map(demo.REFERENCE_MAP_TEXT)
+    assert tmap.moves  # kept in the map's __dict__, which == and hash must not read
+    spec = EnsembleSpec(GenParams(width=6, height=5), 2, seed0=1)
+    views = [extract_view(model, a.viewpoint) for a in repo.sorted_assets() if isinstance(a, repository.ViewpointAsset)]
+    roots = [
+        repo, model, tmap, spec, compare(tmap), ensemble(spec.gen, spec.n_maps, seed0=spec.seed0),
+        composition.validate_configuration(model), composition.capability_coverage(model),
+        composition.trace(model, "cap.mowing", composition.TraceDirection.DOWN),
+        *rank_configurations(model, repo, "alg.edge_follow", tmap), *views,
+    ]  # fmt: skip
+    found, stack = {}, roots
+    while stack:
+        value = stack.pop()
+        if dataclasses.is_dataclass(value):
+            found.setdefault(type(value).__name__, value)
+            stack.extend(getattr(value, f.name) for f in dataclasses.fields(value))
+        elif isinstance(value, Mapping):
+            stack.extend(value.values())
+        elif isinstance(value, (tuple, list, AbstractSet)):
+            stack.extend(value)
+    return found
+
+
+def generated_twin(cls: type) -> type:
+    """A dataclass(frozen=True) with the fields of cls, and the methods cls defines itself that it needs."""
+    own = {
+        name: value
+        for name, value in vars(cls).items()
+        if inspect.isfunction(value) and value.__code__.co_filename == inspect.getfile(cls)
+        and value is not vars(core._Shared).get(name) and name != "__post_init__"
+    }  # fmt: skip
+    specs = [
+        (f.name, f.type, dataclasses.field(default=f.default, default_factory=f.default_factory, init=f.init,
+                                           repr=f.repr, compare=f.compare))
+        for f in dataclasses.fields(cls)
+    ]  # fmt: skip
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace=own, frozen=True)
+
+
+def test_records_behave_as_frozen_dataclasses():
+    records = demo_records()
+    assert sorted(records) == sorted(record_classes())
+    for name, obj in records.items():
+        cls = type(obj)
+        twin_cls = generated_twin(cls)
+        values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(cls) if f.init}
+        twin = twin_cls(**values)
+        assert repr(obj) == repr(twin), name
+        assert [f.name for f in dataclasses.fields(obj)] == list(cls.__annotations__), name
+        # == needs the same class and equal compared fields; hash agrees with the twin's, or both refuse.
+        same = cls(**values)
+        assert obj == same and not obj != same, name
+        assert obj.__eq__(twin) is NotImplemented, name
+        try:
+            expected = hash(twin)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(obj)
+        else:
+            assert hash(obj) == expected == hash(same), name
+        # Assignment and deletion raise as the twin's do, for a field or any other name.
+        for attribute in (dataclasses.fields(cls)[0].name, "other"):
+            for change in (lambda o: setattr(o, attribute, None), lambda o: delattr(o, attribute)):
+                with pytest.raises(dataclasses.FrozenInstanceError) as caught:
+                    change(obj)
+                with pytest.raises(dataclasses.FrozenInstanceError) as expected_error:
+                    change(twin)
+                assert str(caught.value) == str(expected_error.value), name
+        compared = [f.name for f in dataclasses.fields(cls) if f.compare]
+        mine, theirs = ({key: d[key] for key in compared} for d in map(dataclasses.asdict, (obj, twin)))
+        assert mine == theirs, name
+        assert dataclasses.replace(obj) == obj, name
+        for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(copied) is cls and copied == obj and copied.__dict__.keys() == obj.__dict__.keys(), name
+
+
+def test_replace_runs_the_records_checks():
+    records = demo_records()
+    with pytest.raises(ValueError, match="port id must be non-empty"):
+        dataclasses.replace(records["Port"], id="")
+    with pytest.raises(TypeError, match="BuildingBlock.name must be str, not int"):
+        dataclasses.replace(records["BuildingBlock"], name=3)
+    with pytest.raises(ValueError, match="at least one map"):
+        dataclasses.replace(records["EnsembleSpec"], n_maps=0)
+    block = records["BuildingBlock"]
+    assert dataclasses.replace(block, ports=tuple(reversed(block.ports))).ports == block.ports  # sorted again
+    # Model's derived values take their default, init=False, and a new version starts with none.
+    model = records["Model"]
+    assert dataclasses.replace(model)._derived == {} and dataclasses.replace(model)._derived is not model._derived
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Port("p", PortDirection.PROVIDED, "t"),
+        lambda: Port("p", PortDirection.PROVIDED, "t", SVC, "extra"),
+        lambda: Port("p", PortDirection.PROVIDED, "t", layer=SVC, colour="red"),
+        lambda: Port("p", PortDirection.PROVIDED, "t", SVC, id="q"),
+        lambda: Model("m", _derived={}),
+        lambda: BuildingBlock(id="s", name="s", layer=SVC),
+    ],
+    ids=["missing", "too_many", "unknown_keyword", "repeated", "init_false", "missing_keyword"],
+)
+def test_a_wrong_argument_raises_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_defaults_and_factories_are_filled():
+    block = BuildingBlock("s", "S", SVC, BlockKind.SERVICE)
+    assert (block.ports, block.parameters, block.origin) == ((), {}, Origin.REFERENCE_ASSET)
+    assert BuildingBlock("t", "T", SVC, BlockKind.SERVICE).parameters is not block.parameters
+    model = Model("m")
+    assert (len(model.blocks), len(model.connections), model._derived) == (0, 0, {})
+    assert Model("m")._derived is not model._derived

@@ -541,6 +541,24 @@ def test_equal_arguments_of_another_type_are_rejected_in_either_order(good, bad)
         bad()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: EnsembleSpec(GenParams(), 2.0), "EnsembleSpec.n_maps must be int, not float"),
+        (lambda: EnsembleSpec(GenParams(), True), "EnsembleSpec.n_maps must be int, not bool"),
+        (lambda: EnsembleSpec(GenParams(), 2, seed0="1"), "EnsembleSpec.seed0 must be int, not str"),
+        (lambda: EnsembleSpec("x", 2), "EnsembleSpec.gen must be GenParams, not str"),
+        (lambda: ensemble(GenParams(), True), "EnsembleSpec.n_maps must be int, not bool"),
+        (lambda: ensemble(GenParams(), 1, seed0=False), "EnsembleSpec.seed0 must be int, not bool"),
+    ],
+    ids=["n_maps_float", "n_maps_bool", "seed0_str", "gen_str", "ensemble_n_maps_bool", "ensemble_seed0_bool"],
+)
+def test_ensemble_spec_rejects_a_wrong_type_naming_the_field(build, message):
+    with pytest.raises(TypeError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("start", [(1, 1), Position(1.0, 1)], ids=["tuple", "float"])
 @pytest.mark.parametrize(
     "call",

@@ -200,6 +200,28 @@ class TestPowerState:
         with pytest.raises(ValueError):
             SimParams(charging=(-0.5,))
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"capacity": True}, "SimParams.capacity must be int or float, not bool"),
+            ({"capacity": "100"}, "SimParams.capacity must be int or float, not str"),
+            ({"consumption_factor": None}, "SimParams.consumption_factor must be int or float, not NoneType"),
+            ({"charging": 5}, "SimParams.charging must be tuple or list, not int"),
+            ({"charging": "12"}, "SimParams.charging must be tuple or list, not str"),
+            ({"charging": ["1"]}, "SimParams.charging entries must be int or float, not str"),
+            ({"charging": (0.5, False)}, "SimParams.charging entries must be int or float, not bool"),
+            ({"charging": (0.5, None)}, "SimParams.charging entries must be int or float, not NoneType"),
+        ],
+    )
+    def test_wrong_type_rejected_naming_the_field(self, changes, message):
+        with pytest.raises(TypeError) as caught:
+            SimParams(**changes)
+        assert str(caught.value) == message
+
+    def test_int_values_are_accepted(self):
+        params = SimParams(capacity=50, consumption_factor=2, charging=[1, 0.5])
+        assert (params.capacity, params.consumption_factor, params.charging) == (50, 2, (1.0, 0.5))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["capacity", "consumption_factor", "charging"])
     def test_non_finite_params_rejected(self, field, value):
